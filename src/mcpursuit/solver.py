@@ -16,6 +16,14 @@ constraint set; and an integer sphere walk with a shrinking radius finds
 the exact minimum-residual grid point inside each surviving stratum. The
 result equals brute-force enumeration of the same codebook, which the
 tests check directly at toy sizes.
+
+For two-column supports the least-squares bound has a closed form in the
+entries of A^T A. When every pair fits the length budget, the n(n-1)/2
+pairs are charged to the node cap up front and scanned in blocks of
+_PAIR_ROWS rows of A^T A. Only the pairs that pass the bound are kept and
+sorted, so scratch memory is a few blocks of _PAIR_ROWS x n floats, not
+proportional to the number of pairs. Larger supports are generated in
+bounded chunks and pruned per chunk.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +61,8 @@ __all__ = [
 ]
 
 _LS_MARGIN = 1e-9  # float slack on the continuous feasibility prune
+_PAIR_ROWS = 64  # Gram rows per block of the k=2 pair scan
+_COMBO_CHUNK = 1 << 16  # supports per chunk from the combination generator
 
 
 class SolverResourceError(RuntimeError):
@@ -319,7 +330,12 @@ def _sphere_walk(
         u[level] = 0
         return radius_sq
 
-    descend(dims - 1, 0.0, radius_sq)
+    try:
+        descend(dims - 1, 0.0, radius_sq)
+    finally:
+        # descend refers to itself through its closure cell; emptying the
+        # cell frees on_leaf, and the search it holds, without the cyclic GC
+        del descend
 
 
 def _qr_rows(a_cols: np.ndarray, y: np.ndarray):
@@ -373,6 +389,19 @@ def _budgeted_combos(costs: np.ndarray, size: int, budget: int):
     yield from rec(0, (), 0)
 
 
+def _ls2_residual_sq(g00, g11, g01, b0, b1, yy: float) -> np.ndarray:
+    """Closed-form least-squares residual^2 of two columns with Gram
+    entries g00, g11, g01 and correlations b0, b1 with y. Arguments
+    broadcast against each other. Singular pairs get bound 0."""
+    det = g00 * g11 - g01**2
+    good = det > 1e-12 * (g00 * g11 + 1e-300)
+    quad = b0 * (g11 * b0 - g01 * b1) + b1 * (g00 * b1 - g01 * b0)
+    np.divide(quad, det, out=quad, where=good)
+    out = np.zeros(quad.shape)
+    np.subtract(yy, quad, out=out, where=good)
+    return np.maximum(out, 0.0, out=out)
+
+
 def _ls_residual_sq(gram: np.ndarray, bvec: np.ndarray, yy: float) -> np.ndarray:
     """Batched continuous least-squares residual^2, exact lower bound on
     any point of the stratum. Singular strata get bound 0 (never pruned)."""
@@ -383,14 +412,9 @@ def _ls_residual_sq(gram: np.ndarray, bvec: np.ndarray, yy: float) -> np.ndarray
         out = np.full(batch, yy)
         out[good] = yy - bvec[good, 0] ** 2 / g[good]
     elif k == 2:
-        det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] ** 2
-        scale = gram[:, 0, 0] * gram[:, 1, 1] + 1e-300
-        good = det > 1e-12 * scale
-        v0 = gram[:, 1, 1] * bvec[:, 0] - gram[:, 0, 1] * bvec[:, 1]
-        v1 = gram[:, 0, 0] * bvec[:, 1] - gram[:, 0, 1] * bvec[:, 0]
-        out = np.zeros(batch)
-        quad = bvec[:, 0] * v0 + bvec[:, 1] * v1
-        out[good] = yy - quad[good] / det[good]
+        return _ls2_residual_sq(
+            gram[:, 0, 0], gram[:, 1, 1], gram[:, 0, 1], bvec[:, 0], bvec[:, 1], yy
+        )
     else:
         det = np.linalg.det(gram)
         scale = np.abs(np.diagonal(gram, axis1=1, axis2=2)).prod(axis=1) + 1e-300
@@ -400,6 +424,31 @@ def _ls_residual_sq(gram: np.ndarray, bvec: np.ndarray, yy: float) -> np.ndarray
             sol = np.linalg.solve(gram[good], bvec[good][..., None])[..., 0]
             out[good] = yy - np.einsum("bi,bi->b", bvec[good], sol)
     return np.maximum(out, 0.0)
+
+
+def _feasible_pairs(gram: np.ndarray, aty: np.ndarray, yy: float, limit: float):
+    """Pairs i < j (n >= 2) whose least-squares residual is within limit,
+    in row-major order, with their residual^2. Works on blocks of
+    _PAIR_ROWS rows of the full Gram matrix, so scratch memory is a few
+    blocks of _PAIR_ROWS x n floats plus the survivors."""
+    n = len(aty)
+    diag = np.diagonal(gram)
+    pairs, res = [], []
+    for lo in range(0, n - 1, _PAIR_ROWS):
+        hi = min(lo + _PAIR_ROWS, n - 1)
+        # columns lo+1.. cover every j > i for the rows lo..hi-1
+        res_sq = _ls2_residual_sq(
+            diag[lo:hi, None],
+            diag[None, lo + 1 :],
+            gram[lo:hi, lo + 1 :],
+            aty[lo:hi, None],
+            aty[None, lo + 1 :],
+            yy,
+        )
+        rows, cols = np.nonzero(np.triu(np.sqrt(res_sq) <= limit))
+        pairs.append(np.column_stack((rows + lo, cols + lo + 1)))
+        res.append(res_sq[rows, cols])
+    return np.concatenate(pairs), np.concatenate(res)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +480,14 @@ class _Search:
         self.probe = _Probe(self.a, probe_ref) if probe_ref is not None else None
         self.pos_costs = _position_costs(self.n)
         self.len_n = uint_code_len(self.n)
-        # floored samples sit within 2^-m below the continuous polynomial,
-        # so continuous-space prunes get this much extra room
-        self.pp_slack = ens.sigma_max * math.sqrt(self.n) * 2.0 ** (-m)
+        self.ens = ens
+
+    @cached_property
+    def pp_slack(self) -> float:
+        """Floored samples sit within 2^-m below the continuous polynomial,
+        so continuous-space prunes of degree >= 1 strata get this much
+        extra room. Computed on first use: sigma_max is a power iteration."""
+        return self.ens.sigma_max * math.sqrt(self.n) * 2.0 ** (-self.m)
 
     # -- sparse strata --------------------------------------------------
 
@@ -456,52 +510,50 @@ class _Search:
                 continue
             if self.gram_full is None:
                 self.gram_full = self.a.T @ self.a
-            for supports in self.iter_support_chunks(k):
-                dls = (
-                    self.sparse_dl(k, 0)
-                    + self.pos_costs[supports].sum(axis=1)
-                )
-                keep = dls <= self.incumbent.dl
-                supports, dls = supports[keep], dls[keep]
-                if len(supports) == 0:
-                    continue
-                gram = self.gram_full[supports[:, :, None], supports[:, None, :]]
-                bvec = self.aty[supports]
-                res_sq = _ls_residual_sq(gram, bvec, self.yy)
-                feasible = np.sqrt(res_sq) <= self.eta + _LS_MARGIN
-                order = np.lexsort((res_sq, dls))
-                for idx in order:
-                    if not feasible[idx]:
-                        continue
-                    if dls[idx] > self.incumbent.dl:
-                        continue
-                    self.offer_sparse(
-                        tuple(int(p) for p in supports[idx]), int(dls[idx])
-                    )
+            for supports, dls in self.feasible_supports(k):
+                for support, dl in zip(supports.tolist(), dls.tolist()):
+                    if dl <= self.incumbent.dl:
+                        self.offer_sparse(tuple(support), dl)
 
-    def iter_support_chunks(self, k: int, chunk: int = 1 << 16):
-        """Support sets of size k within the current length budget, in
-        bounded-size blocks so the node cap fires before memory does."""
-        budget_left = self.incumbent.dl - self.sparse_dl(k, 0)
+    def feasible_supports(self, k: int):
+        """Support sets of size k within the current length budget that
+        pass the least-squares prune, with their code lengths, in batches.
+        A batch is in offer order (length, then residual bound, then
+        generation order) and is charged to the node cap before it is
+        built. Batches have bounded size and the k=2 scan works in row
+        blocks, so the node cap fires before memory runs out."""
+        base = self.sparse_dl(k, 0)
+        budget_left = self.incumbent.dl - base
         budget_left = int(min(budget_left, self.pos_costs.sum()))
+        limit = self.eta + _LS_MARGIN
+        if k == 2 and budget_left >= self.pos_costs.max() * 2:
+            # every pair is within the length budget
+            self.budget.add_strata(self.n * (self.n - 1) // 2)
+            supports, res_sq = _feasible_pairs(
+                self.gram_full, self.aty, self.yy, limit
+            )
+            dls = base + self.pos_costs[supports].sum(axis=1)
+            order = np.lexsort((res_sq, dls))
+            yield supports[order], dls[order]
+            return
         if k == 1:
             idx = np.nonzero(self.pos_costs <= budget_left)[0]
-            if len(idx):
-                self.budget.add_strata(len(idx))
-                yield idx[:, None]
-            return
-        if k == 2 and budget_left >= self.pos_costs.max() * 2:
-            i, j = np.triu_indices(self.n, 1)
-            self.budget.add_strata(len(i))
-            yield np.column_stack((i, j))
-            return
-        gen = _budgeted_combos(self.pos_costs, k, budget_left)
-        while True:
-            block = list(itertools.islice(gen, chunk))
-            if not block:
-                return
-            self.budget.add_strata(len(block))
-            yield np.array(block, dtype=np.int64)
+            chunks = [idx[:, None]]
+        else:
+            gen = _budgeted_combos(self.pos_costs, k, budget_left)
+            chunks = iter(lambda: list(itertools.islice(gen, _COMBO_CHUNK)), [])
+        for chunk in chunks:
+            supports = np.asarray(chunk, dtype=np.int64)
+            self.budget.add_strata(len(supports))
+            dls = base + self.pos_costs[supports].sum(axis=1)
+            keep = dls <= self.incumbent.dl
+            supports, dls = supports[keep], dls[keep]
+            gram = self.gram_full[supports[:, :, None], supports[:, None, :]]
+            res_sq = _ls_residual_sq(gram, self.aty[supports], self.yy)
+            feasible = np.sqrt(res_sq) <= limit
+            supports, dls = supports[feasible], dls[feasible]
+            order = np.lexsort((res_sq[feasible], dls))
+            yield supports[order], dls[order]
 
     def offer_sparse(self, support: tuple[int, ...], dl: int) -> None:
         k = len(support)

@@ -1,7 +1,10 @@
 """Search correctness against brute-force enumeration, plus the error
 bound helpers and the resource/infeasible contract."""
 
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,9 +14,14 @@ from mcpursuit.measure import sample_ensemble
 from mcpursuit.quantize import quantization_gap_bound, quantize_vector
 from mcpursuit.rng import derive_seed, make_generator
 from mcpursuit.signals import gen_sparse
+from mcpursuit import solver
 from mcpursuit.solver import (
+    _LS_MARGIN,
     SolverConfig,
     SolverResourceError,
+    _budgeted_combos,
+    _ls_residual_sq,
+    _Search,
     corollary_error_bound,
     corollary_failure_prob,
     dl_budget_bits,
@@ -107,6 +115,123 @@ def test_matches_brute_force_degenerate_sizes():
             got = mcp_exact(ens, y, m, eta, cfg)
             want = brute_force_argmin(ens, y, m, eta, cfg)
             assert_matches_oracle(got, want, ens, y, eta)
+
+
+# ---------------------------------------------------------------------------
+# k=2 pair scan
+
+
+PAIR_SCOPE = SolverConfig(max_sparse_k=2, include_pp=False)
+
+
+def _duplicate_column(gram, aty, p, q):
+    """Make column q an exact copy of column p: the pair (p, q) is
+    singular, and (p, j), (q, j) have identical Gram entries."""
+    gram[q, :] = gram[p, :]
+    gram[:, q] = gram[:, p]
+    aty[q] = aty[p]
+
+
+def _gathered_pairs(gram, aty, yy):
+    """Reference for the pair scan: every pair from the combination
+    generator, in generation order, with its 2x2 Gram gathered."""
+    n = len(aty)
+    pairs = np.array(list(_budgeted_combos(np.zeros(n, dtype=np.int64), 2, 0)))
+    sub = gram[pairs[:, :, None], pairs[:, None, :]]
+    return pairs, _ls_residual_sq(sub, aty[pairs], yy)
+
+
+@pytest.mark.parametrize("rows", [5, solver._PAIR_ROWS])
+def test_pair_scan_matches_gathered_reference(rows, monkeypatch):
+    # 5-row blocks put the tied pairs below in different blocks
+    monkeypatch.setattr(solver, "_PAIR_ROWS", rows)
+    n, d, m = 40, 12, 4
+    ens = sample_ensemble(n, d, derive_seed(915, "pairs"))
+    rng = make_generator(915, "pairs-draw")
+    b = rng.normal(size=(d, n))
+    y = 0.5 * b[:, 9] + 0.3 * b[:, 30] + 0.01 * rng.normal(size=d)
+    yy = float(y @ y)
+    gram = b.T @ b
+    gram = 0.5 * (gram + gram.T)
+    aty = b.T @ y
+    # 9 and 12 share a position cost, so (9, j) and (12, j) tie exactly
+    # in length and residual; (20, 25) is a second singular pair
+    _duplicate_column(gram, aty, 9, 12)
+    _duplicate_column(gram, aty, 20, 25)
+    all_pairs, all_res = _gathered_pairs(gram, aty, yy)
+    for eta in (0.0, math.sqrt(np.quantile(all_res, 0.3))):
+        keep = np.sqrt(all_res) <= eta + _LS_MARGIN
+        pairs, res_sq = solver._feasible_pairs(gram, aty, yy, eta + _LS_MARGIN)
+        np.testing.assert_array_equal(pairs, all_pairs[keep])
+        np.testing.assert_array_equal(res_sq, all_res[keep])
+        # singular pairs have bound 0 and survive any eta
+        listed = [tuple(p) for p in pairs.tolist()]
+        assert (9, 12) in listed and (20, 25) in listed
+
+        search = _Search(ens, np.zeros(d), m, eta, PAIR_SCOPE, None)
+        search.gram_full, search.aty, search.yy = gram, aty, yy
+        batches = list(search.feasible_supports(2))
+        assert search.budget.strata == n * (n - 1) // 2
+        dls = search.sparse_dl(2, 0) + search.pos_costs[pairs].sum(axis=1)
+        order = np.lexsort((res_sq, dls))
+        assert len(batches) == 1
+        np.testing.assert_array_equal(batches[0][0], pairs[order])
+        np.testing.assert_array_equal(batches[0][1], dls[order])
+    # the tie is feasible at the larger eta, and stays in generation order
+    offered = [tuple(p) for p in batches[0][0].tolist()]
+    at = offered.index((9, 30))
+    assert offered[at + 1] == (12, 30)
+
+
+def test_pair_scan_memory_is_a_few_row_blocks():
+    n, d = 2048, 8
+    ens = sample_ensemble(n, d, derive_seed(916, "pair-mem"))
+    y = make_generator(916, "pair-mem-draw").normal(size=d)
+    search = _Search(ens, y, 4, 1e-6, PAIR_SCOPE, None)
+    search.gram_full = np.asarray(ens.matrix).T @ np.asarray(ens.matrix)
+    block_bytes = solver._PAIR_ROWS * n * 8
+    tracemalloc.start()
+    try:
+        batches = list(search.feasible_supports(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(p) for p, _ in batches) == 0
+    # one float per pair would already be 2048 * 2047 / 2 * 8 = 16.8 MB
+    assert peak <= 8 * block_bytes
+
+
+# ---------------------------------------------------------------------------
+# resource lifetime
+
+
+def test_finished_search_is_freed_without_cyclic_gc():
+    n, m, d = 12, 3, 6
+    ens = sample_ensemble(n, d, derive_seed(917, "free"))
+    rng = make_generator(917, "free-draw")
+    xq = quantize_vector(gen_sparse(n, 2, rng), m)
+    y = np.asarray(ens.matrix) @ np.array(xq.to_floats())
+    gc.disable()
+    try:
+        search = _Search(ens, y, m, 1e-6, PP_SCOPE, None)
+        ref = weakref.ref(search)
+        res = search.run()
+        del search
+        freed = ref() is None
+    finally:
+        gc.enable()
+    assert res.points_tested > 0
+    assert freed
+
+
+def test_sparse_only_solve_skips_sigma_max():
+    ens = sample_ensemble(16, 8, derive_seed(918, "lazy"))
+    rng = make_generator(918, "lazy-draw")
+    xq = quantize_vector(gen_sparse(16, 2, rng), 3)
+    y = np.asarray(ens.matrix) @ np.array(xq.to_floats())
+    res = mcp_exact(ens, y, 3, 1e-6, PAIR_SCOPE)
+    assert res.x_hat == xq
+    assert "sigma_max" not in ens.__dict__
 
 
 # ---------------------------------------------------------------------------
