@@ -7,7 +7,7 @@ flags given on the command line win.
 
 Exit status: 0 when the run completes and its pass condition holds,
 1 when it completes but the condition fails, 2 for usage, config, or
-input errors.
+input errors, 3 when a solve exhausts its node budget.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ from .harness import (
 )
 from .quantize import quantize_vector
 from .signals import load_signal, save_signal
+from .solver import SolverResourceError
 
 USAGE_ERROR = 2
+RESOURCE_ERROR = 3
 
 
 def _int_tuple(text: str) -> tuple[int, ...]:
@@ -259,6 +261,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
+    except SolverResourceError as exc:
+        print(f"mcpursuit: {exc}", file=sys.stderr)
+        return RESOURCE_ERROR
     except (OSError, CodecError, DecodeError, ValueError) as exc:
         print(f"mcpursuit: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -22,13 +22,22 @@ entries of A^T A. When every pair fits the length budget, the n(n-1)/2
 pairs are charged to the node cap up front and scanned in blocks of
 _PAIR_ROWS rows of A^T A. Only the pairs that pass the bound are kept and
 sorted, so scratch memory is a few blocks of _PAIR_ROWS x n floats, not
-proportional to the number of pairs. Larger supports are generated in
-bounded chunks and pruned per chunk.
+proportional to the number of pairs.
+
+Every other stratum comes from _budgeted_tuples, which generates the
+ascending index tuples within a length budget as int64 arrays in
+lexicographic order: sparse supports (index p costs uint_code_len(p + 1))
+and breakpoint patterns (break b costs uint_code_len(b)). Both costs
+never decrease with the index, so each index range is one searchsorted
+cut on running cost sums, and only (size - 2)-index prefixes are walked
+in Python. Strata are charged to the node cap, pruned and sorted per
+chunk of fixed size (_COMBO_CHUNK supports, _PP_CHUNK breakpoint
+patterns); chunk boundaries fix the offer order and with it the counters
+a solve reports.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,7 +71,8 @@ __all__ = [
 
 _LS_MARGIN = 1e-9  # float slack on the continuous feasibility prune
 _PAIR_ROWS = 64  # Gram rows per block of the k=2 pair scan
-_COMBO_CHUNK = 1 << 16  # supports per chunk from the combination generator
+_COMBO_CHUNK = 1 << 16  # sparse supports per chunk of k=1, k>=3 or budget-limited k=2
+_PP_CHUNK = 2048  # breakpoint patterns per piecewise batch
 
 
 class SolverResourceError(RuntimeError):
@@ -364,29 +374,81 @@ def _position_costs(n: int) -> np.ndarray:
     return np.array([uint_code_len(p + 1) for p in range(n)], dtype=np.int64)
 
 
-def _budgeted_combos(costs: np.ndarray, size: int, budget: int):
-    """Ascending index tuples with total cost within budget."""
+def _budgeted_tuples(costs: np.ndarray, size: int, budget: int, chunk: int):
+    """Ascending index tuples of `size` indices whose costs sum to at most
+    budget, in lexicographic order, as int64 arrays of `chunk` rows (the
+    last one shorter).
+
+    Costs must not decrease with the index. Then the cheapest way to pick
+    r more indices from i on is the window costs[i:i+r], whose sum does
+    not decrease with i, so each index range is one searchsorted cut on
+    the window sums and the scan stops at the first index that cannot
+    fit. Prefixes of size - 2 indices are walked one at a time; the last
+    two indices after a prefix are expanded as arrays, in groups of at
+    most `chunk` rows (or one first index), so scratch memory is a few
+    chunks plus O(n) rows."""
+    costs = np.asarray(costs, dtype=np.int64)
+    if np.any(np.diff(costs) < 0):
+        raise ValueError("costs must not decrease with the index")
     n = len(costs)
     if size == 0:
         if budget >= 0:
-            yield ()
+            yield np.zeros((1, 0), dtype=np.int64)
         return
-    cheapest = np.sort(costs)
-    prefix = np.concatenate(([0], np.cumsum(cheapest)))
+    if size == 1:
+        stop = np.searchsorted(costs, budget, side="right")
+        for lo in range(0, stop, chunk):
+            yield np.arange(lo, min(lo + chunk, stop), dtype=np.int64)[:, None]
+        return
+    if size > n:
+        return
+    cum = np.concatenate(([0], np.cumsum(costs)))
+    # windows[r][i]: cost of indices i..i+r-1, for i in 0..n-r
+    windows = {r: cum[r:] - cum[: n - r + 1] for r in range(2, size + 1)}
 
-    def rec(start: int, picked: tuple, spent: int):
-        need = size - len(picked)
-        if need == 0:
-            yield picked
+    def prefixes(picked: list[int], start: int, left: int):
+        """Prefixes of size - 2 indices, with the budget left after them."""
+        if len(picked) == size - 2:
+            yield picked, left
             return
-        for i in range(start, n - need + 1):
-            c = int(costs[i])
-            # relaxation: even the globally cheapest fill must fit
-            if spent + c + prefix[need - 1] > budget:
-                continue
-            yield from rec(i + 1, picked + (i,), spent + c)
+        stop = np.searchsorted(windows[size - len(picked)], left, side="right")
+        for i in range(start, stop):
+            yield from prefixes(picked + [i], i + 1, left - int(costs[i]))
 
-    yield from rec(0, (), 0)
+    def blocks():
+        for picked, left in prefixes([], 0, budget):
+            start = picked[-1] + 1 if picked else 0
+            stop = np.searchsorted(windows[2], left, side="right")
+            firsts = np.arange(start, stop, dtype=np.int64)
+            # seconds of first i run over i+1 .. ends[i]-1
+            ends = np.searchsorted(costs, left - costs[firsts], side="right")
+            counts = ends - firsts - 1
+            total = np.cumsum(counts)
+            lo = 0
+            while lo < len(firsts):
+                before = total[lo - 1] if lo else 0
+                hi = max(np.searchsorted(total, before + chunk, side="right"), lo + 1)
+                reps = counts[lo:hi]
+                rows = int(total[hi - 1] - before)
+                out = np.empty((rows, size), dtype=np.int64)
+                out[:, : size - 2] = picked
+                out[:, -2] = np.repeat(firsts[lo:hi], reps)
+                offsets = np.arange(rows) - np.repeat(total[lo:hi] - reps - before, reps)
+                out[:, -1] = out[:, -2] + 1 + offsets
+                yield out
+                lo = hi
+
+    pending, held = [], 0
+    for block in blocks():
+        pending.append(block)
+        held += len(block)
+        if held >= chunk:
+            rows = np.concatenate(pending)
+            full = held - held % chunk
+            yield from np.split(rows[:full], full // chunk)
+            pending, held = [rows[full:]], held - full
+    if held:
+        yield np.concatenate(pending)
 
 
 def _ls2_residual_sq(g00, g11, g01, b0, b1, yy: float) -> np.ndarray:
@@ -536,14 +598,7 @@ class _Search:
             order = np.lexsort((res_sq, dls))
             yield supports[order], dls[order]
             return
-        if k == 1:
-            idx = np.nonzero(self.pos_costs <= budget_left)[0]
-            chunks = [idx[:, None]]
-        else:
-            gen = _budgeted_combos(self.pos_costs, k, budget_left)
-            chunks = iter(lambda: list(itertools.islice(gen, _COMBO_CHUNK)), [])
-        for chunk in chunks:
-            supports = np.asarray(chunk, dtype=np.int64)
+        for supports in _budgeted_tuples(self.pos_costs, k, budget_left, _COMBO_CHUNK):
             self.budget.add_strata(len(supports))
             dls = base + self.pos_costs[supports].sum(axis=1)
             keep = dls <= self.incumbent.dl
@@ -603,11 +658,9 @@ class _Search:
         t = np.arange(self.n) / self.n
         max_deg = min(self.config.pp_max_degree, self.n - 1)
         prefix_tables = {}
-        break_costs = np.array(
-            [uint_code_len(b) for b in range(1, self.n)], dtype=np.int64
-        )
-        cheapest_b = np.sort(break_costs)
-        prefix_b = np.concatenate(([0], np.cumsum(cheapest_b)))
+        # break b sits at index b - 1
+        break_costs = self.pos_costs[:-1]
+        prefix_b = np.concatenate(([0], np.cumsum(break_costs)))
         for n_deg in range(max_deg + 1):
             m_prime = coeff_resolution(n_deg, self.m)
             base = 3 + self.len_n + uint_code_len(n_deg + 1)
@@ -615,9 +668,10 @@ class _Search:
                 break
             for j in range(n_deg + 1):
                 if j not in prefix_tables:
-                    weighted = self.a * t[None, :] ** j
+                    # row e holds sum_{i < e} a_i t_i^j, one row per edge
+                    weighted = self.a.T * t[:, None] ** j
                     prefix_tables[j] = np.concatenate(
-                        (np.zeros((self.d, 1)), np.cumsum(weighted, axis=1)), axis=1
+                        (np.zeros((1, self.d)), np.cumsum(weighted, axis=0))
                     )
             max_q = min(self.config.pp_max_breaks, self.n - 1)
             for q_breaks in range(max_q + 1):
@@ -631,52 +685,43 @@ class _Search:
                 budget_left = int(
                     min(self.incumbent.dl - fixed, break_costs.sum(initial=0))
                 )
-                gen = (
-                    tuple(i + 1 for i in combo)
-                    for combo in _budgeted_combos(break_costs, q_breaks, budget_left)
-                )
-                while True:
-                    combos = list(itertools.islice(gen, 2048))
-                    if not combos:
-                        break
-                    self.budget.add_strata(len(combos))
+                for idx in _budgeted_tuples(
+                    break_costs, q_breaks, budget_left, _PP_CHUNK
+                ):
+                    self.budget.add_strata(len(idx))
+                    dls = fixed + break_costs[idx].sum(axis=1)
                     self.process_pp_batch(
-                        n_deg, q_breaks, combos, fixed, prefix_tables, m_prime
+                        n_deg, idx + 1, dls, prefix_tables, m_prime
                     )
 
-    def process_pp_batch(self, n_deg, q_breaks, combos, fixed, tables, m_prime):
+    def process_pp_batch(self, n_deg, breaks, dls, tables, m_prime):
+        """Prune and offer one batch of breakpoint patterns (rows of
+        breaks) of one degree, with their code lengths dls."""
+        batch, q_breaks = breaks.shape
         dims = (q_breaks + 1) * (n_deg + 1)
         scale = 2.0 ** (-m_prime)
-        batch = len(combos)
         edges = np.zeros((batch, q_breaks + 2), dtype=np.int64)
+        edges[:, 1:-1] = breaks
         edges[:, -1] = self.n
-        if q_breaks:
-            edges[:, 1:-1] = np.array(combos, dtype=np.int64)
         cols = np.empty((batch, self.d, dims))
         for piece in range(q_breaks + 1):
             lo_e, hi_e = edges[:, piece], edges[:, piece + 1]
             for j in range(n_deg + 1):
                 tab = tables[j]
-                cols[:, :, piece * (n_deg + 1) + j] = (
-                    tab[:, hi_e].T - tab[:, lo_e].T
-                ) * scale
-        gram = np.einsum("bdi,bdj->bij", cols, cols)
-        bvec = np.einsum("bdi,d->bi", cols, self.y)
-        res_sq = _ls_residual_sq(gram, bvec, self.yy)
-        dls = fixed + np.array(
-            [sum(uint_code_len(b) for b in combo) for combo in combos],
-            dtype=np.int64,
-        )
+                cols[:, :, piece * (n_deg + 1) + j] = (tab[hi_e] - tab[lo_e]) * scale
+        cols_t = cols.transpose(0, 2, 1)
+        res_sq = _ls_residual_sq(cols_t @ cols, cols_t @ self.y, self.yy)
         # degree 0 decodes to the coefficients themselves; higher degrees
         # floor each sample, so the continuous prune needs slack
         slack = 0.0 if n_deg == 0 else self.pp_slack
         feasible = np.sqrt(res_sq) <= self.eta + slack + _LS_MARGIN
         order = np.lexsort((res_sq, dls))
-        for idx in order:
-            if not feasible[idx] or dls[idx] > self.incumbent.dl:
-                continue
+        for i in order[feasible[order]]:
+            # lengths ascend along the order and the incumbent only shrinks
+            if dls[i] > self.incumbent.dl:
+                break
             self.offer_pp(
-                n_deg, combos[idx], int(dls[idx]), cols[idx], m_prime
+                n_deg, tuple(breaks[i].tolist()), int(dls[i]), cols[i], m_prime
             )
 
     def offer_pp(self, n_deg, breaks, dl, cols, m_prime):

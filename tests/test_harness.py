@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mcpursuit import cli, harness
 from mcpursuit.harness import (
     CorollaryConfig,
     LemmaConfig,
@@ -19,6 +21,7 @@ from mcpursuit.harness import (
     run_mismatch_scan,
     run_phase_scan,
 )
+from mcpursuit.solver import SolverResourceError
 
 TINY_SCAN = PhaseScanConfig(trials=3, d_values=(8, 30), master_seed=4242)
 
@@ -103,10 +106,16 @@ def test_mismatch_tiny_run(tmp_path):
 # command line
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def _cli(*argv, cwd=None):
+    # run the checkout's package whether or not it is installed
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "mcpursuit.cli", *argv],
         capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -171,3 +180,15 @@ def test_cli_bad_inputs_exit_2(tmp_path):
     sig.write_text("0.5\n1.5\n")  # out of range sample
     assert _cli("encode", str(sig), "-m", "3",
                 "-o", str(tmp_path / "o.bits")).returncode == 2
+
+
+def test_cli_node_budget_exhausted_exits_3(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise SolverResourceError("node budget 10 exhausted")
+
+    monkeypatch.setattr(harness, "mcp_exact", exhausted)
+    code = cli.main(["corollary", "--trials", "1", "--n", "64",
+                     "--out", str(tmp_path)])
+    assert code == cli.RESOURCE_ERROR == 3
+    err = capsys.readouterr().err
+    assert err == "mcpursuit: node budget 10 exhausted\n"

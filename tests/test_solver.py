@@ -2,12 +2,16 @@
 bound helpers and the resource/infeasible contract."""
 
 import gc
+import itertools
 import math
+import time
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcpursuit.codecs import CodedSignal, decode_any, encode_sparse
 from mcpursuit.measure import sample_ensemble
@@ -19,7 +23,7 @@ from mcpursuit.solver import (
     _LS_MARGIN,
     SolverConfig,
     SolverResourceError,
-    _budgeted_combos,
+    _budgeted_tuples,
     _ls_residual_sq,
     _Search,
     corollary_error_bound,
@@ -118,6 +122,73 @@ def test_matches_brute_force_degenerate_sizes():
 
 
 # ---------------------------------------------------------------------------
+# budgeted stratum generator
+
+
+@st.composite
+def _budgeted_cases(draw):
+    costs = sorted(draw(st.lists(st.integers(0, 12), max_size=8)))
+    total = sum(costs)
+    budget = draw(st.sampled_from([-1, 0, total + 1]) | st.integers(0, total))
+    return costs, draw(st.integers(0, 4)), budget, draw(st.integers(1, 6))
+
+
+@given(case=_budgeted_cases())
+@settings(max_examples=300, deadline=None)
+def test_budgeted_tuples_match_filtered_combinations(case):
+    costs, size, budget, chunk = case
+    want = [
+        t for t in itertools.combinations(range(len(costs)), size)
+        if sum(costs[i] for i in t) <= budget
+    ]
+    chunks = list(_budgeted_tuples(np.array(costs, dtype=np.int64), size, budget, chunk))
+    assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
+    assert all(0 < len(c) <= chunk and c.shape[1] == size for c in chunks)
+    assert all(c.dtype == np.int64 for c in chunks)
+    assert [tuple(row) for c in chunks for row in c.tolist()] == want
+
+
+def test_budgeted_tuples_reject_decreasing_costs():
+    with pytest.raises(ValueError):
+        next(_budgeted_tuples(np.array([1, 3, 2]), 2, 10, 8))
+
+
+def test_budgeted_tuples_stop_at_first_unaffordable_index():
+    # only the first 16 of 2^20 positions fit: the scan must not visit
+    # the rest once per prefix
+    costs = np.repeat(np.array([1, 100], dtype=np.int64), [16, (1 << 20) - 16])
+    start = time.perf_counter()
+    rows = np.concatenate(list(_budgeted_tuples(costs, 3, 3, solver._COMBO_CHUNK)))
+    elapsed = time.perf_counter() - start
+    assert len(rows) == math.comb(16, 3) == 560
+    assert rows.max() == 15
+    assert elapsed < 5.0
+
+
+def test_three_break_offer_order_is_pinned():
+    # The samples at 2, 15 and 31 sit halfway between their neighbours'
+    # piece values, so several three-break patterns near (2, 15, 31) fit.
+    # The 16,215 three-break strata are offered per chunk of _PP_CHUNK in
+    # order of length; here a shorter pattern follows a longer one across
+    # the first chunk boundary, so merging chunks, or an offer order not
+    # led by length, changes points_tested. Values recorded before the
+    # generator was vectorized.
+    n, m, d = 48, 6, 16
+    v = np.array([8, 56, 16, 48]) / 64
+    x = np.repeat(v, [2, 14, 16, 16])
+    x[2], x[15], x[31] = (v[:-1] + v[1:]) / 2
+    ens = sample_ensemble(n, d, derive_seed(919, "pinned", d, 0))
+    cfg = SolverConfig(max_sparse_k=2, pp_max_degree=0, pp_max_breaks=3)
+    res = mcp_exact(ens, np.asarray(ens.matrix) @ x, m, 0.5, cfg)
+    assert (res.dl_bits, res.stream, res.strata_examined, res.points_tested) == (
+        64,
+        "0010011010000101100010100100111001011111001011110110001111101100",
+        18521,
+        4,
+    )
+
+
+# ---------------------------------------------------------------------------
 # k=2 pair scan
 
 
@@ -133,10 +204,9 @@ def _duplicate_column(gram, aty, p, q):
 
 
 def _gathered_pairs(gram, aty, yy):
-    """Reference for the pair scan: every pair from the combination
-    generator, in generation order, with its 2x2 Gram gathered."""
-    n = len(aty)
-    pairs = np.array(list(_budgeted_combos(np.zeros(n, dtype=np.int64), 2, 0)))
+    """Reference for the pair scan: every pair i < j in row-major order,
+    with its 2x2 Gram gathered."""
+    pairs = np.array(list(itertools.combinations(range(len(aty)), 2)))
     sub = gram[pairs[:, :, None], pairs[:, None, :]]
     return pairs, _ls_residual_sq(sub, aty[pairs], yy)
 
