@@ -17,6 +17,15 @@ the exact minimum-residual grid point inside each surviving stratum. The
 result equals brute-force enumeration of the same codebook, which the
 tests check directly at toy sizes.
 
+One method, _Search.walk_stratum, walks every stratum that survives the
+prunes: a QR of its columns, a sphere walk over the integer points of its
+value box, and one leaf handler that tests the residual, offers the point
+and tightens the radius. Sparse supports, breakpoint patterns and the
+literal block pass only what differs: columns, value box, piece blocks,
+the map to sample numerators and the encoder. Degree >= 1 pieces floor
+their samples, so their radius carries a slack and their residual is
+recomputed from the samples. The empty support is accepted without a walk.
+
 For two-column supports the least-squares bound has a closed form in the
 entries of A^T A. When every pair fits the length budget, the n(n-1)/2
 pairs are charged to the node cap up front and scanned in blocks of
@@ -45,6 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .codecs import (
+    CODEC_HEADER_BITS,
     PAIR_OVERHEAD_BITS,
     coeff_resolution,
     encode_literal,
@@ -196,26 +206,23 @@ class _Incumbent:
     codec_id: str = ""
 
     def offer(
-        self,
-        dl: int,
-        residual: float,
-        stream_fn,
-        vector_fn,
-        codec_id: str,
-    ) -> bool:
+        self, dl: int, residual: float, code_fn, vector: QuantizedVector
+    ) -> None:
+        """Take the vector if it is shorter, or as short and closer to y,
+        or a tie whose codeword comes first. code_fn() builds the codeword
+        only when the stream has to be compared or kept."""
         if dl > self.dl:
-            return False
+            return
         if dl == self.dl and residual > self.residual:
-            return False
-        stream = stream_fn()
-        if dl == self.dl and residual == self.residual and stream >= self.stream:
-            return False
+            return
+        coded = code_fn()
+        if dl == self.dl and residual == self.residual and coded.payload >= self.stream:
+            return
         self.dl = dl
         self.residual = residual
-        self.stream = stream
-        self.vector = vector_fn()
-        self.codec_id = codec_id
-        return True
+        self.stream = coded.payload
+        self.vector = vector
+        self.codec_id = coded.codec_id
 
 
 class _Probe:
@@ -346,6 +353,13 @@ def _sphere_walk(
         # descend refers to itself through its closure cell; emptying the
         # cell frees on_leaf, and the search it holds, without the cyclic GC
         del descend
+
+
+def _coeff_rows(u: np.ndarray, width: int) -> tuple[tuple[int, ...], ...]:
+    """Per-piece coefficient numerators of a piecewise stratum's point."""
+    return tuple(
+        tuple(int(v) for v in u[s : s + width]) for s in range(0, len(u), width)
+    )
 
 
 def _qr_rows(a_cols: np.ndarray, y: np.ndarray):
@@ -551,10 +565,59 @@ class _Search:
         extra room. Computed on first use: sigma_max is a power iteration."""
         return self.ens.sigma_max * math.sqrt(self.n) * 2.0 ** (-self.m)
 
+    # -- one stratum walker -----------------------------------------------
+
+    def walk_stratum(
+        self, cols, dl, lo, bits, samples, code, floored=False, blocks=None
+    ) -> None:
+        """Offer the grid points of one stratum that satisfy the constraint
+        and can still beat or tie the incumbent.
+
+        The points are coordinate vectors u in [lo, 2^bits - 1]^D, and
+        cols holds the stratum's columns scaled to that grid. samples(u)
+        gives the sample numerators of u's vector, and code(u, vec) its
+        codeword, built only if the offer gets that far. blocks are the
+        (start, end) coordinate slices of a piecewise stratum's pieces,
+        whose coefficient numerators sum to less than 2^bits.
+
+        Unless floored, the samples are the coordinates themselves and the
+        walk distance gives the exact residual. Floored samples (piecewise
+        degree >= 1) can be pp_slack further from y than the walk distance
+        says, so the radius is widened by that much and the residual is
+        recomputed from the samples."""
+        r_mat, qty, base_sq = _qr_rows(cols, self.y)
+        slack = self.pp_slack if floored else 0.0
+        radius_sq = (self.eta + slack) ** 2 + _LS_MARGIN - base_sq
+        if radius_sq < 0:
+            return
+
+        def on_leaf(u, dist_sq):
+            nums = samples(u)
+            if floored:
+                x = np.ldexp(np.asarray(nums, dtype=np.float64), -self.m)
+                res = float(np.linalg.norm(self.a @ x - self.y))
+            else:
+                res = math.sqrt(base_sq + dist_sq)
+            if res > self.eta:
+                return None
+            vec = QuantizedVector(tuple(int(v) for v in nums), self.m)
+            if self.probe is not None:
+                self.probe.observe(vec.to_floats())
+            self.incumbent.offer(dl, res, lambda: code(u, vec), vec)
+            # this stratum now holds the incumbent length, so only points
+            # that can still beat or tie its residual matter
+            return max((self.incumbent.residual + slack) ** 2 - base_sq, 0.0)
+
+        top = (1 << bits) - 1
+        _sphere_walk(
+            r_mat, qty, radius_sq, lo, top, self.budget, on_leaf, blocks, top + 1
+        )
+
     # -- sparse strata --------------------------------------------------
 
     def sparse_dl(self, k: int, cost_sum: int) -> int:
-        return 3 + self.len_n + uint_code_len(k + 1) + cost_sum + k * self.m
+        header = CODEC_HEADER_BITS + self.len_n + uint_code_len(k + 1)
+        return header + cost_sum + k * self.m
 
     def run_sparse(self, k_lo: int = 0, k_hi: int | None = None) -> None:
         max_k = self.config.max_sparse_k
@@ -567,15 +630,23 @@ class _Search:
             if self.sparse_dl(k, int(prefix[k])) > self.incumbent.dl:
                 break
             if k == 0:
+                # the empty support has no coordinates to walk
                 self.budget.add_strata(1)
-                self.offer_sparse((), self.sparse_dl(0, 0))
+                res = math.sqrt(self.yy)
+                if res <= self.eta:
+                    zero = QuantizedVector((0,) * self.n, self.m)
+                    if self.probe is not None:
+                        self.probe.observe(zero.to_floats())
+                    self.incumbent.offer(
+                        self.sparse_dl(0, 0), res, lambda: encode_sparse(zero), zero
+                    )
                 continue
             if self.gram_full is None:
                 self.gram_full = self.a.T @ self.a
             for supports, dls in self.feasible_supports(k):
-                for support, dl in zip(supports.tolist(), dls.tolist()):
+                for support, dl in zip(supports, dls.tolist()):
                     if dl <= self.incumbent.dl:
-                        self.offer_sparse(tuple(support), dl)
+                        self.offer_sparse(support, dl)
 
     def feasible_supports(self, k: int):
         """Support sets of size k within the current length budget that
@@ -610,44 +681,17 @@ class _Search:
             order = np.lexsort((res_sq[feasible], dls))
             yield supports[order], dls[order]
 
-    def offer_sparse(self, support: tuple[int, ...], dl: int) -> None:
-        k = len(support)
-        top = (1 << self.m) - 1
-        scale = 2.0 ** (-self.m)
-        if k == 0:
-            res = math.sqrt(self.yy)
-            if res <= self.eta:
-                self.accept_sparse(support, np.zeros(0, dtype=np.int64), dl, res)
-            return
-        cols = self.a[:, list(support)] * scale
-        r_mat, qty, base_sq = _qr_rows(cols, self.y)
-        radius_sq = self.eta**2 + _LS_MARGIN - base_sq
-        if radius_sq < 0:
-            return
+    def offer_sparse(self, support: np.ndarray, dl: int) -> None:
+        """Walk one nonempty support: values 1 .. 2^m - 1 at its positions."""
 
-        def on_leaf(u, dist_sq):
-            res = math.sqrt(base_sq + dist_sq)
-            if res > self.eta:
-                return None
-            self.accept_sparse(support, u, dl, res)
-            # after the first feasible point this stratum holds the
-            # incumbent length, so only residual improvements matter
-            return max(self.incumbent.residual**2 - base_sq, 0.0)
+        def samples(u):
+            nums = np.zeros(self.n, dtype=np.int64)
+            nums[support] = u
+            return nums
 
-        _sphere_walk(r_mat, qty, radius_sq, 1, top, self.budget, on_leaf)
-
-    def accept_sparse(self, support, u, dl, res):
-        def vector_fn():
-            nums = [0] * self.n
-            for pos, val in zip(support, u):
-                nums[pos] = int(val)
-            return QuantizedVector(tuple(nums), self.m)
-
-        vec = vector_fn()
-        if self.probe is not None:
-            self.probe.observe(np.array(vec.to_floats()))
-        self.incumbent.offer(
-            dl, res, lambda: encode_sparse(vec).payload, lambda: vec, "sparse"
+        cols = self.a[:, support] * 2.0 ** (-self.m)
+        self.walk_stratum(
+            cols, dl, 1, self.m, samples, lambda u, vec: encode_sparse(vec)
         )
 
     # -- piecewise-polynomial strata -------------------------------------
@@ -663,7 +707,7 @@ class _Search:
         prefix_b = np.concatenate(([0], np.cumsum(break_costs)))
         for n_deg in range(max_deg + 1):
             m_prime = coeff_resolution(n_deg, self.m)
-            base = 3 + self.len_n + uint_code_len(n_deg + 1)
+            base = CODEC_HEADER_BITS + self.len_n + uint_code_len(n_deg + 1)
             if base + 1 + (n_deg + 1) * m_prime > self.incumbent.dl:
                 break
             for j in range(n_deg + 1):
@@ -725,84 +769,31 @@ class _Search:
             )
 
     def offer_pp(self, n_deg, breaks, dl, cols, m_prime):
-        pieces = len(breaks) + 1
-        top = (1 << m_prime) - 1
-        r_mat, qty, base_sq = _qr_rows(cols, self.y)
-        slack = 0.0 if n_deg == 0 else self.pp_slack
-        radius_sq = (self.eta + slack) ** 2 + _LS_MARGIN - base_sq
-        if radius_sq < 0:
-            return
-        blocks = [
-            (p * (n_deg + 1), (p + 1) * (n_deg + 1)) for p in range(pieces)
-        ]
-        edges = (0,) + breaks + (self.n,)
-        lengths = [edges[p + 1] - edges[p] for p in range(pieces)]
+        """Walk one breakpoint pattern: n_deg + 1 coefficient numerators
+        per piece, each piece's summing to less than 2^m_prime."""
+        width = n_deg + 1
+
+        def code(u, vec):
+            rows = _coeff_rows(u, width)
+            return _encode_pp_numerators(breaks, rows, n_deg, self.n, self.m)
+
+        blocks = [(s, s + width) for s in range(0, cols.shape[1], width)]
         decode = self.pp_decoder(breaks, n_deg, m_prime)
-
-        def on_leaf(u, dist_sq):
-            if n_deg == 0:
-                # samples equal the piece constants, walk distance is exact
-                res = math.sqrt(base_sq + dist_sq)
-                if res > self.eta:
-                    return None
-                nums = tuple(
-                    int(v) for v, ln in zip(u, lengths) for _ in range(ln)
-                )
-            else:
-                nums = decode(u)
-                res = float(
-                    np.linalg.norm(self.a @ (np.ldexp(np.asarray(nums, dtype=np.float64), -self.m)) - self.y)
-                )
-                if res > self.eta:
-                    return None
-                nums = tuple(int(v) for v in nums)
-            vec = QuantizedVector(nums, self.m)
-            if self.probe is not None:
-                self.probe.observe(np.array(vec.to_floats()))
-            rows = tuple(
-                tuple(int(v) for v in u[p * (n_deg + 1) : (p + 1) * (n_deg + 1)])
-                for p in range(pieces)
-            )
-            self.incumbent.offer(
-                dl,
-                res,
-                lambda: _encode_pp_numerators(
-                    breaks, rows, n_deg, self.n, self.m
-                ).payload,
-                lambda: vec,
-                "piecewise_poly",
-            )
-            # the walk distance understates the decoded residual by at
-            # most slack, so points this far out can still tie or win
-            return max(
-                (self.incumbent.residual + slack) ** 2 - base_sq, 0.0
-            )
-
-        _sphere_walk(
-            r_mat,
-            qty,
-            radius_sq,
-            0,
-            top,
-            self.budget,
-            on_leaf,
-            blocks=blocks,
-            block_cap=1 << m_prime,
+        self.walk_stratum(
+            cols, dl, 0, m_prime, decode, code, floored=n_deg > 0, blocks=blocks
         )
 
     def pp_decoder(self, breaks, n_deg, m_prime):
         """Sample-numerator evaluator for one stratum; int64 fast path when
-        the intermediate products provably fit."""
+        the intermediate products provably fit. At degree 0 the samples
+        are the piece constants themselves."""
         n, m = self.n, self.m
         bit_bound = (
             m_prime + n_deg * max(n - 1, 1).bit_length() + (n_deg + 1).bit_length() + m
         )
         if bit_bound > 62:
             def decode_exact(u):
-                rows = tuple(
-                    tuple(int(v) for v in u[p * (n_deg + 1) : (p + 1) * (n_deg + 1)])
-                    for p in range(len(breaks) + 1)
-                )
+                rows = _coeff_rows(u, n_deg + 1)
                 return pp_sample_numerators(breaks, rows, n_deg, n, m)
 
             return decode_exact
@@ -828,32 +819,14 @@ class _Search:
     def run_literal(self) -> None:
         if not self.config.include_literal:
             return
-        dl = 3 + self.n * self.m
+        dl = CODEC_HEADER_BITS + self.n * self.m
         if dl > self.incumbent.dl:
             return
         self.budget.add_strata(1)
-        top = (1 << self.m) - 1
-        scale = 2.0 ** (-self.m)
-        r_mat, qty, base_sq = _qr_rows(self.a * scale, self.y)
-        radius_sq = self.eta**2 + _LS_MARGIN - base_sq
-        if radius_sq < 0:
-            return
-
-        def on_leaf(u, dist_sq):
-            res = math.sqrt(base_sq + dist_sq)
-            if res > self.eta:
-                return None
-            vec = QuantizedVector(tuple(int(v) for v in u), self.m)
-            if self.probe is not None:
-                self.probe.observe(np.array(vec.to_floats()))
-            self.incumbent.offer(
-                dl, res, lambda: encode_literal(vec).payload, lambda: vec, "literal"
-            )
-            if dl == self.incumbent.dl:
-                return max(self.incumbent.residual**2 - base_sq, 0.0)
-            return None
-
-        _sphere_walk(r_mat, qty, radius_sq, 0, top, self.budget, on_leaf)
+        cols = self.a * 2.0 ** (-self.m)
+        self.walk_stratum(
+            cols, dl, 0, self.m, lambda u: u, lambda u, vec: encode_literal(vec)
+        )
 
     # -- putting it together ----------------------------------------------
 

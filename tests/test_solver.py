@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcpursuit.codecs import CodedSignal, decode_any, encode_sparse
+from mcpursuit.codecs import CODEC_HEADER_BITS, CodedSignal, decode_any, encode_sparse
 from mcpursuit.measure import sample_ensemble
 from mcpursuit.quantize import quantization_gap_bound, quantize_vector
 from mcpursuit.rng import derive_seed, make_generator
@@ -165,27 +165,58 @@ def test_budgeted_tuples_stop_at_first_unaffordable_index():
     assert elapsed < 5.0
 
 
-def test_three_break_offer_order_is_pinned():
+def _three_break_instance():
     # The samples at 2, 15 and 31 sit halfway between their neighbours'
     # piece values, so several three-break patterns near (2, 15, 31) fit.
     # The 16,215 three-break strata are offered per chunk of _PP_CHUNK in
     # order of length; here a shorter pattern follows a longer one across
     # the first chunk boundary, so merging chunks, or an offer order not
-    # led by length, changes points_tested. Values recorded before the
-    # generator was vectorized.
+    # led by length, changes points_tested.
     n, m, d = 48, 6, 16
     v = np.array([8, 56, 16, 48]) / 64
     x = np.repeat(v, [2, 14, 16, 16])
     x[2], x[15], x[31] = (v[:-1] + v[1:]) / 2
     ens = sample_ensemble(n, d, derive_seed(919, "pinned", d, 0))
     cfg = SolverConfig(max_sparse_k=2, pp_max_degree=0, pp_max_breaks=3)
-    res = mcp_exact(ens, np.asarray(ens.matrix) @ x, m, 0.5, cfg)
-    assert (res.dl_bits, res.stream, res.strata_examined, res.points_tested) == (
-        64,
-        "0010011010000101100010100100111001011111001011110110001111101100",
-        18521,
-        4,
-    )
+    return ens, np.asarray(ens.matrix) @ x, m, 0.5, cfg
+
+
+def _ramp_instance():
+    # A one-piece line: the winner is degree 1, whose samples are floored,
+    # so the walk radius and every tightening carry the slack. Its walk
+    # tests 241 points; tightening without the slack tests 5, widening by
+    # twice the slack 257.
+    n, m, d = 16, 4, 8
+    x = 0.2 + 0.5 * np.arange(n) / n
+    ens = sample_ensemble(n, d, derive_seed(904, "ramp", d, 0))
+    return ens, np.asarray(ens.matrix) @ x, m, 0.1, PP_SCOPE
+
+
+def _literal_instance():
+    # A dense grid vector with the literal block in scope: the literal
+    # walk tests 18 points, and 4,719 without tightening.
+    n, m, d = 8, 3, 6
+    ens = sample_ensemble(n, d, derive_seed(930, "lit", d, 0))
+    xq = quantize_vector(make_generator(930, "lit-draw").uniform(0, 1, size=n), m)
+    cfg = SolverConfig(max_sparse_k=2, pp_max_degree=0, pp_max_breaks=1,
+                       include_literal=True)
+    return ens, np.asarray(ens.matrix) @ np.array(xq.to_floats()), m, 0.2, cfg
+
+
+@pytest.mark.parametrize("instance,pinned", [
+    (_three_break_instance, (
+        64, "0010011010000101100010100100111001011111001011110110001111101100",
+        18521, 4)),
+    (_ramp_instance, (27, "001001010000010010011110000", 154, 241)),
+    (_literal_instance, (27, "010101111101110111000000000", 46, 18)),
+], ids=["three_break", "degree1", "literal"])
+def test_offer_order_is_pinned(instance, pinned):
+    # The oracle tests compare answers only; these counters also move when
+    # the offer order, the walk radius or its tightening changes. Values
+    # recorded before the stratum walkers were merged.
+    ens, y, m, eta, cfg = instance()
+    res = mcp_exact(ens, y, m, eta, cfg)
+    assert (res.dl_bits, res.stream, res.strata_examined, res.points_tested) == pinned
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +339,27 @@ def test_sparse_only_solve_skips_sigma_max():
 # result contract
 
 
-def test_returned_stream_decodes_to_returned_vector():
+def _noisy_sparse_instance():
     ens = sample_ensemble(16, 8, derive_seed(904, "dec"))
     rng = make_generator(904, "dec-draw")
     xq = quantize_vector(gen_sparse(16, 2, rng), 3)
     y = np.asarray(ens.matrix) @ np.array(xq.to_floats())
     y = y + 0.02 * rng.normal(size=8)
-    res = mcp_exact(ens, y, 3, 0.4 * float(np.linalg.norm(y)),
-                    config=SolverConfig(max_sparse_k=3, pp_max_degree=0))
+    cfg = SolverConfig(max_sparse_k=3, pp_max_degree=0)
+    return ens, y, 3, 0.4 * float(np.linalg.norm(y)), cfg
+
+
+@pytest.mark.parametrize("instance,codec_id", [
+    (_noisy_sparse_instance, "sparse"),
+    (_ramp_instance, "piecewise_poly"),
+    (_literal_instance, "literal"),
+], ids=["sparse", "degree1", "literal"])
+def test_returned_stream_decodes_to_returned_vector(instance, codec_id):
+    ens, y, m, eta, cfg = instance()
+    res = mcp_exact(ens, y, m, eta, cfg)
     assert res.status == "ok"
-    back = decode_any(CodedSignal(res.codec_id, res.stream), 16, 3)
+    assert res.codec_id == codec_id
+    back = decode_any(CodedSignal(res.codec_id, res.stream), ens.n, m)
     assert back == res.x_hat
     assert res.dl_bits == len(res.stream)
 
@@ -403,7 +445,8 @@ def test_default_eta_keeps_truncated_truth_feasible():
     xq = quantize_vector(x, m)
     gap = np.linalg.norm(np.asarray(ens.matrix) @ (x - np.array(xq.to_floats())))
     assert gap <= res.eta + 1e-12
-    assert res.dl_bits <= 3 + n * m  # never worse than the literal fallback
+    # never worse than the literal fallback
+    assert res.dl_bits <= CODEC_HEADER_BITS + n * m
 
 
 def test_tolerant_widens_eta():
