@@ -203,20 +203,28 @@ def _literal_instance():
     return ens, np.asarray(ens.matrix) @ np.array(xq.to_floats()), m, 0.2, cfg
 
 
-@pytest.mark.parametrize("instance,pinned", [
-    (_three_break_instance, (
-        64, "0010011010000101100010100100111001011111001011110110001111101100",
-        18521, 4)),
-    (_ramp_instance, (27, "001001010000010010011110000", 154, 241)),
-    (_literal_instance, (27, "010101111101110111000000000", 46, 18)),
-], ids=["three_break", "degree1", "literal"])
-def test_offer_order_is_pinned(instance, pinned):
+def _assert_pinned(instance, pinned):
     # The oracle tests compare answers only; these counters also move when
-    # the offer order, the walk radius or its tightening changes. Values
-    # recorded before the stratum walkers were merged.
+    # the offer order, the walk radius or its tightening changes.
     ens, y, m, eta, cfg = instance()
     res = mcp_exact(ens, y, m, eta, cfg)
     assert (res.dl_bits, res.stream, res.strata_examined, res.points_tested) == pinned
+
+
+def test_three_break_offer_order_is_pinned():
+    # Values recorded before the generator was vectorized.
+    _assert_pinned(_three_break_instance, (
+        64, "0010011010000101100010100100111001011111001011110110001111101100",
+        18521, 4))
+
+
+@pytest.mark.parametrize("instance,pinned", [
+    (_ramp_instance, (27, "001001010000010010011110000", 154, 241)),
+    (_literal_instance, (27, "010101111101110111000000000", 46, 18)),
+], ids=["degree1", "literal"])
+def test_offer_order_is_pinned(instance, pinned):
+    # Values recorded before the stratum walkers were merged.
+    _assert_pinned(instance, pinned)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +357,7 @@ def _noisy_sparse_instance():
     return ens, y, 3, 0.4 * float(np.linalg.norm(y)), cfg
 
 
-@pytest.mark.parametrize("instance,codec_id", [
-    (_noisy_sparse_instance, "sparse"),
-    (_ramp_instance, "piecewise_poly"),
-    (_literal_instance, "literal"),
-], ids=["sparse", "degree1", "literal"])
-def test_returned_stream_decodes_to_returned_vector(instance, codec_id):
+def _assert_stream_decodes(instance, codec_id):
     ens, y, m, eta, cfg = instance()
     res = mcp_exact(ens, y, m, eta, cfg)
     assert res.status == "ok"
@@ -362,6 +365,18 @@ def test_returned_stream_decodes_to_returned_vector(instance, codec_id):
     back = decode_any(CodedSignal(res.codec_id, res.stream), ens.n, m)
     assert back == res.x_hat
     assert res.dl_bits == len(res.stream)
+
+
+def test_returned_stream_decodes_to_returned_vector():
+    _assert_stream_decodes(_noisy_sparse_instance, "sparse")
+
+
+@pytest.mark.parametrize("instance,codec_id", [
+    (_ramp_instance, "piecewise_poly"),
+    (_literal_instance, "literal"),
+], ids=["degree1", "literal"])
+def test_returned_stream_decodes_per_codec(instance, codec_id):
+    _assert_stream_decodes(instance, codec_id)
 
 
 def test_exact_sparse_recovery_and_probe():
