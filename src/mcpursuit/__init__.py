@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .quantize import (
     DyadicValue,
     QuantizedVector,
-    dequantize,
     quantization_gap_bound,
     quantize_vector,
     subtract_mod,
@@ -27,7 +26,6 @@ from .codecs import (
 __all__ = [
     "DyadicValue",
     "QuantizedVector",
-    "dequantize",
     "quantization_gap_bound",
     "quantize_vector",
     "subtract_mod",

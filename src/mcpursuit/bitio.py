@@ -34,18 +34,11 @@ class BitWriter:
     def getvalue(self) -> str:
         return "".join(self._parts)
 
-    def __len__(self) -> int:
-        return sum(len(p) for p in self._parts)
-
 
 class BitReader:
     def __init__(self, bits: str) -> None:
         self._bits = bits
         self._pos = 0
-
-    @property
-    def pos(self) -> int:
-        return self._pos
 
     def remaining(self) -> int:
         return len(self._bits) - self._pos

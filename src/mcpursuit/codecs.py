@@ -6,6 +6,12 @@ followed by codec-specific fields. Integer fields use a self-delimiting
 universal code, so distinct codewords are mutually prefix-free both within
 a codec and across codecs. The resolution m is context carried out of band;
 streams do not repeat it.
+
+A codeword's length is fixed by its stratum: the support of a sparse
+codeword, the degree and breakpoints of a piecewise-polynomial one, and n
+for a literal one. Values only fill fixed-width fields. The codebook
+enumerator in tests/oracle_enum.py relies on this to cut a length budget
+one stratum at a time.
 """
 
 from __future__ import annotations
@@ -13,12 +19,11 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .bitio import BitReader, BitWriter, DecodeError, bits_to_bytes, bytes_to_bits
-from .quantize import QuantizedVector, subtract_mod, truncate_bits
+from .quantize import QuantizedVector, truncate_bits
 
 __all__ = [
     "CodecError",
@@ -48,9 +53,6 @@ __all__ = [
     "decode_compressor_proxy",
     "decode_any",
     "dl_surrogate",
-    "iter_codebook",
-    "pair_overhead_battery",
-    "measure_pair_overhead",
     "coded_to_bytes",
     "coded_from_bytes",
 ]
@@ -72,9 +74,9 @@ _HEADER_TO_ID = {v: k for k, v in _HEADERS.items()}
 
 # Measured pair-difference overhead: max of
 # dl(x (-) y) - dl(x) - dl(y) over the declared battery in
-# pair_overhead_battery(). Measured at -12 across seeds (each codeword on
-# the right double-pays tag and length fields), pinned at the conservative
-# round-up 0. Re-measured by the test suite; solver budgets add this.
+# tests/test_codecs.py::pair_overhead_battery. Measured at -12 across seeds
+# (each codeword on the right double-pays tag and length fields), pinned at
+# the conservative round-up 0. Solver budgets add this.
 PAIR_OVERHEAD_BITS = 0
 
 
@@ -507,174 +509,6 @@ def dl_surrogate(
         candidates.append(encode_compressor_proxy(q))
     best = min(candidates, key=lambda c: (c.dl_bits, CODEC_IDS.index(c.codec_id)))
     return SurrogateResult(best.dl_bits, best.codec_id, best)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive codebook enumeration at toy sizes (soundness tests, oracles)
-
-
-def _sparse_iter(n: int, m: int, budget: int) -> Iterator[tuple[str, QuantizedVector]]:
-    from itertools import combinations, product
-
-    base = CODEC_HEADER_BITS + uint_code_len(n)
-    top = 1 << m
-    for k in range(0, n + 1):
-        fixed = base + uint_code_len(k + 1) + k * m
-        min_pos = sum(uint_code_len(i + 1) for i in range(k))
-        if fixed + min_pos > budget:
-            break
-        for support in combinations(range(n), k):
-            dl = fixed + sum(uint_code_len(p + 1) for p in support)
-            if dl > budget:
-                continue
-            for values in product(range(1, top), repeat=k):
-                nums = [0] * n
-                for pos, v in zip(support, values):
-                    nums[pos] = v
-                q = QuantizedVector(tuple(nums), m)
-                yield encode_sparse(q).payload, q
-
-
-def _pp_iter(n: int, m: int, budget: int) -> Iterator[tuple[str, QuantizedVector]]:
-    from itertools import combinations, product
-
-    base = CODEC_HEADER_BITS + uint_code_len(n)
-    for n_deg in range(0, n):
-        m_prime = coeff_resolution(n_deg, m)
-        deg_bits = uint_code_len(n_deg + 1)
-        if base + deg_bits + 1 + (n_deg + 1) * m_prime > budget:
-            break
-        for q_breaks in range(0, n):
-            fixed = (
-                base
-                + deg_bits
-                + uint_code_len(q_breaks + 1)
-                + (q_breaks + 1) * (n_deg + 1) * m_prime
-            )
-            min_break = sum(uint_code_len(b) for b in range(1, q_breaks + 1))
-            if fixed + min_break > budget:
-                break
-            for breaks in combinations(range(1, n), q_breaks):
-                dl = fixed + sum(uint_code_len(b) for b in breaks)
-                if dl > budget:
-                    continue
-                top = 1 << m_prime
-                rows = [
-                    row
-                    for row in product(range(top), repeat=n_deg + 1)
-                    if sum(row) < top
-                ]
-                for combo in product(rows, repeat=q_breaks + 1):
-                    coded = _encode_pp_numerators(breaks, combo, n_deg, n, m)
-                    nums = pp_sample_numerators(breaks, combo, n_deg, n, m)
-                    yield coded.payload, QuantizedVector(nums, m)
-
-
-def _literal_iter(
-    n: int, m: int, budget: int
-) -> Iterator[tuple[str, QuantizedVector]]:
-    from itertools import product
-
-    if CODEC_HEADER_BITS + n * m > budget:
-        return
-    for nums in product(range(1 << m), repeat=n):
-        q = QuantizedVector(nums, m)
-        yield encode_literal(q).payload, q
-
-
-_CODEBOOK_ITERS = {
-    "sparse": _sparse_iter,
-    "piecewise_poly": _pp_iter,
-    "literal": _literal_iter,
-}
-
-
-def iter_codebook(
-    codec_id: str, n: int, m: int, budget: int
-) -> Iterator[tuple[str, QuantizedVector]]:
-    """All codewords of dl <= budget for one codec, as (payload, vector).
-
-    Intended for exhaustive soundness checks at toy sizes. The compressor
-    proxy is advisory-only and has no enumerable codebook.
-    """
-    if codec_id not in _CODEBOOK_ITERS:
-        raise ValueError(f"codec {codec_id!r} has no enumerable codebook")
-    return _CODEBOOK_ITERS[codec_id](n, m, budget)
-
-
-# ---------------------------------------------------------------------------
-# pair-difference overhead
-
-
-def pair_overhead_battery(seed: int = 20240117) -> list[tuple[QuantizedVector, QuantizedVector]]:
-    """Declared battery of vector pairs over which the pair-difference
-    overhead constant is measured.
-
-    Scope: sparse pairs across scales, dense random pairs, mixed pairs,
-    constant pairs, and small-size piecewise-affine pairs. The codec family
-    is not closed under entrywise differences, so dense smooth pairs at
-    large n*m are deliberately out of scope; see the repository notes.
-    """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    pairs: list[tuple[QuantizedVector, QuantizedVector]] = []
-
-    def rand_sparse(n, m, k):
-        nums = [0] * n
-        for pos in rng.choice(n, size=k, replace=False):
-            nums[pos] = int(rng.integers(1, 1 << m))
-        return QuantizedVector(tuple(nums), m)
-
-    def rand_dense(n, m):
-        return QuantizedVector(
-            tuple(int(v) for v in rng.integers(0, 1 << m, size=n)), m
-        )
-
-    for n, m in [(8, 2), (16, 3), (16, 4), (64, 8), (256, 8)]:
-        zero = QuantizedVector((0,) * n, m)
-        pairs.append((zero, zero))
-        for k_x in (1, 2, 4):
-            for k_y in (1, 2, 4):
-                pairs.append((rand_sparse(n, m, k_x), rand_sparse(n, m, k_y)))
-        pairs.append((zero, rand_sparse(n, m, 2)))
-        pairs.append((rand_dense(n, m), rand_dense(n, m)))
-        pairs.append((rand_sparse(n, m, 2), rand_dense(n, m)))
-        const_a = QuantizedVector((int(rng.integers(0, 1 << m)),) * n, m)
-        const_b = QuantizedVector((int(rng.integers(0, 1 << m)),) * n, m)
-        pairs.append((const_a, const_b))
-        # same-support sparse pairs, the difference domain the solver sees
-        support = tuple(int(i) for i in rng.choice(n, size=2, replace=False))
-        for _ in range(3):
-            nums_x, nums_y = [0] * n, [0] * n
-            for pos in support:
-                nums_x[pos] = int(rng.integers(1, 1 << m))
-                nums_y[pos] = int(rng.integers(1, 1 << m))
-            pairs.append(
-                (QuantizedVector(tuple(nums_x), m), QuantizedVector(tuple(nums_y), m))
-            )
-    # piecewise-affine pairs only at small n*m where the literal fallback
-    # stays within the measured constant
-    for n, m in [(8, 2), (16, 3)]:
-        for _ in range(4):
-            specs = []
-            for _ in range(2):
-                a1 = rng.random() * 0.5
-                a0 = rng.random() * (1.0 - a1) * 0.999
-                specs.append(encode_piecewise_poly((), [[a0, a1]], n, m))
-            pairs.append(
-                tuple(decode_piecewise_poly(s, n, m) for s in specs)  # type: ignore[arg-type]
-            )
-    return pairs
-
-
-def measure_pair_overhead(
-    pairs: list[tuple[QuantizedVector, QuantizedVector]],
-) -> int:
-    """Max of dl(x (-) y) - dl(x) - dl(y) over the given pairs."""
-    worst = -(10**9)
-    for x, y in pairs:
-        d = dl_surrogate(subtract_mod(x, y)).dl_bits
-        worst = max(worst, d - dl_surrogate(x).dl_bits - dl_surrogate(y).dl_bits)
-    return worst
 
 
 def coded_to_bytes(c: CodedSignal) -> bytes:

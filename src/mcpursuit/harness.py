@@ -73,14 +73,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-
-
 def _git_blob_sha1(data: bytes) -> str:
     h = hashlib.sha1()
     h.update(b"blob %d\0" % len(data))
@@ -88,10 +80,27 @@ def _git_blob_sha1(data: bytes) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, name: str, config, csv_names: list[str],
-                    summary: dict, wall_time: float) -> Path:
+@dataclass
+class ExperimentResult:
+    name: str
+    passed: bool
+    summary: dict
+    outputs: tuple[str, ...]
+
+
+def _write_outputs(out_dir, name: str, config, tables: dict, summary: dict,
+                   passed: bool, t0: float) -> ExperimentResult:
+    """Write each {csv name: (header, rows)} table, then the manifest: the
+    config, each CSV's digest, the summary and the wall time since t0."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
-    for fname in csv_names:
+    for fname, (header, rows) in tables.items():
+        with open(out_dir / fname, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([_fmt(v) for v in row])
         data = (out_dir / fname).read_bytes()
         outputs[fname] = {
             "sha1": _git_blob_sha1(data),
@@ -103,21 +112,29 @@ def _write_manifest(out_dir: Path, name: str, config, csv_names: list[str],
         "config": asdict(config),
         "outputs": outputs,
         "summary": summary,
-        "wall_time_s": wall_time,
+        "wall_time_s": time.monotonic() - t0,
     }
-    path = out_dir / f"{name}_manifest.json"
-    with open(path, "w") as f:
+    manifest_name = f"{name}_manifest.json"
+    with open(out_dir / manifest_name, "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    return path
+    return ExperimentResult(name, passed, summary, (*tables, manifest_name))
 
 
-@dataclass
-class ExperimentResult:
-    name: str
-    passed: bool
-    summary: dict
-    outputs: tuple[str, ...]
+def _recovery_error(res, x: np.ndarray) -> float:
+    """l2 distance of the recovered vector to x; inf if nothing was feasible."""
+    if res.status != "ok":
+        return math.inf
+    return float(np.linalg.norm(res.x_hat.to_floats() - x))
+
+
+def _sparse_scale(n: int, k: int, alpha: float) -> tuple[int, float, int]:
+    """(m, kappa, d) for k-sparse signals of length n at rate alpha:
+    m = ceil(alpha log2 n) bits, kappa = sparse_dl_bound(k, n, m) / m and
+    d = ceil(2 alpha kappa log2 n) measurements."""
+    m = math.ceil(alpha * math.log2(n))
+    kappa = sparse_dl_bound(k, n, m) / m
+    return m, kappa, math.ceil(2.0 * alpha * kappa * math.log2(n))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +163,6 @@ def run_phase_scan(cfg: PhaseScanConfig, out_dir) -> ExperimentResult:
     smallest measured gain |Az| / |z| over candidates the search accepted,
     which is the empirical content of the tau-incoherence event.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     threshold = 4.0 * quantization_gap_bound(cfg.n, cfg.m)
     scope = SolverConfig(max_sparse_k=cfg.k, include_pp=False)
@@ -165,10 +180,7 @@ def run_phase_scan(cfg: PhaseScanConfig, out_dir) -> ExperimentResult:
             x = gen_sparse(cfg.n, cfg.k, rng)
             xq = quantize_vector(x, cfg.m)
             res = mcp_exact(ens, ens.matrix @ x, cfg.m, config=scope, probe_ref=xq)
-            if res.status == "ok":
-                err = float(np.linalg.norm(np.array(res.x_hat.to_floats()) - x))
-            else:
-                err = math.inf
+            err = _recovery_error(res, x)
             e2_ok = ens.sigma_max <= ens.expectation_bound(cfg.t)
             gain = res.probe.min_gain if res.probe is not None else None
             bound_hits += err <= bound
@@ -205,11 +217,8 @@ def run_phase_scan(cfg: PhaseScanConfig, out_dir) -> ExperimentResult:
         "sigma_max", "e2_ok", "min_gain", "probe_candidates",
         "probe_zero_diffs", "strata", "points",
     ]
-    _write_csv(out_dir / "scan.csv", header, rows)
-    _write_manifest(out_dir, "scan", cfg, ["scan.csv"], summary,
-                    time.monotonic() - t0)
-    return ExperimentResult("scan", passed, summary,
-                            ("scan.csv", "scan_manifest.json"))
+    return _write_outputs(out_dir, "scan", cfg, {"scan.csv": (header, rows)},
+                          summary, passed, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +234,6 @@ class CorollaryConfig:
     eta: float = 1e-6
     master_seed: int = 20240802
 
-    @property
-    def m(self) -> int:
-        return math.ceil(self.alpha * math.log2(self.n))
-
-    @property
-    def kappa(self) -> float:
-        return sparse_dl_bound(self.k, self.n, self.m) / self.m
-
-    @property
-    def d(self) -> int:
-        return math.ceil(2.0 * self.alpha * self.kappa * math.log2(self.n))
-
 
 def run_corollary_check(cfg: CorollaryConfig, out_dir) -> ExperimentResult:
     """Exact recovery of grid-valued k-sparse signals at d measurements.
@@ -247,10 +244,8 @@ def run_corollary_check(cfg: CorollaryConfig, out_dir) -> ExperimentResult:
     the failure probability n^(-alpha*kappa) allows (with 3-sigma slop,
     which at these parameters means: never).
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
-    m, d, kappa = cfg.m, cfg.d, cfg.kappa
+    m, kappa, d = _sparse_scale(cfg.n, cfg.k, cfg.alpha)
     err_bound = corollary_error_bound(cfg.n, cfg.alpha, kappa)
     budget = dl_budget_bits(kappa, 1.0, m)
     scope = SolverConfig(max_sparse_k=cfg.k, include_pp=False)
@@ -264,10 +259,7 @@ def run_corollary_check(cfg: CorollaryConfig, out_dir) -> ExperimentResult:
         xq = quantize_vector(gen_sparse(cfg.n, cfg.k, rng), m)
         x = np.array(xq.to_floats())
         res = mcp_exact(ens, ens.matrix @ x, m, eta=cfg.eta, config=scope)
-        if res.status == "ok":
-            err = float(np.linalg.norm(np.array(res.x_hat.to_floats()) - x))
-        else:
-            err = math.inf
+        err = _recovery_error(res, x)
         success = err <= err_bound
         failures += not success
         rows.append((
@@ -289,11 +281,8 @@ def run_corollary_check(cfg: CorollaryConfig, out_dir) -> ExperimentResult:
         "dl_bits", "budget_bits", "within_budget",
         "residual", "strata", "points",
     ]
-    _write_csv(out_dir / "corollary.csv", header, rows)
-    _write_manifest(out_dir, "corollary", cfg, ["corollary.csv"], summary,
-                    time.monotonic() - t0)
-    return ExperimentResult("corollary", passed, summary,
-                            ("corollary.csv", "corollary_manifest.json"))
+    return _write_outputs(out_dir, "corollary", cfg,
+                          {"corollary.csv": (header, rows)}, summary, passed, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +305,6 @@ def run_lemma_suite(cfg: LemmaConfig, out_dir) -> ExperimentResult:
     """Monte Carlo checks of the two concentration bounds the analysis
     leans on: the chi-square lower tail of |Az| for a fixed direction,
     and the sigma_max upper tail of the whole ensemble."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     rows = []
     all_ok = True
@@ -340,11 +327,8 @@ def run_lemma_suite(cfg: LemmaConfig, out_dir) -> ExperimentResult:
     }
     header = ["family", "d", "n", "param", "trials", "empirical", "bound",
               "binomial_sigma", "ok"]
-    _write_csv(out_dir / "lemmas.csv", header, rows)
-    _write_manifest(out_dir, "lemmas", cfg, ["lemmas.csv"], summary,
-                    time.monotonic() - t0)
-    return ExperimentResult("lemmas", all_ok, summary,
-                            ("lemmas.csv", "lemmas_manifest.json"))
+    return _write_outputs(out_dir, "lemmas", cfg, {"lemmas.csv": (header, rows)},
+                          summary, all_ok, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -372,17 +356,13 @@ def run_mismatch_scan(cfg: MismatchConfig, out_dir) -> ExperimentResult:
     grows. Smooth part (report only): least-squares piecewise fits of the
     smooth battery against the r^-(beta+1) fit bound.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     rows = []
     medians = []
     tails_ok = True
     for n in cfg.n_values:
         k = lp_sparsity_level(n, cfg.p)
-        m = math.ceil(cfg.alpha * math.log2(n))
-        kappa = sparse_dl_bound(k, n, m) / m
-        d = math.ceil(2.0 * cfg.alpha * kappa * math.log2(n))
+        m, kappa, d = _sparse_scale(n, k, cfg.alpha)
         eps_n = lp_tail_bound(k, cfg.p)
         scope = SolverConfig(max_sparse_k=k, include_pp=False)
         errs = []
@@ -396,10 +376,7 @@ def run_mismatch_scan(cfg: MismatchConfig, out_dir) -> ExperimentResult:
             tail_ok = tail <= eps_n + 1e-12
             tails_ok = tails_ok and tail_ok
             res = mcp_tolerant(ens, ens.matrix @ x, m, eps_n, config=scope)
-            if res.status == "ok":
-                err = float(np.linalg.norm(np.array(res.x_hat.to_floats()) - x))
-            else:
-                err = math.inf
+            err = _recovery_error(res, x)
             errs.append(err)
             rows.append((
                 n, trial, k, m, d, eps_n, tail, tail_ok,
@@ -426,13 +403,11 @@ def run_mismatch_scan(cfg: MismatchConfig, out_dir) -> ExperimentResult:
     passed = tails_ok and decreasing
     header = ["n", "trial", "k", "m", "d", "eps_n", "tail", "tail_ok",
               "status", "err", "dl_bits", "residual", "eta"]
-    _write_csv(out_dir / "mismatch.csv", header, rows)
     smooth_header = ["target", "beta", "gamma", "pieces", "degree",
                      "fit_err", "fit_bound"]
-    _write_csv(out_dir / "smooth.csv", smooth_header, smooth_rows)
-    _write_manifest(out_dir, "mismatch", cfg, ["mismatch.csv", "smooth.csv"],
-                    summary, time.monotonic() - t0)
-    return ExperimentResult(
-        "mismatch", passed, summary,
-        ("mismatch.csv", "smooth.csv", "mismatch_manifest.json"),
+    return _write_outputs(
+        out_dir, "mismatch", cfg,
+        {"mismatch.csv": (header, rows),
+         "smooth.csv": (smooth_header, smooth_rows)},
+        summary, passed, t0,
     )

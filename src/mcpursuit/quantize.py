@@ -19,7 +19,6 @@ __all__ = [
     "QuantizedVector",
     "truncate_bits",
     "quantize_vector",
-    "dequantize",
     "subtract_mod",
     "quantization_gap_bound",
 ]
@@ -45,9 +44,6 @@ class DyadicValue:
     @property
     def value(self) -> float:
         return math.ldexp(self.numerator, -self.resolution_bits)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.resolution_bits)
 
 
 def truncate_bits(x: float, m: int) -> DyadicValue:
@@ -90,10 +86,6 @@ class QuantizedVector:
     def n(self) -> int:
         return len(self.numerators)
 
-    def entries(self) -> tuple[DyadicValue, ...]:
-        m = self.resolution_bits
-        return tuple(DyadicValue(v, m) for v in self.numerators)
-
     def to_floats(self) -> np.ndarray:
         return np.ldexp(
             np.asarray(self.numerators, dtype=np.float64), -self.resolution_bits
@@ -124,10 +116,6 @@ def quantize_vector(x: np.ndarray, m: int) -> QuantizedVector:
     top = np.int64(1) << m
     scaled[scaled == top] = top - 1  # x == 1.0 clamps to 1 - 2^-m
     return QuantizedVector(tuple(int(v) for v in scaled), m)
-
-
-def dequantize(q: QuantizedVector) -> np.ndarray:
-    return q.to_floats()
 
 
 def subtract_mod(a: QuantizedVector, b: QuantizedVector) -> QuantizedVector:

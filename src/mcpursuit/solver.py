@@ -840,31 +840,18 @@ class _Search:
         self.run_sparse(3, None)
         self.run_literal()
         inc = self.incumbent
-        probe_stats = self.probe.stats() if self.probe is not None else None
-        if inc.vector is None:
-            return RecoveryResult(
-                "infeasible",
-                None,
-                0,
-                "",
-                "",
-                math.inf,
-                self.eta,
-                self.budget.strata,
-                self.budget.points,
-                probe_stats,
-            )
+        found = inc.vector is not None
         return RecoveryResult(
-            "ok",
-            inc.vector,
-            int(inc.dl),
-            inc.codec_id,
-            inc.stream,
-            inc.residual,
-            self.eta,
-            self.budget.strata,
-            self.budget.points,
-            probe_stats,
+            status="ok" if found else "infeasible",
+            x_hat=inc.vector,
+            dl_bits=int(inc.dl) if found else 0,
+            codec_id=inc.codec_id,
+            stream=inc.stream,
+            residual=inc.residual,
+            eta=self.eta,
+            strata_examined=self.budget.strata,
+            points_tested=self.budget.points,
+            probe=self.probe.stats() if self.probe is not None else None,
         )
 
 

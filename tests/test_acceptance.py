@@ -13,12 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mcpursuit.codecs import (
-    CodedSignal,
-    decode_any,
-    encode_compressor_proxy,
-    iter_codebook,
-)
+from mcpursuit.codecs import decode_any, encode_compressor_proxy
 from mcpursuit.harness import (
     CorollaryConfig,
     LemmaConfig,
@@ -34,7 +29,11 @@ from mcpursuit.quantize import QuantizedVector, quantize_vector
 from mcpursuit.rng import derive_seed, make_generator
 from mcpursuit.signals import gen_sparse
 from mcpursuit.solver import SolverConfig, mcp_exact
-from oracle_enum import assert_matches_oracle, brute_force_argmin
+from oracle_enum import (
+    assert_matches_oracle,
+    brute_force_argmin,
+    iter_config_codebook,
+)
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -108,13 +107,16 @@ def test_c3_codec_soundness():
     checked = 0
     for n in range(1, 9):
         for m in range(1, 4):
+            scope = SolverConfig(
+                max_sparse_k=None, pp_max_degree=n, pp_max_breaks=n,
+                include_literal=True,
+            )
             streams = []
-            for cid in ("sparse", "piecewise_poly", "literal"):
-                for payload, vec in iter_codebook(cid, n, m, budget):
-                    assert len(payload) <= budget
-                    assert decode_any(CodedSignal(cid, payload), n, m) == vec
-                    streams.append(payload)
-                    checked += 1
+            for coded, vec in iter_config_codebook(n, m, scope, budget):
+                assert coded.dl_bits <= budget
+                assert decode_any(coded, n, m) == vec
+                streams.append(coded.payload)
+                checked += 1
             assert len(set(streams)) == len(streams), (n, m)
             if n * m <= 12:  # proxy roundtrip where exhaustion is affordable
                 from itertools import product

@@ -20,7 +20,7 @@ def test_writer_fixed_width():
     w.write_fixed(0, 0)  # width 0 writes nothing
     w.write_bit(1)
     assert w.getvalue() == "101001"
-    assert len(w) == 6
+    assert len(w.getvalue()) == 6
 
 
 def test_writer_rejects_overflow():

@@ -28,10 +28,7 @@ from mcpursuit.codecs import (
     encode_piecewise_poly,
     encode_sparse,
     encode_uint,
-    iter_codebook,
     log_star,
-    measure_pair_overhead,
-    pair_overhead_battery,
     pp_dl_bound,
     pp_sample_numerators,
     quantize_pp_spec,
@@ -39,7 +36,9 @@ from mcpursuit.codecs import (
     uint_code_len,
     uint_code_len_bound,
 )
-from mcpursuit.quantize import QuantizedVector, quantize_vector
+from mcpursuit.quantize import QuantizedVector, quantize_vector, subtract_mod
+from mcpursuit.solver import SolverConfig
+from oracle_enum import iter_config_codebook
 
 
 def sparse_vectors(max_n=40, max_m=10):
@@ -395,12 +394,14 @@ def test_surrogate_never_beaten_by_literal(q):
 
 def test_codebooks_prefix_free_and_kraft():
     n, m, budget = 4, 2, 22
+    scope = SolverConfig(
+        max_sparse_k=None, pp_max_degree=n, pp_max_breaks=n, include_literal=True
+    )
     words = []
-    for codec_id in ("sparse", "piecewise_poly", "literal"):
-        for payload, vec in iter_codebook(codec_id, n, m, budget):
-            assert len(payload) <= budget
-            assert decode_any(CodedSignal(codec_id, payload), n, m) == vec
-            words.append(payload)
+    for coded, vec in iter_config_codebook(n, m, scope, budget):
+        assert coded.dl_bits <= budget
+        assert decode_any(coded, n, m) == vec
+        words.append(coded.payload)
     assert len(set(words)) == len(words)
     by_len = sorted(words, key=len)
     for i, w in enumerate(by_len):
@@ -413,17 +414,111 @@ def test_codebooks_prefix_free_and_kraft():
     assert len(words) <= 2**budget
 
 
+@pytest.mark.parametrize(
+    "n, m, scope",
+    [
+        (4, 2, SolverConfig(pp_max_degree=1, pp_max_breaks=1, include_literal=True)),
+        # from n=9 on, lexicographic supports and breakpoint patterns are no
+        # longer in length order, so a cut that stops at the first long one
+        # drops shorter ones after it
+        (9, 1, SolverConfig(pp_max_degree=0, pp_max_breaks=2)),
+    ],
+)
+def test_codebook_budget_cut_drops_nothing(n, m, scope):
+    # every budget up to the longest codeword, so a cut that drops a
+    # codeword of length exactly budget, or a stratum that still fits,
+    # shows up as a missing word
+    def words(budget=None):
+        return sorted(
+            (coded.payload, vec.numerators)
+            for coded, vec in iter_config_codebook(n, m, scope, budget)
+        )
+
+    full = words()
+    for budget in range(max(len(p) for p, _ in full) + 1):
+        assert words(budget) == [w for w in full if len(w[0]) <= budget], budget
+
+
 def test_proxy_codebook_not_enumerable():
-    with pytest.raises(ValueError):
-        iter_codebook("compressor_proxy", 4, 2, 20)
-    # and its codewords cannot fit small budgets anyway: zlib framing alone
-    # exceeds 20 bits on every input
+    # the proxy has no codebook in the oracle, and its codewords cannot fit
+    # small budgets anyway: zlib framing alone exceeds 20 bits on every input
     q = QuantizedVector((0, 0, 0, 0), 2)
     assert encode_compressor_proxy(q).dl_bits > 20
 
 
 # ---------------------------------------------------------------------------
 # pair-difference overhead
+
+
+def pair_overhead_battery(seed: int = 20240117) -> list[tuple[QuantizedVector, QuantizedVector]]:
+    """Declared battery of vector pairs over which the pair-difference
+    overhead constant is measured.
+
+    Scope: sparse pairs across scales, dense random pairs, mixed pairs,
+    constant pairs, and small-size piecewise-affine pairs. The codec family
+    is not closed under entrywise differences, so dense smooth pairs at
+    large n*m are deliberately out of scope; see the repository notes.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    pairs: list[tuple[QuantizedVector, QuantizedVector]] = []
+
+    def rand_sparse(n, m, k):
+        nums = [0] * n
+        for pos in rng.choice(n, size=k, replace=False):
+            nums[pos] = int(rng.integers(1, 1 << m))
+        return QuantizedVector(tuple(nums), m)
+
+    def rand_dense(n, m):
+        return QuantizedVector(
+            tuple(int(v) for v in rng.integers(0, 1 << m, size=n)), m
+        )
+
+    for n, m in [(8, 2), (16, 3), (16, 4), (64, 8), (256, 8)]:
+        zero = QuantizedVector((0,) * n, m)
+        pairs.append((zero, zero))
+        for k_x in (1, 2, 4):
+            for k_y in (1, 2, 4):
+                pairs.append((rand_sparse(n, m, k_x), rand_sparse(n, m, k_y)))
+        pairs.append((zero, rand_sparse(n, m, 2)))
+        pairs.append((rand_dense(n, m), rand_dense(n, m)))
+        pairs.append((rand_sparse(n, m, 2), rand_dense(n, m)))
+        const_a = QuantizedVector((int(rng.integers(0, 1 << m)),) * n, m)
+        const_b = QuantizedVector((int(rng.integers(0, 1 << m)),) * n, m)
+        pairs.append((const_a, const_b))
+        # same-support sparse pairs, the difference domain the solver sees
+        support = tuple(int(i) for i in rng.choice(n, size=2, replace=False))
+        for _ in range(3):
+            nums_x, nums_y = [0] * n, [0] * n
+            for pos in support:
+                nums_x[pos] = int(rng.integers(1, 1 << m))
+                nums_y[pos] = int(rng.integers(1, 1 << m))
+            pairs.append(
+                (QuantizedVector(tuple(nums_x), m), QuantizedVector(tuple(nums_y), m))
+            )
+    # piecewise-affine pairs only at small n*m where the literal fallback
+    # stays within the measured constant
+    for n, m in [(8, 2), (16, 3)]:
+        for _ in range(4):
+            specs = []
+            for _ in range(2):
+                a1 = rng.random() * 0.5
+                a0 = rng.random() * (1.0 - a1) * 0.999
+                specs.append(encode_piecewise_poly((), [[a0, a1]], n, m))
+            pairs.append(
+                tuple(decode_piecewise_poly(s, n, m) for s in specs)  # type: ignore[arg-type]
+            )
+    return pairs
+
+
+def measure_pair_overhead(
+    pairs: list[tuple[QuantizedVector, QuantizedVector]],
+) -> int:
+    """Max of dl(x (-) y) - dl(x) - dl(y) over the given pairs."""
+    worst = -(10**9)
+    for x, y in pairs:
+        d = dl_surrogate(subtract_mod(x, y)).dl_bits
+        worst = max(worst, d - dl_surrogate(x).dl_bits - dl_surrogate(y).dl_bits)
+    return worst
 
 
 def test_pair_overhead_within_pinned_constant():
