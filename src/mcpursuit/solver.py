@@ -26,6 +26,17 @@ the map to sample numerators and the encoder. Degree >= 1 pieces floor
 their samples, so their radius carries a slack and their residual is
 recomputed from the samples. The empty support is accepted without a walk.
 
+The walk's innermost level is one numpy batch per visit, in slices of at
+most _LEAF_SLICE values: their zig-zag order, walk distances, decoded
+samples and residuals. Only the leaves that can change the search reach
+the leaf handler, which decides on the exact residual: every feasible
+leaf while a probe is attached; otherwise every feasible leaf up to the
+stratum's first one, which tightens the radius, and then only leaves that
+can beat or tie the incumbent's residual. Points, and walk steps at a
+pivot-free innermost level, are charged in bulk up to each leaf the
+handler gets, so the counters a solve reports, and the node at which the
+node cap fires, are those of a walk that handles one leaf at a time.
+
 For two-column supports the least-squares bound has a closed form in the
 entries of A^T A. When every pair fits the length budget, the n(n-1)/2
 pairs are charged to the node cap up front and scanned in blocks of
@@ -83,6 +94,7 @@ _LS_MARGIN = 1e-9  # float slack on the continuous feasibility prune
 _PAIR_ROWS = 64  # Gram rows per block of the k=2 pair scan
 _COMBO_CHUNK = 1 << 16  # sparse supports per chunk of k=1, k>=3 or budget-limited k=2
 _PP_CHUNK = 2048  # breakpoint patterns per piecewise batch
+_LEAF_SLICE = 256  # innermost-level values decoded and scored per batch
 
 
 class SolverResourceError(RuntimeError):
@@ -188,7 +200,7 @@ class _Budget:
         self.strata += count
         self._check()
 
-    def add_points(self, count: int = 1) -> None:
+    def add_points(self, count: int) -> None:
         self.points += count
         self._check()
 
@@ -254,24 +266,44 @@ class _Probe:
 # integer sphere walk
 
 
+def _zigzag(center: float, lo: int, hi: int) -> np.ndarray:
+    """The integers of [lo, hi], nearest to center first, then one above
+    and one below at each further step."""
+    start = min(max(int(round(center)), lo), hi)
+    vals = np.arange(lo, hi + 1)
+    # ranks: start 0, start + 1 1, start - 1 2, start + 2 3, ...
+    return vals[np.argsort(2 * np.abs(vals - start) - (vals > start))]
+
+
 def _sphere_walk(
     r_mat: np.ndarray,
     qty: np.ndarray,
     radius_sq: float,
+    cut: float,
     lo: int,
     hi: int,
     budget: _Budget,
-    on_leaf,
+    score,
+    accept,
     blocks: list[tuple[int, int]] | None = None,
     block_cap: int | None = None,
 ):
     """Depth-first walk over integer points u in [lo, hi]^D with
-    ||r_mat u - qty||^2 <= radius_sq, zig-zag ordered per level so good
-    points come first. on_leaf(u, dist_sq) may return a tightened
-    radius_sq; tightening is applied strictly, so later points must beat
-    it, not merely tie it. Levels with a negligible pivot fall back to
-    box bounds and their iterations are charged to the budget, because
-    the radius cannot prune there.
+    ||r_mat u - qty||^2 < radius_sq, zig-zag ordered per level so good
+    points come first. Levels with a negligible pivot fall back to box
+    bounds and their iterations are charged to the budget as walk steps,
+    because the radius cannot prune there.
+
+    The innermost level is handled as a batch per visit, in slices of at
+    most _LEAF_SLICE values: score(us, dist_sq) estimates the residual of
+    each live leaf (one row of us per leaf), and accept(u, dist_sq) gets,
+    in walk order, each live leaf whose estimate is at most cut. accept
+    returns upper bounds on radius_sq and cut; they apply strictly from
+    the next leaf on, so later points must beat a tightened radius, not
+    merely tie it. Points, and walk steps at a free innermost level, are
+    charged in bulk up to and including each leaf handed to accept, so
+    the counters, and the leaf at which the budget runs out, are those
+    of a walk that visits the leaves one at a time.
 
     blocks: optional (start, end) slices over which sum(u) must stay
     strictly below block_cap.
@@ -287,11 +319,38 @@ def _sphere_walk(
             block_of[s:e] = bi
     block_used = [0] * (len(blocks) if blocks else 0)
 
+    def leaves(vals, dists, radius_sq: float, free: bool) -> float:
+        nonlocal cut
+        for s in range(0, len(vals), _LEAF_SLICE):
+            dist = dists[s : s + _LEAF_SLICE]
+            live = np.flatnonzero(dist < radius_sq)
+            if not live.size:
+                if free:
+                    budget.add_steps(len(dist))
+                continue
+            us = np.repeat(u[None], live.size, axis=0)
+            us[:, 0] = vals[s + live]
+            live_dist = dist[live]
+            res = score(us, live_dist)
+            pos = first = 0  # next value to charge, next live leaf to test
+            while True:
+                hits = np.flatnonzero(
+                    (live_dist[first:] < radius_sq) & (res[first:] <= cut)
+                )
+                hit = first + int(hits[0]) if hits.size else None
+                end = len(dist) if hit is None else int(live[hit]) + 1
+                if free:
+                    budget.add_steps(end - pos)
+                budget.add_points(int(np.count_nonzero(dist[pos:end] < radius_sq)))
+                if hit is None:
+                    break
+                radius_bound, cut_bound = accept(us[hit], float(live_dist[hit]))
+                radius_sq = min(radius_sq, radius_bound)
+                cut = min(cut, cut_bound)
+                pos, first = end, hit + 1
+        return radius_sq
+
     def descend(level: int, partial: float, radius_sq: float) -> float:
-        if level < 0:
-            budget.add_points()
-            tightened = on_leaf(u.copy(), partial)
-            return radius_sq if tightened is None else min(radius_sq, tightened)
         inner = float(r_mat[level, level + 1 :] @ u[level + 1 :]) - qty[level]
         pivot = r_mat[level, level]
         avail = radius_sq - partial
@@ -314,28 +373,16 @@ def _sphere_walk(
             hi_l = min(hi_l, block_cap - 1 - block_used[bi])
         if lo_l > hi_l:
             return radius_sq
-        # zig-zag: nearest integer to the unconstrained optimum first
-        start = min(max(int(round(center)), lo_l), hi_l)
-        order = [start]
-        step = 1
-        while True:
-            lo_c, hi_c = start - step, start + step
-            added = False
-            if hi_c <= hi_l:
-                order.append(hi_c)
-                added = True
-            if lo_c >= lo_l:
-                order.append(lo_c)
-                added = True
-            if not added and lo_c < lo_l and hi_c > hi_l:
-                break
-            step += 1
+        # nearest integer to the unconstrained optimum first
+        vals = _zigzag(center, lo_l, hi_l)
+        contrib = pivot * vals + inner
+        new_partials = partial + contrib * contrib
         free = not diag_ok[level]
-        for val in order:
+        if level == 0:
+            return leaves(vals, new_partials, radius_sq, free)
+        for val, new_partial in zip(vals.tolist(), new_partials.tolist()):
             if free:
                 budget.add_steps()
-            contrib = pivot * val + inner
-            new_partial = partial + contrib * contrib
             if new_partial >= radius_sq:
                 continue
             u[level] = val
@@ -351,7 +398,8 @@ def _sphere_walk(
         descend(dims - 1, 0.0, radius_sq)
     finally:
         # descend refers to itself through its closure cell; emptying the
-        # cell frees on_leaf, and the search it holds, without the cyclic GC
+        # cell frees score and accept, and the search they hold, without
+        # the cyclic GC
         del descend
 
 
@@ -565,6 +613,13 @@ class _Search:
         extra room. Computed on first use: sigma_max is a power iteration."""
         return self.ens.sigma_max * math.sqrt(self.n) * 2.0 ** (-self.m)
 
+    @cached_property
+    def res_margin(self) -> float:
+        """Two float evaluations of |Ax - y| at one x in [0, 1]^n, summed
+        in different orders, differ by less than this."""
+        scale = np.linalg.norm(self.a) * math.sqrt(self.n) + math.sqrt(self.yy)
+        return 4 * (self.n + self.d) * np.finfo(np.float64).eps * scale
+
     # -- one stratum walker -----------------------------------------------
 
     def walk_stratum(
@@ -574,8 +629,9 @@ class _Search:
         and can still beat or tie the incumbent.
 
         The points are coordinate vectors u in [lo, 2^bits - 1]^D, and
-        cols holds the stratum's columns scaled to that grid. samples(u)
-        gives the sample numerators of u's vector, and code(u, vec) its
+        cols holds the stratum's columns scaled to that grid. samples(us)
+        maps an (L, D) batch of points to the (L, n) int64 sample
+        numerators of their vectors, and code(u, vec) gives one point's
         codeword, built only if the offer gets that far. blocks are the
         (start, end) coordinate slices of a piecewise stratum's pieces,
         whose coefficient numerators sum to less than 2^bits.
@@ -584,33 +640,54 @@ class _Search:
         walk distance gives the exact residual. Floored samples (piecewise
         degree >= 1) can be pp_slack further from y than the walk distance
         says, so the radius is widened by that much and the residual is
-        recomputed from the samples."""
+        recomputed from the samples.
+
+        The walk scores its innermost level in batches and hands accept
+        only the leaves that can change the search: while a probe is
+        attached, every feasible leaf; otherwise every feasible leaf up
+        to this stratum's first one, which tightens the radius against
+        this stratum's base_sq even when it loses to the incumbent, and
+        after it only leaves that can beat or tie the incumbent residual.
+        Batch residuals can differ from accept's in the last bits, so they
+        are compared with res_margin to spare, and accept decides on the
+        exact residual."""
         r_mat, qty, base_sq = _qr_rows(cols, self.y)
         slack = self.pp_slack if floored else 0.0
         radius_sq = (self.eta + slack) ** 2 + _LS_MARGIN - base_sq
         if radius_sq < 0:
             return
+        margin = self.res_margin
 
-        def on_leaf(u, dist_sq):
-            nums = samples(u)
+        def score(us, dist_sq):
+            if not floored:
+                return np.sqrt(base_sq + dist_sq)
+            x = np.ldexp(samples(us).astype(np.float64), -self.m)
+            return np.linalg.norm(x @ self.a.T - self.y, axis=1)
+
+        def accept(u, dist_sq):
+            nums = samples(u[None])[0]
             if floored:
-                x = np.ldexp(np.asarray(nums, dtype=np.float64), -self.m)
+                x = np.ldexp(nums.astype(np.float64), -self.m)
                 res = float(np.linalg.norm(self.a @ x - self.y))
             else:
                 res = math.sqrt(base_sq + dist_sq)
             if res > self.eta:
-                return None
-            vec = QuantizedVector(tuple(int(v) for v in nums), self.m)
+                return math.inf, math.inf
+            vec = QuantizedVector(tuple(nums.tolist()), self.m)
             if self.probe is not None:
                 self.probe.observe(vec.to_floats())
             self.incumbent.offer(dl, res, lambda: code(u, vec), vec)
             # this stratum now holds the incumbent length, so only points
             # that can still beat or tie its residual matter
-            return max((self.incumbent.residual + slack) ** 2 - base_sq, 0.0)
+            radius_bound = max((self.incumbent.residual + slack) ** 2 - base_sq, 0.0)
+            if self.probe is not None:
+                return radius_bound, math.inf
+            return radius_bound, self.incumbent.residual + margin
 
         top = (1 << bits) - 1
         _sphere_walk(
-            r_mat, qty, radius_sq, lo, top, self.budget, on_leaf, blocks, top + 1
+            r_mat, qty, radius_sq, self.eta + margin, lo, top, self.budget,
+            score, accept, blocks, top + 1,
         )
 
     # -- sparse strata --------------------------------------------------
@@ -684,9 +761,9 @@ class _Search:
     def offer_sparse(self, support: np.ndarray, dl: int) -> None:
         """Walk one nonempty support: values 1 .. 2^m - 1 at its positions."""
 
-        def samples(u):
-            nums = np.zeros(self.n, dtype=np.int64)
-            nums[support] = u
+        def samples(us):
+            nums = np.zeros((len(us), self.n), dtype=np.int64)
+            nums[:, support] = us
             return nums
 
         cols = self.a[:, support] * 2.0 ** (-self.m)
@@ -784,33 +861,36 @@ class _Search:
         )
 
     def pp_decoder(self, breaks, n_deg, m_prime):
-        """Sample-numerator evaluator for one stratum; int64 fast path when
-        the intermediate products provably fit. At degree 0 the samples
-        are the piece constants themselves."""
+        """Sample-numerator evaluator for one stratum: an (L, D) batch of
+        coefficient points to their (L, n) int64 sample numerators. Exact
+        integer arithmetic, in int64 when the intermediate products
+        provably fit. At degree 0 the samples are the piece constants
+        themselves."""
         n, m = self.n, self.m
+        width = n_deg + 1
         bit_bound = (
-            m_prime + n_deg * max(n - 1, 1).bit_length() + (n_deg + 1).bit_length() + m
+            m_prime + n_deg * max(n - 1, 1).bit_length() + width.bit_length() + m
         )
         if bit_bound > 62:
-            def decode_exact(u):
-                rows = _coeff_rows(u, n_deg + 1)
-                return pp_sample_numerators(breaks, rows, n_deg, n, m)
+            def decode_exact(us):
+                return np.array([
+                    pp_sample_numerators(breaks, _coeff_rows(u, width), n_deg, n, m)
+                    for u in us
+                ], dtype=np.int64)
 
             return decode_exact
+        # row p * width + j holds i^j n^(n_deg - j) on piece p's samples i
         i = np.arange(n, dtype=np.int64)
-        basis = np.empty((n, n_deg + 1), dtype=np.int64)
-        for j in range(n_deg + 1):
-            basis[:, j] = i**j * n ** (n_deg - j)
-        denom = (1 << m_prime) * n**n_deg
         edges = (0,) + tuple(breaks) + (n,)
+        basis = np.zeros((width * (len(edges) - 1), n), dtype=np.int64)
+        for p in range(len(edges) - 1):
+            lo, hi = edges[p], edges[p + 1]
+            for j in range(width):
+                basis[p * width + j, lo:hi] = i[lo:hi] ** j * n ** (n_deg - j)
+        denom = (1 << m_prime) * n**n_deg
 
-        def decode_fast(u):
-            out = np.empty(n, dtype=np.int64)
-            for p in range(len(edges) - 1):
-                lo, hi = edges[p], edges[p + 1]
-                block = u[p * (n_deg + 1) : (p + 1) * (n_deg + 1)]
-                out[lo:hi] = (basis[lo:hi] @ block << m) // denom
-            return out
+        def decode_fast(us):
+            return (us @ basis << m) // denom
 
         return decode_fast
 
@@ -825,7 +905,7 @@ class _Search:
         self.budget.add_strata(1)
         cols = self.a * 2.0 ** (-self.m)
         self.walk_stratum(
-            cols, dl, 0, self.m, lambda u: u, lambda u, vec: encode_literal(vec)
+            cols, dl, 0, self.m, lambda us: us, lambda u, vec: encode_literal(vec)
         )
 
     # -- putting it together ----------------------------------------------

@@ -7,20 +7,29 @@ import math
 import time
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcpursuit.codecs import CODEC_HEADER_BITS, CodedSignal, decode_any, encode_sparse
-from mcpursuit.measure import sample_ensemble
+from mcpursuit.codecs import (
+    CODEC_HEADER_BITS,
+    CodedSignal,
+    coeff_resolution,
+    decode_any,
+    encode_sparse,
+    pp_sample_numerators,
+)
+from mcpursuit.measure import MeasurementEnsemble, sample_ensemble
 from mcpursuit.quantize import quantization_gap_bound, quantize_vector
 from mcpursuit.rng import derive_seed, make_generator
 from mcpursuit.signals import gen_sparse
 from mcpursuit import solver
 from mcpursuit.solver import (
     _LS_MARGIN,
+    ProbeStats,
     SolverConfig,
     SolverResourceError,
     _budgeted_tuples,
@@ -178,7 +187,7 @@ def _three_break_instance():
     x[2], x[15], x[31] = (v[:-1] + v[1:]) / 2
     ens = sample_ensemble(n, d, derive_seed(919, "pinned", d, 0))
     cfg = SolverConfig(max_sparse_k=2, pp_max_degree=0, pp_max_breaks=3)
-    return ens, np.asarray(ens.matrix) @ x, m, 0.5, cfg
+    return ens, x, m, 0.5, cfg
 
 
 def _ramp_instance():
@@ -189,7 +198,7 @@ def _ramp_instance():
     n, m, d = 16, 4, 8
     x = 0.2 + 0.5 * np.arange(n) / n
     ens = sample_ensemble(n, d, derive_seed(904, "ramp", d, 0))
-    return ens, np.asarray(ens.matrix) @ x, m, 0.1, PP_SCOPE
+    return ens, x, m, 0.1, PP_SCOPE
 
 
 def _literal_instance():
@@ -200,15 +209,49 @@ def _literal_instance():
     xq = quantize_vector(make_generator(930, "lit-draw").uniform(0, 1, size=n), m)
     cfg = SolverConfig(max_sparse_k=2, pp_max_degree=0, pp_max_breaks=1,
                        include_literal=True)
-    return ens, np.asarray(ens.matrix) @ np.array(xq.to_floats()), m, 0.2, cfg
+    return ens, np.array(xq.to_floats()), m, 0.2, cfg
 
 
-def _assert_pinned(instance, pinned):
+def _one_sample_piece_instance():
+    # A line after a one-sample first piece. The winner breaks at 1, where
+    # that piece's slope column is a_0 * 0 / n = 0: the walk level of the
+    # slope has no pivot, walks its whole box and is charged as walk
+    # steps (1,984 of them).
+    n, m, d = 8, 3, 6
+    x = 0.2 + 0.5 * np.arange(n) / n
+    x[0] = 0.9
+    ens = sample_ensemble(n, d, derive_seed(931, "free-level", d, 0))
+    return ens, x, m, 0.2, PP_SCOPE
+
+
+def _unmeasured_first_instance():
+    # A dense grid vector whose first coordinate A does not see. The
+    # literal walk's innermost level then has no pivot and walks its whole
+    # box, as do the two levels past d.
+    n, m, d = 6, 2, 4
+    base = sample_ensemble(n, d, derive_seed(932, "zero-column", d, 0))
+    a = base.matrix.copy()
+    a[:, 0] = 0.0
+    xq = quantize_vector(make_generator(932, "zero-column-draw").uniform(0, 1, size=n), m)
+    cfg = SolverConfig(max_sparse_k=0, include_pp=False, include_literal=True)
+    return MeasurementEnsemble(a, base.key), np.array(xq.to_floats()), m, 0.2, cfg
+
+
+def _solve(instance, probe=False, **config):
+    """Solve instance() = (ens, x, m, eta, cfg) at y = A x, with the given
+    config fields replaced; probe attaches the m-bit truncation of x as
+    the probe reference."""
+    ens, x, m, eta, cfg = instance()
+    ref = quantize_vector(x, m) if probe else None
+    return mcp_exact(ens, np.asarray(ens.matrix) @ x, m, eta, replace(cfg, **config), ref)
+
+
+def _assert_pinned(instance, pinned, probe=False):
     # The oracle tests compare answers only; these counters also move when
     # the offer order, the walk radius or its tightening changes.
-    ens, y, m, eta, cfg = instance()
-    res = mcp_exact(ens, y, m, eta, cfg)
+    res = _solve(instance, probe)
     assert (res.dl_bits, res.stream, res.strata_examined, res.points_tested) == pinned
+    return res
 
 
 def test_three_break_offer_order_is_pinned():
@@ -225,6 +268,65 @@ def test_three_break_offer_order_is_pinned():
 def test_offer_order_is_pinned(instance, pinned):
     # Values recorded before the stratum walkers were merged.
     _assert_pinned(instance, pinned)
+
+
+@pytest.mark.parametrize("instance,pinned,probe", [
+    (_ramp_instance, (27, "001001010000010010011110000", 154, 241),
+     ProbeStats(0.7605676561072746, 6, 0)),
+    (_one_sample_piece_instance, (36, "001001000000100010011110000001001000", 53, 6380),
+     ProbeStats(0.24611966080244427, 197, 9)),
+], ids=["degree1", "free-level"])
+def test_floored_walk_with_probe_is_pinned(instance, pinned, probe):
+    # Values recorded before the innermost walk level was batched. With a
+    # probe attached, every feasible leaf reaches the leaf handler, not
+    # only those that can beat or tie the incumbent, and the probe counts
+    # each one.
+    res = _assert_pinned(instance, pinned, probe=True)
+    assert (res.probe.candidates, res.probe.zero_diffs) == (probe.candidates, probe.zero_diffs)
+    assert res.probe.min_gain == pytest.approx(probe.min_gain, rel=1e-12)
+
+
+@pytest.mark.parametrize("instance,nodes", [
+    (_ramp_instance, 395),
+    (_literal_instance, 136),
+    (_one_sample_piece_instance, 8417),
+    (_unmeasured_first_instance, 302),
+], ids=["degree1", "literal", "free-level", "free-innermost"])
+@pytest.mark.parametrize("leaf_slice", [2, solver._LEAF_SLICE])
+def test_node_cap_fires_at_the_same_node(instance, nodes, leaf_slice, monkeypatch):
+    # Values recorded before the innermost walk level was batched: the
+    # strata, points and walk steps each solve charges (ramp 154 + 241 + 0,
+    # literal 46 + 18 + 72, one-sample piece 53 + 6,380 + 1,984, unmeasured
+    # first coordinate 2 + 12 + 288). The solve completes under exactly
+    # that cap and runs out one node below it, so a walk that charges a
+    # batch of leaves or walk steps differently fails here. 2-value slices
+    # split the innermost visits of these walks.
+    monkeypatch.setattr(solver, "_LEAF_SLICE", leaf_slice)
+    assert _solve(instance, node_cap=nodes).status == "ok"
+    with pytest.raises(SolverResourceError):
+        _solve(instance, node_cap=nodes - 1)
+
+
+@pytest.mark.parametrize("n_deg", [1, 2, 3])
+@pytest.mark.parametrize("m", [6, 28], ids=["int64", "exact"])
+def test_batched_pp_decoder_is_exact(n_deg, m):
+    # At n = 24 the decoder's bit bound m' + 5 n_deg + bitlen(n_deg + 1) + m
+    # is at most 32 for m = 6 (int64 arithmetic) and at least 64 for m = 28
+    # (exact integers).
+    n = 24
+    ens = sample_ensemble(n, 2, derive_seed(933, "decoder"))
+    search = _Search(ens, np.zeros(2), m, 1.0, SolverConfig(), None)
+    m_prime = coeff_resolution(n_deg, m)
+    rng = make_generator(933, "decoder-draw", n_deg, m)
+    width = n_deg + 1
+    for breaks in [(), (1,), (n // 3, n - 1), (1, 2, n // 2)]:
+        dims = (len(breaks) + 1) * width
+        us = rng.integers(0, 1 << m_prime, size=(40, dims), dtype=np.int64)
+        got = search.pp_decoder(breaks, n_deg, m_prime)(us)
+        assert got.dtype == np.int64 and got.shape == (len(us), n)
+        for u, row in zip(us.tolist(), got.tolist()):
+            coeffs = tuple(tuple(u[s : s + width]) for s in range(0, dims, width))
+            assert tuple(row) == pp_sample_numerators(breaks, coeffs, n_deg, n, m)
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +459,7 @@ def _noisy_sparse_instance():
     return ens, y, 3, 0.4 * float(np.linalg.norm(y)), cfg
 
 
-def _assert_stream_decodes(instance, codec_id):
-    ens, y, m, eta, cfg = instance()
-    res = mcp_exact(ens, y, m, eta, cfg)
+def _assert_stream_decodes(ens, m, res, codec_id):
     assert res.status == "ok"
     assert res.codec_id == codec_id
     back = decode_any(CodedSignal(res.codec_id, res.stream), ens.n, m)
@@ -368,7 +468,8 @@ def _assert_stream_decodes(instance, codec_id):
 
 
 def test_returned_stream_decodes_to_returned_vector():
-    _assert_stream_decodes(_noisy_sparse_instance, "sparse")
+    ens, y, m, eta, cfg = _noisy_sparse_instance()
+    _assert_stream_decodes(ens, m, mcp_exact(ens, y, m, eta, cfg), "sparse")
 
 
 @pytest.mark.parametrize("instance,codec_id", [
@@ -376,7 +477,8 @@ def test_returned_stream_decodes_to_returned_vector():
     (_literal_instance, "literal"),
 ], ids=["degree1", "literal"])
 def test_returned_stream_decodes_per_codec(instance, codec_id):
-    _assert_stream_decodes(instance, codec_id)
+    ens, _, m, _, _ = instance()
+    _assert_stream_decodes(ens, m, _solve(instance), codec_id)
 
 
 def test_exact_sparse_recovery_and_probe():
