@@ -18,9 +18,6 @@ class BitWriter:
     def __init__(self) -> None:
         self._parts: list[str] = []
 
-    def write_bit(self, bit: int) -> None:
-        self._parts.append("1" if bit else "0")
-
     def write_bits(self, bits: str) -> None:
         self._parts.append(bits)
 
@@ -39,9 +36,6 @@ class BitReader:
     def __init__(self, bits: str) -> None:
         self._bits = bits
         self._pos = 0
-
-    def remaining(self) -> int:
-        return len(self._bits) - self._pos
 
     def read_bit(self) -> int:
         if self._pos >= len(self._bits):

@@ -33,7 +33,6 @@ __all__ = [
     "encode_uint",
     "decode_uint",
     "uint_code_len",
-    "uint_code_len_bound",
     "UNIVERSAL_CODE_SLACK",
     "CODEC_HEADER_BITS",
     "CODEC_IDS",
@@ -105,10 +104,6 @@ def log_star(n: int) -> float:
         raise ValueError("n must be >= 1")
     lg = (n - 1).bit_length()  # ceil(log2 n), exact
     return lg + 2.0 * math.log2(max(lg, 1))
-
-
-def uint_code_len_bound(n: int) -> int:
-    return math.ceil(log_star(n)) + UNIVERSAL_CODE_SLACK
 
 
 def uint_code_len(n: int) -> int:

@@ -10,7 +10,6 @@ singular value.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,8 +18,6 @@ import numpy as np
 __all__ = [
     "MeasurementEnsemble",
     "sample_ensemble",
-    "save_ensemble",
-    "load_ensemble",
     "power_iteration_sigma_max",
     "sigma_max_expectation_bound",
     "sigma_max_tail_bound",
@@ -29,10 +26,6 @@ __all__ = [
     "mc_check_chi_lower_tail",
     "mc_check_sigma_tail",
 ]
-
-_MAGIC = b"MCPE"
-_VERSION = 1
-
 
 @dataclass(frozen=True)
 class MeasurementEnsemble:
@@ -69,26 +62,6 @@ def sample_ensemble(n: int, d: int, key: int) -> MeasurementEnsemble:
     gen = np.random.Generator(np.random.Philox(key=key))
     matrix = gen.normal(0.0, 1.0 / math.sqrt(d), size=(d, n))
     return MeasurementEnsemble(matrix, key)
-
-
-def save_ensemble(path, ens: MeasurementEnsemble) -> None:
-    """Header-only format: the matrix body is regenerated from the key."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<BII", _VERSION, ens.d, ens.n))
-        fh.write(ens.key.to_bytes(16, "big"))
-
-
-def load_ensemble(path) -> MeasurementEnsemble:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) != len(_MAGIC) + 9 + 16 or not blob.startswith(_MAGIC):
-        raise ValueError("not an ensemble file")
-    version, d, n = struct.unpack("<BII", blob[4:13])
-    if version != _VERSION:
-        raise ValueError(f"unsupported ensemble version {version}")
-    key = int.from_bytes(blob[13:29], "big")
-    return sample_ensemble(n, d, key)
 
 
 def power_iteration_sigma_max(

@@ -94,9 +94,6 @@ class QuantizedVector:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, v in enumerate(self.numerators) if v != 0)
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.numerators)
-
 
 def quantize_vector(x: np.ndarray, m: int) -> QuantizedVector:
     """Entrywise truncation of a vector with entries in [0, 1]."""

@@ -15,7 +15,8 @@ least-squares bound discards strata whose subspace cannot reach the
 constraint set; and an integer sphere walk with a shrinking radius finds
 the exact minimum-residual grid point inside each surviving stratum. The
 result equals brute-force enumeration of the same codebook, which the
-tests check directly at toy sizes.
+tests check directly at toy sizes. Only the strata that are walked have
+their columns built, apart from degree >= 1 breakpoint patterns.
 
 One method, _Search.walk_stratum, walks every stratum that survives the
 prunes: a QR of its columns, a sphere walk over the integer points of its
@@ -37,12 +38,23 @@ pivot-free innermost level, are charged in bulk up to each leaf the
 handler gets, so the counters a solve reports, and the node at which the
 node cap fires, are those of a walk that handles one leaf at a time.
 
-For two-column supports the least-squares bound has a closed form in the
-entries of A^T A. When every pair fits the length budget, the n(n-1)/2
-pairs are charged to the node cap up front and scanned in blocks of
-_PAIR_ROWS rows of A^T A. Only the pairs that pass the bound are kept and
-sorted, so scratch memory is a few blocks of _PAIR_ROWS x n floats, not
-proportional to the number of pairs.
+The least-squares bound of a sparse support or a degree-0 breakpoint
+pattern is one function, _subset_ls_residual_sq, of a Gram matrix and the
+correlations with y: A^T A and A^T y for supports; for patterns, those of
+the rows T[e] of the degree-0 prefix table, because a pattern with breaks
+b_1 .. b_q spans the same space as T[b_1], .., T[b_q] and T[n]. Strata
+arrive in lexicographic order, so a run of them shares its first k - 2
+indices. One Cholesky factor per run projects out those indices and the
+forced column T[n], and each stratum finishes with the closed-form one-
+or two-column formula on the projected entries: the shared prefix work
+of Furnival & Wilson's leaps and bounds (1974). Degree >= 1 patterns
+build their columns and solve each Gram system.
+
+When every pair fits the length budget, the n(n-1)/2 two-column supports
+are charged to the node cap up front and scanned with the two-column
+formula in blocks of _PAIR_ROWS rows of A^T A. Only the pairs that pass
+the bound are kept and sorted, so scratch memory is a few blocks of
+_PAIR_ROWS x n floats, not proportional to the number of pairs.
 
 Every other stratum comes from _budgeted_tuples, which generates the
 ascending index tuples within a length budget as int64 arrays in
@@ -91,6 +103,7 @@ __all__ = [
 ]
 
 _LS_MARGIN = 1e-9  # float slack on the continuous feasibility prune
+_SUBSET_GUARD = 1e-10  # projected/unprojected diagonal not above this: bound 0
 _PAIR_ROWS = 64  # Gram rows per block of the k=2 pair scan
 _COMBO_CHUNK = 1 << 16  # sparse supports per chunk of k=1, k>=3 or budget-limited k=2
 _PP_CHUNK = 2048  # breakpoint patterns per piecewise batch
@@ -526,27 +539,90 @@ def _ls2_residual_sq(g00, g11, g01, b0, b1, yy: float) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
+def _subset_ls_residual_sq(
+    gram: np.ndarray, corr: np.ndarray, yy: float, rows: np.ndarray, forced=()
+) -> np.ndarray:
+    """Least-squares residual^2 of y on the columns forced + rows[r], for
+    each row r of an (R, k) index array, given the Gram matrix of all
+    columns, their correlations corr with y, and yy = |y|^2. An exact
+    lower bound on any point of each stratum.
+
+    Rows hold ascending indices, none of them forced, in lexicographic
+    order, so rows that share their first k - 2 indices are contiguous. Each such run is one projection: F is
+    the forced columns plus the shared prefix, and one Cholesky step per
+    column f of F (W's row w_f is f's projected Gram row over the root of
+    its pivot, c_f its projected correlation over the same) leaves the
+    last one or two indices with the Gram matrix gram - W^T W, the
+    correlations corr - W^T c and |y|^2 - |c|^2. They finish with the
+    one-column formula or _ls2_residual_sq. With no forced columns and no
+    prefix (k <= 2) the arithmetic is that of the two formulas alone.
+
+    Strata with (nearly) dependent columns get bound 0, so they are never
+    pruned: when a projected diagonal entry, a pivot of F included, is
+    not above _SUBSET_GUARD times its unprojected value. A column in the
+    span of F projects to rounding noise, so projected entries alone
+    cannot tell."""
+    count, k = rows.shape
+    lead = max(k - 2, 0)
+    diag = np.diagonal(gram)
+    out = np.zeros(count)
+    splits = np.flatnonzero(np.any(rows[1:, :lead] != rows[:-1, :lead], axis=1)) + 1
+    bounds = [0, *splits.tolist(), count] if count else []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        g, b, rest, w = diag, corr, yy, []
+        fixed = [*forced, *rows[lo, :lead].tolist()]
+        for f in fixed:
+            pivot = g[f]
+            if not pivot > _SUBSET_GUARD * diag[f]:
+                break  # the run keeps bound 0
+            root = math.sqrt(pivot)
+            wf = (gram[f] - sum(v[f] * v for v in w)) / root
+            cf = b[f] / root
+            g = g - wf * wf
+            b = b - cf * wf
+            rest -= cf * cf
+            w.append(wf)
+        else:
+            tail = rows[lo:hi, lead:]
+            if not tail.shape[1]:
+                out[lo:hi] = rest
+                continue
+            i = tail[:, 0]
+            if tail.shape[1] == 1:
+                gi = g[i]
+                good = gi > 1e-300
+                res = np.full(len(i), rest)
+                res[good] = rest - b[i][good] ** 2 / gi[good]
+            else:
+                j = tail[:, 1]
+                g01 = gram[i, j] - sum(v[i] * v[j] for v in w)
+                res = _ls2_residual_sq(g[i], g[j], g01, b[i], b[j], rest)
+            if w:
+                # the projected columns themselves are not in tail
+                bad = ~(g > _SUBSET_GUARD * diag)
+                bad[fixed] = False
+                if bad.any():
+                    res[bad[tail].any(axis=1)] = 0.0
+            out[lo:hi] = res
+    return np.maximum(out, 0.0, out=out)
+
+
 def _ls_residual_sq(gram: np.ndarray, bvec: np.ndarray, yy: float) -> np.ndarray:
-    """Batched continuous least-squares residual^2, exact lower bound on
-    any point of the stratum. Singular strata get bound 0 (never pruned)."""
+    """Batched continuous least-squares residual^2 of strata of two or
+    more columns, exact lower bound on any point of the stratum. Singular
+    strata get bound 0 (never pruned)."""
     batch, k, _ = gram.shape
-    if k == 1:
-        g = gram[:, 0, 0]
-        good = g > 1e-300
-        out = np.full(batch, yy)
-        out[good] = yy - bvec[good, 0] ** 2 / g[good]
-    elif k == 2:
+    if k == 2:
         return _ls2_residual_sq(
             gram[:, 0, 0], gram[:, 1, 1], gram[:, 0, 1], bvec[:, 0], bvec[:, 1], yy
         )
-    else:
-        det = np.linalg.det(gram)
-        scale = np.abs(np.diagonal(gram, axis1=1, axis2=2)).prod(axis=1) + 1e-300
-        good = det > 1e-10 * scale
-        out = np.zeros(batch)
-        if good.any():
-            sol = np.linalg.solve(gram[good], bvec[good][..., None])[..., 0]
-            out[good] = yy - np.einsum("bi,bi->b", bvec[good], sol)
+    det = np.linalg.det(gram)
+    scale = np.abs(np.diagonal(gram, axis1=1, axis2=2)).prod(axis=1) + 1e-300
+    good = det > 1e-10 * scale
+    out = np.zeros(batch)
+    if good.any():
+        sol = np.linalg.solve(gram[good], bvec[good][..., None])[..., 0]
+        out[good] = yy - np.einsum("bi,bi->b", bvec[good], sol)
     return np.maximum(out, 0.0)
 
 
@@ -597,6 +673,7 @@ class _Search:
         self.eta = eta
         self.config = config
         self.gram_full = None  # filled lazily for sparse scans
+        self.prefix_tables = {}  # filled lazily by prefix_table
         self.aty = self.a.T @ self.y
         self.yy = float(self.y @ self.y)
         self.budget = _Budget(config.node_cap)
@@ -730,8 +807,10 @@ class _Search:
         pass the least-squares prune, with their code lengths, in batches.
         A batch is in offer order (length, then residual bound, then
         generation order) and is charged to the node cap before it is
-        built. Batches have bounded size and the k=2 scan works in row
-        blocks, so the node cap fires before memory runs out."""
+        built. The full k=2 scan works in row blocks of A^T A; every other
+        batch is one chunk of _budgeted_tuples, bounded by
+        _subset_ls_residual_sq on A^T A and A^T y. Batches have bounded
+        size, so the node cap fires before memory runs out."""
         base = self.sparse_dl(k, 0)
         budget_left = self.incumbent.dl - base
         budget_left = int(min(budget_left, self.pos_costs.sum()))
@@ -751,8 +830,7 @@ class _Search:
             dls = base + self.pos_costs[supports].sum(axis=1)
             keep = dls <= self.incumbent.dl
             supports, dls = supports[keep], dls[keep]
-            gram = self.gram_full[supports[:, :, None], supports[:, None, :]]
-            res_sq = _ls_residual_sq(gram, self.aty[supports], self.yy)
+            res_sq = _subset_ls_residual_sq(self.gram_full, self.aty, self.yy, supports)
             feasible = np.sqrt(res_sq) <= limit
             supports, dls = supports[feasible], dls[feasible]
             order = np.lexsort((res_sq[feasible], dls))
@@ -773,12 +851,31 @@ class _Search:
 
     # -- piecewise-polynomial strata -------------------------------------
 
+    def prefix_table(self, j: int) -> np.ndarray:
+        """(n + 1, d) table whose row e holds sum_{i < e} a_i t_i^j, with
+        t_i = i / n: a piece's degree-j column is the difference of the
+        rows at its two edges. Built on first use."""
+        if j not in self.prefix_tables:
+            t = np.arange(self.n) / self.n
+            weighted = self.a.T * t[:, None] ** j
+            self.prefix_tables[j] = np.concatenate(
+                (np.zeros((1, self.d)), np.cumsum(weighted, axis=0))
+            )
+        return self.prefix_tables[j]
+
+    @cached_property
+    def edge_gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gram matrix and correlations with y of the rows of
+        prefix_table(0). A degree-0 pattern with breaks b_1 .. b_q spans
+        the same space as rows b_1 .. b_q and n, so these give its
+        least-squares bound without building its columns."""
+        tab = self.prefix_table(0)
+        return tab @ tab.T, tab @ self.y
+
     def run_pp(self) -> None:
         if not self.config.include_pp or self.n < 1:
             return
-        t = np.arange(self.n) / self.n
         max_deg = min(self.config.pp_max_degree, self.n - 1)
-        prefix_tables = {}
         # break b sits at index b - 1
         break_costs = self.pos_costs[:-1]
         prefix_b = np.concatenate(([0], np.cumsum(break_costs)))
@@ -787,13 +884,6 @@ class _Search:
             base = CODEC_HEADER_BITS + self.len_n + uint_code_len(n_deg + 1)
             if base + 1 + (n_deg + 1) * m_prime > self.incumbent.dl:
                 break
-            for j in range(n_deg + 1):
-                if j not in prefix_tables:
-                    # row e holds sum_{i < e} a_i t_i^j, one row per edge
-                    weighted = self.a.T * t[:, None] ** j
-                    prefix_tables[j] = np.concatenate(
-                        (np.zeros((1, self.d)), np.cumsum(weighted, axis=0))
-                    )
             max_q = min(self.config.pp_max_breaks, self.n - 1)
             for q_breaks in range(max_q + 1):
                 fixed = (
@@ -811,13 +901,11 @@ class _Search:
                 ):
                     self.budget.add_strata(len(idx))
                     dls = fixed + break_costs[idx].sum(axis=1)
-                    self.process_pp_batch(
-                        n_deg, idx + 1, dls, prefix_tables, m_prime
-                    )
+                    self.process_pp_batch(n_deg, idx + 1, dls, m_prime)
 
-    def process_pp_batch(self, n_deg, breaks, dls, tables, m_prime):
-        """Prune and offer one batch of breakpoint patterns (rows of
-        breaks) of one degree, with their code lengths dls."""
+    def pp_columns(self, n_deg, breaks, m_prime) -> np.ndarray:
+        """(batch, d, dims) columns of a batch of breakpoint patterns (rows
+        of breaks) of one degree, scaled to the coefficient grid."""
         batch, q_breaks = breaks.shape
         dims = (q_breaks + 1) * (n_deg + 1)
         scale = 2.0 ** (-m_prime)
@@ -828,27 +916,41 @@ class _Search:
         for piece in range(q_breaks + 1):
             lo_e, hi_e = edges[:, piece], edges[:, piece + 1]
             for j in range(n_deg + 1):
-                tab = tables[j]
+                tab = self.prefix_table(j)
                 cols[:, :, piece * (n_deg + 1) + j] = (tab[hi_e] - tab[lo_e]) * scale
-        cols_t = cols.transpose(0, 2, 1)
-        res_sq = _ls_residual_sq(cols_t @ cols, cols_t @ self.y, self.yy)
-        # degree 0 decodes to the coefficients themselves; higher degrees
-        # floor each sample, so the continuous prune needs slack
-        slack = 0.0 if n_deg == 0 else self.pp_slack
+        return cols
+
+    def process_pp_batch(self, n_deg, breaks, dls, m_prime):
+        """Prune and offer one batch of breakpoint patterns (rows of
+        breaks, in lexicographic order) of one degree, with their code
+        lengths dls. Degree 0 takes its least-squares bound from
+        edge_gram with row n forced in. Higher degrees build the batch's
+        columns and solve each pattern's Gram system; their samples are
+        floored, so the prune carries pp_slack. Columns for the walk are
+        built per offered pattern."""
+        if n_deg == 0:
+            gram, corr = self.edge_gram
+            res_sq = _subset_ls_residual_sq(gram, corr, self.yy, breaks, (self.n,))
+            slack = 0.0
+        else:
+            cols = self.pp_columns(n_deg, breaks, m_prime)
+            cols_t = cols.transpose(0, 2, 1)
+            res_sq = _ls_residual_sq(cols_t @ cols, cols_t @ self.y, self.yy)
+            slack = self.pp_slack
         feasible = np.sqrt(res_sq) <= self.eta + slack + _LS_MARGIN
         order = np.lexsort((res_sq, dls))
         for i in order[feasible[order]]:
             # lengths ascend along the order and the incumbent only shrinks
             if dls[i] > self.incumbent.dl:
                 break
-            self.offer_pp(
-                n_deg, tuple(breaks[i].tolist()), int(dls[i]), cols[i], m_prime
-            )
+            self.offer_pp(n_deg, breaks[i], int(dls[i]), m_prime)
 
-    def offer_pp(self, n_deg, breaks, dl, cols, m_prime):
+    def offer_pp(self, n_deg, breaks, dl, m_prime):
         """Walk one breakpoint pattern: n_deg + 1 coefficient numerators
         per piece, each piece's summing to less than 2^m_prime."""
         width = n_deg + 1
+        cols = self.pp_columns(n_deg, breaks[None], m_prime)[0]
+        breaks = tuple(breaks.tolist())
 
         def code(u, vec):
             rows = _coeff_rows(u, width)

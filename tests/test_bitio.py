@@ -18,7 +18,7 @@ def test_writer_fixed_width():
     w.write_fixed(5, 3)
     w.write_fixed(0, 2)
     w.write_fixed(0, 0)  # width 0 writes nothing
-    w.write_bit(1)
+    w.write_bits("1")
     assert w.getvalue() == "101001"
     assert len(w.getvalue()) == 6
 
@@ -35,7 +35,6 @@ def test_reader_sequences():
     r = BitReader("101001")
     assert r.read_bit() == 1
     assert r.read_fixed(3) == 0b010
-    assert r.remaining() == 2
     assert r.read_fixed(2) == 0b01
     r.expect_end()
 

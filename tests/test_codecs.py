@@ -11,6 +11,7 @@ from mcpursuit.codecs import (
     CODEC_HEADER_BITS,
     CODEC_IDS,
     PAIR_OVERHEAD_BITS,
+    UNIVERSAL_CODE_SLACK,
     CodecError,
     CodedSignal,
     coded_from_bytes,
@@ -34,7 +35,6 @@ from mcpursuit.codecs import (
     quantize_pp_spec,
     sparse_dl_bound,
     uint_code_len,
-    uint_code_len_bound,
 )
 from mcpursuit.quantize import QuantizedVector, quantize_vector, subtract_mod
 from mcpursuit.solver import SolverConfig
@@ -89,18 +89,19 @@ def test_uint_code_self_delimiting():
     # decoding stops at the word boundary even with trailing data
     r = BitReader(encode_uint(37) + "10110")
     assert decode_uint(r) == 37
-    assert r.remaining() == 5
+    assert r.read_fixed(5) == 0b10110
+    r.expect_end()
 
 
 def test_uint_code_length_bound_exhaustive():
     for n in range(1, 10**6 + 1):
-        assert uint_code_len(n) <= uint_code_len_bound(n)
+        assert uint_code_len(n) <= math.ceil(log_star(n)) + UNIVERSAL_CODE_SLACK
 
 
 @given(e=st.integers(min_value=1, max_value=500), off=st.integers(0, 2))
 def test_uint_code_length_bound_large(e, off):
     n = (1 << e) + off
-    assert uint_code_len(n) <= uint_code_len_bound(n)
+    assert uint_code_len(n) <= math.ceil(log_star(n)) + UNIVERSAL_CODE_SLACK
 
 
 def test_uint_rejects_nonpositive():

@@ -6,12 +6,10 @@ import pytest
 from mcpursuit.measure import (
     MeasurementEnsemble,
     chi_square_lower_tail_bound,
-    load_ensemble,
     mc_check_chi_lower_tail,
     mc_check_sigma_tail,
     power_iteration_sigma_max,
     sample_ensemble,
-    save_ensemble,
     sigma_max_expectation_bound,
     sigma_max_tail_bound,
     TailCheckResult,
@@ -48,25 +46,6 @@ def test_sigma_max_cached_on_ensemble():
     assert ens.sigma_max is ens.sigma_max  # cached float, one computation
     assert ens.expectation_bound(1.0) == pytest.approx(4.0)
     assert sigma_max_expectation_bound(32, 8) == 3.0
-
-
-def test_ensemble_file_roundtrip(tmp_path):
-    ens = sample_ensemble(48, 12, derive_seed(11, "ens", 2))
-    path = tmp_path / "ens.bin"
-    save_ensemble(path, ens)
-    back = load_ensemble(path)
-    assert back.key == ens.key
-    assert np.array_equal(back.matrix, ens.matrix)
-
-
-def test_ensemble_file_rejects_corruption(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + bytes(25))
-    with pytest.raises(ValueError):
-        load_ensemble(path)
-    path.write_bytes(b"MCPE" + bytes(5))
-    with pytest.raises(ValueError):
-        load_ensemble(path)
 
 
 def test_chi_square_bound_values():

@@ -105,6 +105,58 @@ def test_matches_brute_force_pp_scope(idx, n):
         assert_matches_oracle(got, want, ens, y, eta)
 
 
+def _three_break_signal(n, m, rng):
+    """A piecewise-constant grid vector with three breaks, nonzero pieces
+    and distinct neighbouring pieces: no sparse codeword of size <= 2 and
+    no pattern of fewer breaks can hold it."""
+    breaks = np.sort(rng.choice(np.arange(1, n), size=3, replace=False))
+    top = (1 << m) - 1
+    vals = [int(rng.integers(1, top + 1))]
+    for _ in range(3):
+        vals.append(int(rng.choice([v for v in range(1, top + 1) if v != vals[-1]])))
+    return np.repeat(np.array(vals) / (1 << m), np.diff([0, *breaks, n]))
+
+
+def _draw_structured(signal, ens, m, rng, kind):
+    """y = A x for a grid signal x, exact or with noise, plus its eta."""
+    a = np.asarray(ens.matrix)
+    x = signal(ens.n, m, rng)
+    if kind == "exact":
+        return a @ x, 1e-6, x
+    noise = 0.05 * rng.normal(size=ens.d)
+    return a @ x + noise, 1.5 * float(np.linalg.norm(noise)), x
+
+
+def _sparse_four_signal(n, m, rng):
+    return np.array(quantize_vector(gen_sparse(n, 4, rng), m).to_floats())
+
+
+PP3_SCOPE = SolverConfig(max_sparse_k=2, pp_max_degree=0, pp_max_breaks=3)
+SPARSE4_SCOPE = SolverConfig(max_sparse_k=4, include_pp=False)
+
+
+@pytest.mark.parametrize("scope,signal,n", [
+    (PP3_SCOPE, _three_break_signal, 8),
+    (PP3_SCOPE, _three_break_signal, 10),
+    (SPARSE4_SCOPE, _sparse_four_signal, 10),
+], ids=["pp3-8", "pp3-10", "sparse4-10"])
+def test_matches_brute_force_projected_bound(scope, signal, n):
+    # Three-break patterns and four-column supports are the strata whose
+    # least-squares bound projects out a shared prefix (and, for patterns,
+    # the forced edge row n). The exact draws only have a codeword of
+    # that size, so a bound that prunes them wrongly misses the answer.
+    m, d = 2, 6
+    ens = sample_ensemble(n, d, derive_seed(921, "bf-proj", signal.__name__, n))
+    rng = make_generator(921, "bf-proj-draw", signal.__name__, n)
+    for kind in ("exact", "noisy"):
+        y, eta, x = _draw_structured(signal, ens, m, rng, kind)
+        got = mcp_exact(ens, y, m, eta, scope)
+        want = brute_force_argmin(ens, y, m, eta, scope)
+        if kind == "exact":
+            np.testing.assert_array_equal(want.vector.to_floats(), x)
+        assert_matches_oracle(got, want, ens, y, eta)
+
+
 def test_matches_brute_force_with_literal():
     n, m, d = 4, 2, 3
     cfg = SolverConfig(max_sparse_k=4, include_pp=False, include_literal=True)
@@ -413,6 +465,98 @@ def test_pair_scan_memory_is_a_few_row_blocks():
 
 
 # ---------------------------------------------------------------------------
+# subset least-squares bound
+
+
+def _lexicographic_rows(indices, k):
+    combos = list(itertools.combinations(indices, k))
+    return np.array(combos, dtype=np.int64).reshape(len(combos), k)
+
+
+def _lstsq_residual_sq(b, y, cols):
+    """Independent reference: residual^2 of y on the columns b[:, cols]."""
+    if not cols:
+        return float(y @ y)
+    coef = np.linalg.lstsq(b[:, cols], y, rcond=None)[0]
+    r = b[:, cols] @ coef - y
+    return float(r @ r)
+
+
+def _gram_problem(rng, d, n, copies=(), near=()):
+    """Columns b with b[:, q] = b[:, p] for each (p, q) in copies and
+    b[:, q] within 1e-7 of b[:, p] for each (p, q) in near, y near the span
+    of three columns, and the Gram entries the bound reads. The copies'
+    Gram rows are made bit-identical, as they are for equal columns of
+    A^T A."""
+    b = rng.normal(size=(d, n))
+    for p, q in copies:
+        b[:, q] = b[:, p]
+    for p, q in near:
+        b[:, q] = b[:, p] + 1e-7 * rng.normal(size=d)
+    y = b[:, [1, 3, 5]] @ rng.normal(size=3) + 0.2 * rng.normal(size=d)
+    gram = b.T @ b
+    gram = 0.5 * (gram + gram.T)
+    aty = b.T @ y
+    for p, q in copies:
+        _duplicate_column(gram, aty, p, q)
+    return b, y, gram, aty, float(y @ y)
+
+
+@pytest.mark.parametrize("forced", [(), (0,)], ids=["free", "forced"])
+def test_subset_bound_matches_lstsq(forced):
+    b, y, gram, aty, yy = _gram_problem(make_generator(920, "subset", len(forced)), 14, 10)
+    free = [i for i in range(10) if i not in forced]
+    for k in range(5):
+        rows = _lexicographic_rows(free, k)
+        got = solver._subset_ls_residual_sq(gram, aty, yy, rows, forced)
+        want = [_lstsq_residual_sq(b, y, [*forced, *r]) for r in rows.tolist()]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * yy)
+        # runs cut anywhere (chunk boundaries, the length filter) give the
+        # same bits: each row depends only on its own prefix
+        part = rows[::3]
+        np.testing.assert_array_equal(
+            solver._subset_ls_residual_sq(gram, aty, yy, part, forced), got[::3]
+        )
+
+
+def test_subset_bound_is_zero_on_dependent_columns():
+    # 4 copies the forced column 0, 6 copies 2 and 8 copies 7, so a copy
+    # sits next to its original in the forced set, in the projected prefix
+    # and within the final pair; 5 is 3 up to 1e-7. Projected onto its
+    # original, a copy is rounding noise, and a near copy leaves a 1e-14
+    # pivot that amplifies it. The bound must be 0 there, not whatever the
+    # noise gives.
+    copies, near = ((0, 4), (2, 6), (7, 8)), ((3, 5),)
+    n, d = 10, 12
+    b, y, gram, aty, yy = _gram_problem(make_generator(920, "subset-dup"), d, n, copies, near)
+
+    def dependent(cols):
+        return any({p, q} <= set(cols) for p, q in copies + near)
+
+    for forced in [(), (0,)]:
+        free = [i for i in range(n) if i not in forced]
+        for k in range(1, 5):
+            rows = _lexicographic_rows(free, k)
+            got = solver._subset_ls_residual_sq(gram, aty, yy, rows, forced)
+            cols = [[*forced, *r] for r in rows.tolist()]
+            dep = np.array([dependent(c) for c in cols])
+            assert dep.any() == (k > 1 or bool(forced))
+            assert np.all(got[dep] == 0.0)
+            want = [_lstsq_residual_sq(b, y, c) for c in cols]
+            np.testing.assert_allclose(
+                got[~dep], np.array(want)[~dep], rtol=1e-9, atol=1e-12 * yy
+            )
+    # and the sparse scan offers every dependent support even at eta = 0
+    ens = sample_ensemble(n, d, derive_seed(920, "subset-dup"))
+    search = _Search(ens, y, 3, 0.0, SolverConfig(max_sparse_k=3, include_pp=False), None)
+    search.gram_full, search.aty, search.yy = gram, aty, yy
+    offered = {tuple(s) for batch, _ in search.feasible_supports(3) for s in batch.tolist()}
+    for support in _lexicographic_rows(range(n), 3).tolist():
+        if dependent(support):
+            assert tuple(support) in offered
+
+
+# ---------------------------------------------------------------------------
 # resource lifetime
 
 
@@ -513,7 +657,7 @@ def test_zero_signal_codes_as_empty_sparse():
     ens = sample_ensemble(32, 12, derive_seed(907, "zero"))
     res = mcp_exact(ens, np.zeros(12), 5, 1e-9)
     assert res.status == "ok"
-    assert res.x_hat.is_zero()
+    assert res.x_hat.support() == ()
     assert res.codec_id == "sparse"
     assert res.points_tested == 0
 
