@@ -95,6 +95,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="root seed; every trial derives from it")
 
 
+def _add_node_cap(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--node-cap", type=int, dest="node_cap", metavar="NODES",
+                     help="strata, points and walk steps one solve may charge "
+                          "before it stops with exit status 3 (default: 2^24)")
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="mcpursuit",
@@ -113,6 +119,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     scan.add_argument("--trials", type=int)
     scan.add_argument("--tau", type=float)
     scan.add_argument("--t", type=float)
+    _add_node_cap(scan)
     registry["scan"] = scan
 
     cor = subs.add_parser("corollary", help="exact recovery at grid-valued draws")
@@ -122,6 +129,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     cor.add_argument("--k", type=int)
     cor.add_argument("--trials", type=int)
     cor.add_argument("--eta", type=float)
+    _add_node_cap(cor)
     registry["corollary"] = cor
 
     lem = subs.add_parser("lemmas", help="Monte Carlo concentration checks")
@@ -138,6 +146,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     mis.add_argument("--n-values", type=_int_tuple, dest="n_values")
     mis.add_argument("--trials", type=int)
     mis.add_argument("--alpha", type=float)
+    _add_node_cap(mis)
     registry["mismatch"] = mis
 
     enc = subs.add_parser("encode", help="encode a signal file to a bitstream")

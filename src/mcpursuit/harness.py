@@ -151,6 +151,7 @@ class PhaseScanConfig:
     tau: float = 0.04
     t: float = 1.0
     master_seed: int = 20240801
+    node_cap: int = SolverConfig.node_cap
 
 
 def run_phase_scan(cfg: PhaseScanConfig, out_dir) -> ExperimentResult:
@@ -165,7 +166,7 @@ def run_phase_scan(cfg: PhaseScanConfig, out_dir) -> ExperimentResult:
     """
     t0 = time.monotonic()
     threshold = 4.0 * quantization_gap_bound(cfg.n, cfg.m)
-    scope = SolverConfig(max_sparse_k=cfg.k, include_pp=False)
+    scope = SolverConfig(max_sparse_k=cfg.k, include_pp=False, node_cap=cfg.node_cap)
     rows = []
     summary: dict = {"threshold": threshold, "per_d": {}}
     for d in cfg.d_values:
@@ -233,6 +234,7 @@ class CorollaryConfig:
     trials: int = 500
     eta: float = 1e-6
     master_seed: int = 20240802
+    node_cap: int = SolverConfig.node_cap
 
 
 def run_corollary_check(cfg: CorollaryConfig, out_dir) -> ExperimentResult:
@@ -248,7 +250,7 @@ def run_corollary_check(cfg: CorollaryConfig, out_dir) -> ExperimentResult:
     m, kappa, d = _sparse_scale(cfg.n, cfg.k, cfg.alpha)
     err_bound = corollary_error_bound(cfg.n, cfg.alpha, kappa)
     budget = dl_budget_bits(kappa, 1.0, m)
-    scope = SolverConfig(max_sparse_k=cfg.k, include_pp=False)
+    scope = SolverConfig(max_sparse_k=cfg.k, include_pp=False, node_cap=cfg.node_cap)
     rows = []
     failures = 0
     for trial in range(cfg.trials):
@@ -345,6 +347,7 @@ class MismatchConfig:
     smooth_n: int = 256
     smooth_r_values: tuple[int, ...] = (1, 2, 4, 8, 16)
     smooth_degree: int = 2
+    node_cap: int = SolverConfig.node_cap
 
 
 def run_mismatch_scan(cfg: MismatchConfig, out_dir) -> ExperimentResult:
@@ -364,7 +367,7 @@ def run_mismatch_scan(cfg: MismatchConfig, out_dir) -> ExperimentResult:
         k = lp_sparsity_level(n, cfg.p)
         m, kappa, d = _sparse_scale(n, k, cfg.alpha)
         eps_n = lp_tail_bound(k, cfg.p)
-        scope = SolverConfig(max_sparse_k=k, include_pp=False)
+        scope = SolverConfig(max_sparse_k=k, include_pp=False, node_cap=cfg.node_cap)
         errs = []
         for trial in range(cfg.trials):
             ens = sample_ensemble(

@@ -27,16 +27,21 @@ the map to sample numerators and the encoder. Degree >= 1 pieces floor
 their samples, so their radius carries a slack and their residual is
 recomputed from the samples. The empty support is accepted without a walk.
 
-The walk's innermost level is one numpy batch per visit, in slices of at
-most _LEAF_SLICE values: their zig-zag order, walk distances, decoded
-samples and residuals. Only the leaves that can change the search reach
-the leaf handler, which decides on the exact residual: every feasible
-leaf while a probe is attached; otherwise every feasible leaf up to the
-stratum's first one, which tightens the radius, and then only leaves that
-can beat or tie the incumbent's residual. Points, and walk steps at a
-pivot-free innermost level, are charged in bulk up to each leaf the
-handler gets, so the counters a solve reports, and the node at which the
-node cap fires, are those of a walk that handles one leaf at a time.
+The walk's two innermost levels are one numpy batch per visit of level 1:
+every (level-1 value, level-0 value) leaf in walk order, laid out from
+the zig-zag order of each level, and in slices of at most _LEAF_SLICE
+leaves their walk distances, decoded samples and residuals. Only the
+leaves that can change the search reach the leaf handler, which decides
+on the exact residual: every feasible leaf while a probe is attached;
+otherwise every feasible leaf up to the stratum's first one, which
+tightens the radius, and then only leaves that can beat or tie the
+incumbent's residual. After each of them the rest of the batch is
+filtered against the tightened radius: a level-1 value that no longer
+fits is skipped, and later level-0 ranges shrink. Points, and walk steps
+at pivot-free levels, are charged in bulk: up to each leaf the handler
+gets, and at an outer level per run of values that does not descend. So
+the counters a solve reports, and the node at which the node cap fires,
+are those of a walk that handles one leaf at a time.
 
 The least-squares bound of a sparse support or a degree-0 breakpoint
 pattern is one function, _subset_ls_residual_sq, of a Gram matrix and the
@@ -73,6 +78,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -107,7 +113,7 @@ _SUBSET_GUARD = 1e-10  # projected/unprojected diagonal not above this: bound 0
 _PAIR_ROWS = 64  # Gram rows per block of the k=2 pair scan
 _COMBO_CHUNK = 1 << 16  # sparse supports per chunk of k=1, k>=3 or budget-limited k=2
 _PP_CHUNK = 2048  # breakpoint patterns per piecewise batch
-_LEAF_SLICE = 256  # innermost-level values decoded and scored per batch
+_LEAF_SLICE = 256  # leaves of the two innermost walk levels decoded and scored per batch
 
 
 class SolverResourceError(RuntimeError):
@@ -279,13 +285,25 @@ class _Probe:
 # integer sphere walk
 
 
-def _zigzag(center: float, lo: int, hi: int) -> np.ndarray:
-    """The integers of [lo, hi], nearest to center first, then one above
-    and one below at each further step."""
-    start = min(max(int(round(center)), lo), hi)
-    vals = np.arange(lo, hi + 1)
-    # ranks: start 0, start + 1 1, start - 1 2, start + 2 3, ...
-    return vals[np.argsort(2 * np.abs(vals - start) - (vals > start))]
+def _zigzag(start: int, lo: int, hi: int) -> list[int]:
+    """The integers of [lo, hi] in zig-zag order around start (lo <= start
+    <= hi): start, start + 1, start - 1, start + 2, ..., then the rest of
+    the longer side once the shorter one runs out."""
+    above, below = range(start + 1, hi + 1), range(start - 1, lo - 1, -1)
+    side = min(len(above), len(below))
+    return [start, *chain.from_iterable(zip(above, below)), *above[side:], *below[side:]]
+
+
+def _zigzag_at(start, lo, hi, j):
+    """Element j of _zigzag(start, lo, hi), for arrays that broadcast
+    against each other: the order of many level-0 rows at once. The outer
+    levels keep the list form, which is several times cheaper for one
+    row."""
+    side = np.minimum(hi - start, start - lo)
+    paired = j <= 2 * side
+    step = np.where(paired, (j + 1) // 2, j - side)
+    up = np.where(paired, j % 2 == 1, hi - start > start - lo)
+    return np.where(up, start + step, start - step)
 
 
 def _sphere_walk(
@@ -303,112 +321,180 @@ def _sphere_walk(
 ):
     """Depth-first walk over integer points u in [lo, hi]^D with
     ||r_mat u - qty||^2 < radius_sq, zig-zag ordered per level so good
-    points come first. Levels with a negligible pivot fall back to box
-    bounds and their iterations are charged to the budget as walk steps,
-    because the radius cannot prune there.
+    points come first. Levels with a negligible pivot (free levels) fall
+    back to box bounds and their values are charged to the budget as walk
+    steps, because the radius cannot prune there.
 
-    The innermost level is handled as a batch per visit, in slices of at
-    most _LEAF_SLICE values: score(us, dist_sq) estimates the residual of
-    each live leaf (one row of us per leaf), and accept(u, dist_sq) gets,
-    in walk order, each live leaf whose estimate is at most cut. accept
-    returns upper bounds on radius_sq and cut; they apply strictly from
-    the next leaf on, so later points must beat a tightened radius, not
-    merely tie it. Points, and walk steps at a free innermost level, are
-    charged in bulk up to and including each leaf handed to accept, so
-    the counters, and the leaf at which the budget runs out, are those
-    of a walk that visits the leaves one at a time.
+    The two innermost levels are one batch per visit of level 1: every
+    (level-1 value, level-0 value) leaf in walk order, in slices of at
+    most _LEAF_SLICE leaves. score(us, dist_sq) estimates the residual of
+    each live leaf of a slice (one row of us per leaf), and accept(u,
+    dist_sq) gets, in walk order, each live leaf whose estimate is at
+    most cut. accept returns upper bounds on radius_sq and cut; they apply
+    strictly from the next leaf on, so later points must beat a tightened
+    radius, not merely tie it. After each accept the rest of the batch is
+    filtered again: level-1 values whose own distance no longer fits are
+    skipped, and later level-0 ranges shrink to the tightened radius.
+    Points, and walk steps at free levels, are charged in bulk up to and
+    including each leaf handed to accept, and at a free outer level per
+    run of values that does not descend, so the counters, and the leaf at
+    which the budget runs out, are those of a walk that visits the leaves
+    one at a time.
 
     blocks: optional (start, end) slices over which sum(u) must stay
     strictly below block_cap.
     """
     dims = r_mat.shape[0]
     u = np.zeros(dims, dtype=np.int64)
-    # row residual contributions below the current level
     diag = np.abs(np.diag(r_mat))
     diag_ok = diag > 1e-12 * (1.0 + np.abs(r_mat).max())
-    block_of = np.full(dims, -1)
-    if blocks is not None:
-        for bi, (s, e) in enumerate(blocks):
-            block_of[s:e] = bi
-    block_used = [0] * (len(blocks) if blocks else 0)
+    block_at = [None] * dims  # per level, the coordinates of its block
+    for s, e in blocks or ():
+        block_at[s:e] = [slice(s, e)] * (e - s)
 
-    def leaves(vals, dists, radius_sq: float, free: bool) -> float:
+    def plane(us, partials, radius_sq, free1):
+        """Walk level 0 under each row of us, in order: a level-1 value
+        with the levels above it, at walk distance partials[i]. free1
+        charges one walk step per row."""
         nonlocal cut
-        for s in range(0, len(vals), _LEAF_SLICE):
-            dist = dists[s : s + _LEAF_SLICE]
-            live = np.flatnonzero(dist < radius_sq)
-            if not live.size:
-                if free:
-                    budget.add_steps(len(dist))
-                continue
-            us = np.repeat(u[None], live.size, axis=0)
-            us[:, 0] = vals[s + live]
-            live_dist = dist[live]
-            res = score(us, live_dist)
-            pos = first = 0  # next value to charge, next live leaf to test
-            while True:
-                hits = np.flatnonzero(
-                    (live_dist[first:] < radius_sq) & (res[first:] <= cut)
-                )
-                hit = first + int(hits[0]) if hits.size else None
-                end = len(dist) if hit is None else int(live[hit]) + 1
-                if free:
-                    budget.add_steps(end - pos)
-                budget.add_points(int(np.count_nonzero(dist[pos:end] < radius_sq)))
-                if hit is None:
-                    break
-                radius_bound, cut_bound = accept(us[hit], float(live_dist[hit]))
-                radius_sq = min(radius_sq, radius_bound)
-                cut = min(cut, cut_bound)
-                pos, first = end, hit + 1
+        rows = len(us)
+        inner = (us[:, None, 1:] @ r_mat[0, 1:, None])[:, 0, 0] - qty[0]
+        used = us[:, block_at[0]].sum(axis=1) if block_at[0] is not None else None
+        pivot, free0 = r_mat[0, 0], not diag_ok[0]
+        first, last, start, counts = np.zeros((4, rows), dtype=np.int64)
+
+        def enter(top, radius_sq):
+            """Enter rows top.. at radius_sq: per row, the first and last
+            value of level 0 to walk and the zig-zag start, as descend
+            finds them for one row; no values where the row's own
+            distance leaves no room."""
+            last[top:] = first[top:] - 1
+            at = top + np.flatnonzero(partials[top:] < radius_sq)
+            if at.size:
+                if diag_ok[0]:
+                    half, neg = np.sqrt(radius_sq - partials[at]), -inner[at]
+                    a, b = (neg - half) / pivot, (neg + half) / pivot
+                    lo_f, hi_f = (a, b) if pivot > 0 else (b, a)
+                    first[at] = np.minimum(np.maximum(np.ceil(lo_f - 1e-12), lo), hi + 1)
+                    last[at] = np.maximum(np.minimum(np.floor(hi_f + 1e-12), hi), lo - 1)
+                    center = np.rint(neg / pivot)
+                else:
+                    first[at], last[at], center = lo, hi, round(0.5 * (lo + hi))
+                if used is not None:
+                    last[at] = np.minimum(last[at], block_cap - 1 - used[at])
+                start[at] = np.minimum(np.maximum(center, first[at]), last[at])
+            counts[top:] = np.maximum(last[top:] - first[top:] + 1, 0)
+
+        # each row enters at the radius of its turn: the rows after an
+        # accepted leaf enter again at the tightened radius
+        enter(0, radius_sq)
+        charged = top = 0  # rows that paid their walk step; rows walked
+        while top < rows:
+            # whole rows up to _LEAF_SLICE leaves, or one longer row in slices
+            ends = np.cumsum(counts[top:])
+            begins = ends - counts[top:]
+            group = max(int(np.searchsorted(ends, _LEAF_SLICE, side="right")), 1)
+            for s in range(0, int(ends[group - 1]), _LEAF_SLICE):
+                f = np.arange(s, min(s + _LEAF_SLICE, int(ends[group - 1])))
+                rel = np.searchsorted(ends, f, side="right")
+                row = top + rel
+                vals = _zigzag_at(start[row], first[row], last[row], f - begins[rel])
+                contrib = pivot * vals + inner[row]
+                dist = partials[row] + contrib * contrib
+                alive = np.ones(len(f), dtype=bool)
+                res = np.full(len(f), np.inf)
+                live = np.flatnonzero(dist < radius_sq)
+                if live.size:
+                    leaf_us = us[row[live]]
+                    leaf_us[:, 0] = vals[live]
+                    res[live] = score(leaf_us, dist[live])
+                pos = 0  # next leaf to charge
+                while True:
+                    inside = alive & (dist < radius_sq)
+                    hits = np.flatnonzero(inside[pos:] & (res[pos:] <= cut))
+                    end = pos + int(hits[0]) + 1 if hits.size else len(f)
+                    if free0:
+                        budget.add_steps(int(np.count_nonzero(alive[pos:end])))
+                    budget.add_points(int(np.count_nonzero(inside[pos:end])))
+                    if not hits.size:
+                        break
+                    hit, pos = end - 1, end
+                    h = int(row[hit])
+                    if free1:
+                        budget.add_steps(h + 1 - charged)
+                        charged = h + 1
+                    leaf = us[h].copy()
+                    leaf[0] = vals[hit]
+                    radius_bound, cut_bound = accept(leaf, float(dist[hit]))
+                    radius_sq = min(radius_sq, radius_bound)
+                    cut = min(cut, cut_bound)
+                    if h + 1 < rows:
+                        # ranges only shrink, keeping their order: drop the
+                        # laid-out leaves of later rows that left them
+                        enter(h + 1, radius_sq)
+                        rest = row[end:]
+                        alive[end:] &= (rest <= h) | (
+                            (first[rest] <= vals[end:]) & (vals[end:] <= last[rest])
+                        )
+            top += group
+            if free1:
+                budget.add_steps(top - charged)
+                charged = top
         return radius_sq
 
     def descend(level: int, partial: float, radius_sq: float) -> float:
         inner = float(r_mat[level, level + 1 :] @ u[level + 1 :]) - qty[level]
-        pivot = r_mat[level, level]
         avail = radius_sq - partial
         if avail <= 0:
             return radius_sq
+        pivot = float(r_mat[level, level])
         if diag_ok[level]:
             half = math.sqrt(avail)
-            lo_f = (-half - inner) / pivot
-            hi_f = (half - inner) / pivot
-            if lo_f > hi_f:
-                lo_f, hi_f = hi_f, lo_f
-            lo_l = max(lo, math.ceil(lo_f - 1e-12))
-            hi_l = min(hi, math.floor(hi_f + 1e-12))
-            center = (-inner) / pivot
+            a, b = (-half - inner) / pivot, (half - inner) / pivot
+            first = max(lo, math.ceil(min(a, b) - 1e-12))
+            last = min(hi, math.floor(max(a, b) + 1e-12))
+            center = -inner / pivot
         else:
-            lo_l, hi_l = lo, hi
-            center = 0.5 * (lo + hi)
-        bi = block_of[level]
-        if bi >= 0:
-            hi_l = min(hi_l, block_cap - 1 - block_used[bi])
-        if lo_l > hi_l:
+            first, last, center = lo, hi, 0.5 * (lo + hi)
+        block = block_at[level]
+        if block is not None:
+            last = min(last, block_cap - 1 - int(u[block].sum()))
+        if first > last:
             return radius_sq
         # nearest integer to the unconstrained optimum first
-        vals = _zigzag(center, lo_l, hi_l)
+        start = min(max(round(center), first), last)
+        vals = np.array(_zigzag(start, first, last))
         contrib = pivot * vals + inner
         new_partials = partial + contrib * contrib
         free = not diag_ok[level]
-        if level == 0:
-            return leaves(vals, new_partials, radius_sq, free)
-        for val, new_partial in zip(vals.tolist(), new_partials.tolist()):
-            if free:
-                budget.add_steps()
-            if new_partial >= radius_sq:
-                continue
-            u[level] = val
-            if bi >= 0:
-                block_used[bi] += val
-            radius_sq = descend(level - 1, new_partial, radius_sq)
-            if bi >= 0:
-                block_used[bi] -= val
-        u[level] = 0
+        inside = np.flatnonzero(new_partials < radius_sq)
+        if level == 1 and inside.size:
+            us = np.repeat(u[None], len(vals), axis=0)
+            us[:, 1] = vals
+            return plane(us, new_partials, radius_sq, free)
+        # only values inside the radius descend; a free level charges one
+        # walk step per value, in bulk up to each value that descends
+        charged = 0
+        if level > 1:
+            vals, new_partials = vals.tolist(), new_partials.tolist()
+            for i in inside.tolist():
+                if new_partials[i] >= radius_sq:
+                    continue
+                if free:
+                    budget.add_steps(i + 1 - charged)
+                    charged = i + 1
+                u[level] = vals[i]
+                radius_sq = descend(level - 1, new_partials[i], radius_sq)
+            u[level] = 0
+        if free and charged < len(vals):
+            budget.add_steps(len(vals) - charged)
         return radius_sq
 
     try:
-        descend(dims - 1, 0.0, radius_sq)
+        if dims == 1:
+            plane(u[None], np.zeros(1), radius_sq, False)
+        else:
+            descend(dims - 1, 0.0, radius_sq)
     finally:
         # descend refers to itself through its closure cell; emptying the
         # cell frees score and accept, and the search they hold, without
@@ -719,8 +805,8 @@ class _Search:
         says, so the radius is widened by that much and the residual is
         recomputed from the samples.
 
-        The walk scores its innermost level in batches and hands accept
-        only the leaves that can change the search: while a probe is
+        The walk scores its two innermost levels in batches and hands
+        accept only the leaves that can change the search: while a probe is
         attached, every feasible leaf; otherwise every feasible leaf up
         to this stratum's first one, which tightens the radius against
         this stratum's base_sq even when it loses to the incumbent, and

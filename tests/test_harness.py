@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from mcpursuit.harness import (
     run_mismatch_scan,
     run_phase_scan,
 )
-from mcpursuit.solver import SolverResourceError
+from mcpursuit.solver import SolverConfig, SolverResourceError
 
 TINY_SCAN = PhaseScanConfig(trials=3, d_values=(8, 30), master_seed=4242)
 
@@ -192,3 +193,28 @@ def test_cli_node_budget_exhausted_exits_3(tmp_path, monkeypatch, capsys):
     assert code == cli.RESOURCE_ERROR == 3
     err = capsys.readouterr().err
     assert err == "mcpursuit: node budget 10 exhausted\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_small_node_cap_stops_corollary_with_exit_3(tmp_path, capsys, source):
+    # The k=2 pair scan at n=1024 charges 523,776 strata at once, so a
+    # 1000-node cap stops the first solve right after its ensemble is drawn.
+    if source == "flag":
+        argv = ["--node-cap", "1000"]
+    else:
+        cfg = tmp_path / "cor.cfg"
+        cfg.write_text("node-cap = 1000\n")
+        argv = ["--config", str(cfg)]
+    t0 = time.perf_counter()
+    code = cli.main(["corollary", "--trials", "2", *argv, "--out", str(tmp_path)])
+    elapsed = time.perf_counter() - t0
+    assert code == cli.RESOURCE_ERROR == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mcpursuit: node budget 1000 exhausted")
+    assert "Traceback" not in err
+    assert elapsed < 1.0
+
+
+def test_node_cap_defaults_to_the_solver_default():
+    for cfg in (PhaseScanConfig(), CorollaryConfig(), MismatchConfig()):
+        assert cfg.node_cap == SolverConfig().node_cap == 1 << 24

@@ -8,10 +8,11 @@ import time
 import tracemalloc
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcpursuit.codecs import (
@@ -44,6 +45,7 @@ from mcpursuit.solver import (
 )
 
 from oracle_enum import assert_matches_oracle, brute_force_argmin
+from walk_reference import reference_walk, zigzag
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +359,116 @@ def test_node_cap_fires_at_the_same_node(instance, nodes, leaf_slice, monkeypatc
     assert _solve(instance, node_cap=nodes).status == "ok"
     with pytest.raises(SolverResourceError):
         _solve(instance, node_cap=nodes - 1)
+
+
+@pytest.mark.parametrize("instance", [_literal_instance, _one_sample_piece_instance],
+                         ids=["literal", "free-level"])
+@pytest.mark.parametrize("leaf_slice", [2, solver._LEAF_SLICE])
+def test_walk_scores_at_most_one_slice(instance, leaf_slice, monkeypatch):
+    # Walk memory is bounded by the slice: no score call gets more rows,
+    # however many leaves one visit of level 1 lays out (up to 64 on the
+    # literal walk, 136 on the free-level one, whose two innermost levels
+    # share a piece).
+    walk, rows = solver._sphere_walk, []
+
+    def counting_walk(r_mat, qty, radius_sq, cut, lo, hi, budget, score, *rest):
+        def counted(us, dist_sq):
+            rows.append(len(us))
+            return score(us, dist_sq)
+        return walk(r_mat, qty, radius_sq, cut, lo, hi, budget, counted, *rest)
+
+    monkeypatch.setattr(solver, "_sphere_walk", counting_walk)
+    monkeypatch.setattr(solver, "_LEAF_SLICE", leaf_slice)
+    assert _solve(instance).status == "ok"
+    assert 0 < max(rows) <= leaf_slice
+
+
+def test_zigzag_rows_match_one_row():
+    # The batched walk lays out level 0 with _zigzag_at, the outer levels
+    # with _zigzag; both must give the reference walk's order.
+    for lo, hi in itertools.combinations_with_replacement(range(-2, 6), 2):
+        for start in range(lo, hi + 1):
+            want = zigzag(start, lo, hi)
+            assert solver._zigzag(start, lo, hi) == want
+            j = np.arange(len(want))
+            assert solver._zigzag_at(start, lo, hi, j).tolist() == want
+
+
+@st.composite
+def _walk_cases(draw):
+    """A small walk: an upper-triangular R, some of whose pivots (or whole
+    rows) are zero, qty near a point of the box, optional piece blocks
+    with a block cap, and the leaf handler's eta, slack and cut mode."""
+    dims = draw(st.integers(1, 4))
+    free = np.array(draw(st.lists(st.booleans(), min_size=dims, max_size=dims)))
+    lo = draw(st.integers(0, 1))
+    hi = lo + draw(st.integers(0, 5 if dims < 4 else 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r_mat = np.triu(rng.normal(size=(dims, dims)))
+    r_mat[np.diag_indices(dims)] += np.sign(np.diag(r_mat)) * 0.2
+    if draw(st.booleans()):
+        r_mat[free] = 0.0  # rows past the measurement count
+    r_mat[free, free] = 0.0
+    qty = r_mat @ rng.integers(lo, hi + 1, size=dims) + 0.5 * rng.normal(size=dims)
+    width = draw(st.sampled_from([None, 1, 2, 3]))
+    blocks = block_cap = None
+    if width is not None:
+        blocks = [(s, min(s + width, dims)) for s in range(0, dims, width)]
+        block_cap = draw(st.integers(1, width * hi + 1))
+    eta = draw(st.floats(0.1, 3.0))
+    slack = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    probe = draw(st.booleans())
+    return r_mat, qty, lo, hi, blocks, block_cap, eta, slack, probe
+
+
+def _walk_record(walk, case, node_cap):
+    """Walk case with a leaf handler like _Search.walk_stratum's: the
+    accept calls in order, the points and walk steps charged (None once
+    the node cap fires), and whether it fired."""
+    r_mat, qty, lo, hi, blocks, block_cap, eta, slack, probe = case
+    margin = 1e-3
+    weights = np.arange(1, r_mat.shape[0] + 1)
+
+    def residual(us, dist_sq):
+        # a stand-in for floored samples: up to slack above the walk distance
+        return np.sqrt(dist_sq) + slack * ((us @ weights) % 5) / 4
+
+    calls, best = [], [math.inf]
+
+    def accept(u, dist_sq):
+        calls.append((tuple(u.tolist()), dist_sq))
+        res = float(residual(u[None], np.array([dist_sq]))[0])
+        if res > eta:
+            return math.inf, math.inf
+        best[0] = min(best[0], res)
+        return (best[0] + slack) ** 2, math.inf if probe else best[0] + margin
+
+    budget = solver._Budget(node_cap)
+    try:
+        walk(r_mat, qty, (eta + slack) ** 2, eta + margin, lo, hi, budget,
+             residual, accept, blocks, block_cap)
+    except SolverResourceError:
+        return calls, None, True
+    return calls, (budget.points, budget.steps), False
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_walk_cases(), leaf_slice=st.sampled_from([1, 2, 3, solver._LEAF_SLICE]),
+       cap_share=st.floats(0.0, 1.0))
+# a free level 0 under two level-1 rows laid out in one slice: the leaf
+# accepted in the first row leaves no room for the second, whose leaves
+# must then be neither walked nor charged as walk steps
+@example(case=(np.array([[0.0, -0.13210486], [0.0, 0.30490012]]),
+               np.array([0.04869266, 0.95690014]), 0, 1, None, None, 1.0, 0.0, False),
+         leaf_slice=solver._LEAF_SLICE, cap_share=0.0)
+def test_batched_walk_matches_one_leaf_at_a_time(case, leaf_slice, cap_share):
+    want = _walk_record(reference_walk, case, 1 << 40)
+    total = sum(want[1])
+    with mock.patch.object(solver, "_LEAF_SLICE", leaf_slice):
+        assert _walk_record(solver._sphere_walk, case, 1 << 40) == want
+        for cap in (int(cap_share * total), total - 1):
+            assert (_walk_record(solver._sphere_walk, case, cap)
+                    == _walk_record(reference_walk, case, cap))
 
 
 @pytest.mark.parametrize("n_deg", [1, 2, 3])
