@@ -72,6 +72,10 @@ def power_iteration_sigma_max(
     Deterministic ramp start; stops when the Rayleigh quotient is stable
     to rel_tol. Degenerate top singular pairs are harmless because any
     vector in the top eigenspace already attains the quotient.
+
+    One Gram matvec per iteration: the product gram @ v of the Rayleigh
+    quotient is the next iterate before normalizing. The norm is
+    sqrt(w @ w), which is what np.linalg.norm computes for a real vector.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.size == 0:
@@ -79,14 +83,15 @@ def power_iteration_sigma_max(
     gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
     v = 1.0 + 0.01 * np.arange(gram.shape[0])
     v /= np.linalg.norm(v)
+    w = gram @ v
     lam = 0.0
     for _ in range(max_iter):
-        w = gram @ v
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(w @ w)
         if norm == 0.0:
             return 0.0
         v = w / norm
-        new_lam = float(v @ (gram @ v))
+        w = gram @ v
+        new_lam = float(v @ w)
         if abs(new_lam - lam) <= rel_tol * new_lam:
             return math.sqrt(new_lam)
         lam = new_lam

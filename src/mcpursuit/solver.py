@@ -67,10 +67,12 @@ lexicographic order: sparse supports (index p costs uint_code_len(p + 1))
 and breakpoint patterns (break b costs uint_code_len(b)). Both costs
 never decrease with the index, so each index range is one searchsorted
 cut on running cost sums, and only (size - 2)-index prefixes are walked
-in Python. Strata are charged to the node cap, pruned and sorted per
-chunk of fixed size (_COMBO_CHUNK supports, _PP_CHUNK breakpoint
-patterns); chunk boundaries fix the offer order and with it the counters
-a solve reports.
+in Python. Strata are charged to the node cap and bounded per chunk of
+fixed size (_COMBO_CHUNK supports, _PP_CHUNK breakpoint patterns); only
+the strata that pass the bound are priced (their code lengths summed)
+and sorted. The sort is stable, so this is the order of sorting the
+whole chunk and dropping the rest. Chunk boundaries fix the offer order
+and with it the counters a solve reports.
 """
 
 from __future__ import annotations
@@ -895,8 +897,10 @@ class _Search:
         generation order) and is charged to the node cap before it is
         built. The full k=2 scan works in row blocks of A^T A; every other
         batch is one chunk of _budgeted_tuples, bounded by
-        _subset_ls_residual_sq on A^T A and A^T y. Batches have bounded
-        size, so the node cap fires before memory runs out."""
+        _subset_ls_residual_sq on A^T A and A^T y. Only the supports that
+        pass the bound get a code length; those longer than the incumbent
+        are dropped and the rest sorted. Batches have bounded size, so the
+        node cap fires before memory runs out."""
         base = self.sparse_dl(k, 0)
         budget_left = self.incumbent.dl - base
         budget_left = int(min(budget_left, self.pos_costs.sum()))
@@ -913,14 +917,13 @@ class _Search:
             return
         for supports in _budgeted_tuples(self.pos_costs, k, budget_left, _COMBO_CHUNK):
             self.budget.add_strata(len(supports))
-            dls = base + self.pos_costs[supports].sum(axis=1)
-            keep = dls <= self.incumbent.dl
-            supports, dls = supports[keep], dls[keep]
             res_sq = _subset_ls_residual_sq(self.gram_full, self.aty, self.yy, supports)
-            feasible = np.sqrt(res_sq) <= limit
-            supports, dls = supports[feasible], dls[feasible]
-            order = np.lexsort((res_sq[feasible], dls))
-            yield supports[order], dls[order]
+            passed = np.flatnonzero(np.sqrt(res_sq) <= limit)
+            dls = base + self.pos_costs[supports[passed]].sum(axis=1)
+            keep = dls <= self.incumbent.dl
+            passed, dls = passed[keep], dls[keep]
+            order = np.lexsort((res_sq[passed], dls))
+            yield supports[passed[order]], dls[order]
 
     def offer_sparse(self, support: np.ndarray, dl: int) -> None:
         """Walk one nonempty support: values 1 .. 2^m - 1 at its positions."""
@@ -986,8 +989,7 @@ class _Search:
                     break_costs, q_breaks, budget_left, _PP_CHUNK
                 ):
                     self.budget.add_strata(len(idx))
-                    dls = fixed + break_costs[idx].sum(axis=1)
-                    self.process_pp_batch(n_deg, idx + 1, dls, m_prime)
+                    self.process_pp_batch(n_deg, idx + 1, fixed, m_prime)
 
     def pp_columns(self, n_deg, breaks, m_prime) -> np.ndarray:
         """(batch, d, dims) columns of a batch of breakpoint patterns (rows
@@ -1006,14 +1008,15 @@ class _Search:
                 cols[:, :, piece * (n_deg + 1) + j] = (tab[hi_e] - tab[lo_e]) * scale
         return cols
 
-    def process_pp_batch(self, n_deg, breaks, dls, m_prime):
+    def process_pp_batch(self, n_deg, breaks, fixed, m_prime):
         """Prune and offer one batch of breakpoint patterns (rows of
-        breaks, in lexicographic order) of one degree, with their code
-        lengths dls. Degree 0 takes its least-squares bound from
-        edge_gram with row n forced in. Higher degrees build the batch's
-        columns and solve each pattern's Gram system; their samples are
-        floored, so the prune carries pp_slack. Columns for the walk are
-        built per offered pattern."""
+        breaks, in lexicographic order) of one degree, whose code lengths
+        are fixed plus their break costs. Degree 0 takes its least-squares
+        bound from edge_gram with row n forced in. Higher degrees build the
+        batch's columns and solve each pattern's Gram system; their samples
+        are floored, so the prune carries pp_slack. Only the patterns that
+        pass the bound are priced and sorted, by length and then by bound.
+        Columns for the walk are built per offered pattern."""
         if n_deg == 0:
             gram, corr = self.edge_gram
             res_sq = _subset_ls_residual_sq(gram, corr, self.yy, breaks, (self.n,))
@@ -1023,13 +1026,15 @@ class _Search:
             cols_t = cols.transpose(0, 2, 1)
             res_sq = _ls_residual_sq(cols_t @ cols, cols_t @ self.y, self.yy)
             slack = self.pp_slack
-        feasible = np.sqrt(res_sq) <= self.eta + slack + _LS_MARGIN
-        order = np.lexsort((res_sq, dls))
-        for i in order[feasible[order]]:
+        passed = np.flatnonzero(np.sqrt(res_sq) <= self.eta + slack + _LS_MARGIN)
+        # break b costs pos_costs[b - 1]
+        dls = fixed + self.pos_costs[breaks[passed] - 1].sum(axis=1)
+        order = np.lexsort((res_sq[passed], dls))
+        for i, dl in zip(passed[order].tolist(), dls[order].tolist()):
             # lengths ascend along the order and the incumbent only shrinks
-            if dls[i] > self.incumbent.dl:
+            if dl > self.incumbent.dl:
                 break
-            self.offer_pp(n_deg, breaks[i], int(dls[i]), m_prime)
+            self.offer_pp(n_deg, breaks[i], dl, m_prime)
 
     def offer_pp(self, n_deg, breaks, dl, m_prime):
         """Walk one breakpoint pattern: n_deg + 1 coefficient numerators

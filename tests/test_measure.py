@@ -39,6 +39,36 @@ def test_power_iteration_matches_svd():
     assert power_iteration_sigma_max(np.zeros((3, 5))) == 0.0
 
 
+def _two_matvec_sigma_max(a, rel_tol=1e-8, max_iter=50_000):
+    """Reference: the power iteration with a second Gram matvec for each
+    Rayleigh quotient, and the norm from np.linalg.norm."""
+    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    v = 1.0 + 0.01 * np.arange(gram.shape[0])
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(max_iter):
+        w = gram @ v
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+        new_lam = float(v @ (gram @ v))
+        if abs(new_lam - lam) <= rel_tol * new_lam:
+            return math.sqrt(new_lam)
+        lam = new_lam
+    return math.sqrt(lam)
+
+
+@pytest.mark.parametrize("shape", [(16, 24), (30, 128), (182, 1024), (104, 16), (10, 10)])
+def test_power_iteration_is_bit_identical_to_two_matvecs(shape):
+    # Reusing the quotient's matvec as the next iterate must not move a
+    # single bit: the solver's eta and pp_slack are built from sigma_max.
+    rng = make_generator(5, "sigma-bits", *shape)
+    for _ in range(3):
+        a = rng.normal(0.0, 1.0 / math.sqrt(shape[0]), size=shape)
+        assert power_iteration_sigma_max(a) == _two_matvec_sigma_max(a)
+
+
 def test_sigma_max_cached_on_ensemble():
     ens = sample_ensemble(32, 8, derive_seed(11, "ens", 1))
     top = np.linalg.svd(ens.matrix, compute_uv=False)[0]

@@ -324,6 +324,101 @@ def test_offer_order_is_pinned(instance, pinned):
     _assert_pinned(instance, pinned)
 
 
+def _loose_sparse_instance():
+    # Supports up to k=3 at an eta loose enough that 55 three-column
+    # supports pass the bound and are offered up to the winner's length,
+    # up to 16 of them at one length.
+    n, m, d = 12, 2, 4
+    ens = sample_ensemble(n, d, derive_seed(933, "loose", d, 1))
+    x = make_generator(933, "loose-draw", 1).uniform(0, 1, size=n)
+    eta = 0.3 * float(np.linalg.norm(np.asarray(ens.matrix) @ x))
+    return ens, x, m, eta, SolverConfig(max_sparse_k=3, include_pp=False)
+
+
+def _offer_sequence(instance, monkeypatch):
+    """Solve instance and return every (stratum, dl) that reaches
+    offer_pp ((degree, *breaks)) or offer_sparse (the support)."""
+    offers, offer_pp, offer_sparse = [], _Search.offer_pp, _Search.offer_sparse
+
+    def record_pp(self, n_deg, breaks, dl, m_prime):
+        offers.append(((n_deg, *breaks.tolist()), dl))
+        return offer_pp(self, n_deg, breaks, dl, m_prime)
+
+    def record_sparse(self, support, dl):
+        offers.append((tuple(support.tolist()), dl))
+        return offer_sparse(self, support, dl)
+
+    monkeypatch.setattr(_Search, "offer_pp", record_pp)
+    monkeypatch.setattr(_Search, "offer_sparse", record_sparse)
+    return _solve(instance), offers
+
+
+@pytest.mark.parametrize("instance,pinned", [
+    (_three_break_instance, [
+        ((0, 2, 15, 32), 65), ((0, 2, 16, 31), 65), ((0, 2, 15, 33), 65),
+        ((0, 3, 15, 31), 64),
+    ]),
+    (_ramp_instance, [((1,), 27)]),
+    (_loose_sparse_instance, [
+        ((0, 1), 24), ((7, 8), 35), ((7, 10), 35),
+        ((0, 1, 2), 31), ((0, 1, 4), 32), ((0, 1, 5), 32), ((0, 2, 3), 32),
+        ((0, 1, 3), 32), ((0, 1, 6), 32), ((0, 2, 5), 32), ((0, 2, 4), 32),
+        ((0, 4, 5), 33), ((0, 3, 6), 33), ((0, 3, 5), 33), ((0, 1, 11), 35),
+        ((0, 1, 7), 35), ((0, 1, 8), 35), ((0, 1, 10), 35), ((0, 1, 9), 35),
+        ((1, 2, 3), 35), ((0, 4, 7), 36), ((0, 5, 7), 36), ((0, 5, 8), 36),
+        ((0, 5, 11), 36), ((0, 4, 11), 36), ((0, 4, 8), 36), ((1, 3, 5), 36),
+        ((0, 5, 10), 36), ((1, 3, 4), 36), ((0, 3, 9), 36), ((2, 4, 6), 36),
+        ((1, 3, 6), 36), ((0, 3, 11), 36), ((0, 3, 10), 36), ((0, 3, 7), 36),
+        ((3, 4, 5), 37), ((1, 4, 7), 39), ((2, 6, 8), 39), ((2, 6, 10), 39),
+        ((1, 5, 7), 39), ((0, 7, 8), 39), ((1, 3, 10), 39), ((2, 6, 7), 39),
+        ((1, 3, 7), 39), ((1, 3, 9), 39), ((1, 3, 8), 39), ((0, 8, 11), 39),
+        ((0, 7, 10), 39), ((2, 6, 9), 39), ((2, 6, 11), 39), ((1, 3, 11), 39),
+        ((0, 10, 11), 39), ((4, 5, 7), 40), ((3, 4, 8), 40), ((3, 5, 10), 40),
+        ((3, 4, 7), 40), ((3, 5, 7), 40), ((3, 5, 8), 40),
+    ]),
+], ids=["three-break", "degree1", "loose-sparse"])
+def test_offer_sequence_is_pinned(instance, pinned, monkeypatch):
+    # Values recorded before only the strata that pass the bound were
+    # priced and sorted. Strata of one length are offered by ascending
+    # bound, and equal bounds in generation order, so a sort by length
+    # alone, or one that is not stable, changes these sequences.
+    res, offers = _offer_sequence(instance, monkeypatch)
+    assert res.status == "ok"
+    assert offers == pinned
+
+
+def test_only_strata_that_pass_the_bound_are_sorted(monkeypatch):
+    # Of the 18,521 strata of the three-break solve, a handful pass the
+    # bound; no sort may see the rest.
+    ens, x, m, eta, cfg = _three_break_instance()
+    limit = eta + _LS_MARGIN
+    passed, sorted_rows = [], []
+    subset_bound, pair_scan, lexsort = (
+        solver._subset_ls_residual_sq, solver._feasible_pairs, np.lexsort
+    )
+
+    def counting_bound(*args):
+        res_sq = subset_bound(*args)
+        passed.append(int(np.count_nonzero(np.sqrt(res_sq) <= limit)))
+        return res_sq
+
+    def counting_pairs(*args):
+        pairs, res_sq = pair_scan(*args)
+        passed.append(len(pairs))
+        return pairs, res_sq
+
+    def counting_lexsort(keys, *args, **kwargs):
+        sorted_rows.append(len(keys[0]))
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_subset_ls_residual_sq", counting_bound)
+    monkeypatch.setattr(solver, "_feasible_pairs", counting_pairs)
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    res = _solve(_three_break_instance)
+    assert res.strata_examined == 18521
+    assert 0 < sum(sorted_rows) <= sum(passed) < 100
+
+
 @pytest.mark.parametrize("instance,pinned,probe", [
     (_ramp_instance, (27, "001001010000010010011110000", 154, 241),
      ProbeStats(0.7605676561072746, 6, 0)),
