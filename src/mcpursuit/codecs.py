@@ -485,12 +485,11 @@ def dl_surrogate(
     candidates = [encode_sparse(q), encode_literal(q)]
     if q.n >= 1:
         breaks, values = _constant_runs(q.numerators)
-        if len(breaks) < q.n:  # always true; guards degenerate n
-            candidates.append(
-                _encode_pp_numerators(
-                    breaks, tuple((v,) for v in values), 0, q.n, q.resolution_bits
-                )
+        candidates.append(
+            _encode_pp_numerators(
+                breaks, tuple((v,) for v in values), 0, q.n, q.resolution_bits
             )
+        )
     if pp_hint is not None:
         try:
             coded = encode_piecewise_poly(

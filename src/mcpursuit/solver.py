@@ -43,36 +43,35 @@ gets, and at an outer level per run of values that does not descend. So
 the counters a solve reports, and the node at which the node cap fires,
 are those of a walk that handles one leaf at a time.
 
+Strata come level by level (a support size, or a degree and break
+count) from _budgeted_blocks, which generates the ascending index tuples
+within a length budget in lexicographic order: sparse supports (index p
+costs uint_code_len(p + 1)) and breakpoint patterns (break b costs
+uint_code_len(b)). Both costs never decrease with the index, so each
+index range is one searchsorted cut on running cost sums, and only
+(size - 2)-index prefixes are walked in Python. The generator writes no
+rows: a block is one prefix with up to _BLOCK_ROWS first indices, each
+with its range of last indices.
+
 The least-squares bound of a sparse support or a degree-0 breakpoint
 pattern is one function, _subset_ls_residual_sq, of a Gram matrix and the
 correlations with y: A^T A and A^T y for supports; for patterns, those of
 the rows T[e] of the degree-0 prefix table, because a pattern with breaks
-b_1 .. b_q spans the same space as T[b_1], .., T[b_q] and T[n]. Strata
-arrive in lexicographic order, so a run of them shares its first k - 2
-indices. One Cholesky factor per run projects out those indices and the
-forced column T[n], and each stratum finishes with the closed-form one-
-or two-column formula on the projected entries: the shared prefix work
-of Furnival & Wilson's leaps and bounds (1974). Degree >= 1 patterns
-build their columns and solve each Gram system.
+b_1 .. b_q spans the same space as T[b_1], .., T[b_q] and T[n]. One
+Cholesky factor per block projects out its prefix and the forced column
+T[n], and the closed-form one- or two-column formula runs on the
+projected entries over the block's dense grid of first and last indices:
+the shared prefix work of Furnival & Wilson's leaps and bounds (1974).
+Scratch memory is a few grids of _BLOCK_ROWS x n floats, not proportional
+to the number of strata. Degree >= 1 patterns build their columns, at
+most _PP_CHUNK patterns at a time, and solve each Gram system.
 
-When every pair fits the length budget, the n(n-1)/2 two-column supports
-are charged to the node cap up front and scanned with the two-column
-formula in blocks of _PAIR_ROWS rows of A^T A. Only the pairs that pass
-the bound are kept and sorted, so scratch memory is a few blocks of
-_PAIR_ROWS x n floats, not proportional to the number of pairs.
-
-Every other stratum comes from _budgeted_tuples, which generates the
-ascending index tuples within a length budget as int64 arrays in
-lexicographic order: sparse supports (index p costs uint_code_len(p + 1))
-and breakpoint patterns (break b costs uint_code_len(b)). Both costs
-never decrease with the index, so each index range is one searchsorted
-cut on running cost sums, and only (size - 2)-index prefixes are walked
-in Python. Strata are charged to the node cap and bounded per chunk of
-fixed size (_COMBO_CHUNK supports, _PP_CHUNK breakpoint patterns); only
-the strata that pass the bound are priced (their code lengths summed)
-and sorted. The sort is stable, so this is the order of sorting the
-whole chunk and dropping the rest. Chunk boundaries fix the offer order
-and with it the counters a solve reports.
+One method, _Search.run_level, serves every level: it charges each block
+to the node cap before bounding it, keeps the strata that pass, and
+prices (sums the code lengths of) and sorts only those, once for the
+whole level, by length, then bound, then generation order. That order
+depends on neither the block size nor the chunk size, and it fixes the
+counters a solve reports.
 """
 
 from __future__ import annotations
@@ -112,9 +111,8 @@ __all__ = [
 
 _LS_MARGIN = 1e-9  # float slack on the continuous feasibility prune
 _SUBSET_GUARD = 1e-10  # projected/unprojected diagonal not above this: bound 0
-_PAIR_ROWS = 64  # Gram rows per block of the k=2 pair scan
-_COMBO_CHUNK = 1 << 16  # sparse supports per chunk of k=1, k>=3 or budget-limited k=2
-_PP_CHUNK = 2048  # breakpoint patterns per piecewise batch
+_BLOCK_ROWS = 64  # first indices per block of _budgeted_blocks
+_PP_CHUNK = 2048  # degree >= 1 breakpoint patterns whose columns are built at once
 _LEAF_SLICE = 256  # leaves of the two innermost walk levels decoded and scored per batch
 
 
@@ -537,31 +535,35 @@ def _position_costs(n: int) -> np.ndarray:
     return np.array([uint_code_len(p + 1) for p in range(n)], dtype=np.int64)
 
 
-def _budgeted_tuples(costs: np.ndarray, size: int, budget: int, chunk: int):
+def _budgeted_blocks(costs: np.ndarray, size: int, budget: int):
     """Ascending index tuples of `size` indices whose costs sum to at most
-    budget, in lexicographic order, as int64 arrays of `chunk` rows (the
-    last one shorter).
+    budget, in lexicographic order, as prefix blocks (prefix, firsts,
+    ends).
+
+    A block stands for the tuples prefix + (firsts[t], j) with
+    firsts[t] < j < ends[t]: firsts is a run of at most _BLOCK_ROWS
+    consecutive indices, and ends never increases along it, so every
+    second index of the block lies below ends[0]. Size 1 gives blocks
+    ((), firsts, None) of the tuples (i,), and size 0 the one block
+    ((), None, None) of the empty tuple when the budget allows it.
 
     Costs must not decrease with the index. Then the cheapest way to pick
     r more indices from i on is the window costs[i:i+r], whose sum does
     not decrease with i, so each index range is one searchsorted cut on
     the window sums and the scan stops at the first index that cannot
-    fit. Prefixes of size - 2 indices are walked one at a time; the last
-    two indices after a prefix are expanded as arrays, in groups of at
-    most `chunk` rows (or one first index), so scratch memory is a few
-    chunks plus O(n) rows."""
+    fit. Prefixes of size - 2 indices are walked one at a time."""
     costs = np.asarray(costs, dtype=np.int64)
     if np.any(np.diff(costs) < 0):
         raise ValueError("costs must not decrease with the index")
     n = len(costs)
     if size == 0:
         if budget >= 0:
-            yield np.zeros((1, 0), dtype=np.int64)
+            yield (), None, None
         return
     if size == 1:
         stop = np.searchsorted(costs, budget, side="right")
-        for lo in range(0, stop, chunk):
-            yield np.arange(lo, min(lo + chunk, stop), dtype=np.int64)[:, None]
+        for lo in range(0, stop, _BLOCK_ROWS):
+            yield (), np.arange(lo, min(lo + _BLOCK_ROWS, stop), dtype=np.int64), None
         return
     if size > n:
         return
@@ -578,40 +580,56 @@ def _budgeted_tuples(costs: np.ndarray, size: int, budget: int, chunk: int):
         for i in range(start, stop):
             yield from prefixes(picked + [i], i + 1, left - int(costs[i]))
 
-    def blocks():
-        for picked, left in prefixes([], 0, budget):
-            start = picked[-1] + 1 if picked else 0
-            stop = np.searchsorted(windows[2], left, side="right")
-            firsts = np.arange(start, stop, dtype=np.int64)
-            # seconds of first i run over i+1 .. ends[i]-1
+    for picked, left in prefixes([], 0, budget):
+        start = picked[-1] + 1 if picked else 0
+        stop = np.searchsorted(windows[2], left, side="right")
+        for lo in range(start, stop, _BLOCK_ROWS):
+            firsts = np.arange(lo, min(lo + _BLOCK_ROWS, stop), dtype=np.int64)
             ends = np.searchsorted(costs, left - costs[firsts], side="right")
-            counts = ends - firsts - 1
-            total = np.cumsum(counts)
-            lo = 0
-            while lo < len(firsts):
-                before = total[lo - 1] if lo else 0
-                hi = max(np.searchsorted(total, before + chunk, side="right"), lo + 1)
-                reps = counts[lo:hi]
-                rows = int(total[hi - 1] - before)
-                out = np.empty((rows, size), dtype=np.int64)
-                out[:, : size - 2] = picked
-                out[:, -2] = np.repeat(firsts[lo:hi], reps)
-                offsets = np.arange(rows) - np.repeat(total[lo:hi] - reps - before, reps)
-                out[:, -1] = out[:, -2] + 1 + offsets
-                yield out
-                lo = hi
+            yield tuple(picked), firsts, ends
 
-    pending, held = [], 0
-    for block in blocks():
-        pending.append(block)
-        held += len(block)
-        if held >= chunk:
-            rows = np.concatenate(pending)
-            full = held - held % chunk
-            yield from np.split(rows[:full], full // chunk)
-            pending, held = [rows[full:]], held - full
-    if held:
-        yield np.concatenate(pending)
+
+def _block_size(block) -> int:
+    """Number of index tuples a block stands for."""
+    _, firsts, ends = block
+    if firsts is None:
+        return 1
+    if ends is None:
+        return len(firsts)
+    return int((ends - firsts - 1).sum())
+
+
+def _block_cells(firsts: np.ndarray, ends: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """keep, a mask over the dense grid of a block of size >= 2 (firsts x
+    seconds, seconds running over firsts[0] + 1 .. ends[0] - 1), cut to
+    the cells that are tuples of the block: firsts[t] < seconds[s], which
+    is s >= t because firsts are consecutive, and seconds[s] < ends[t]."""
+    keep = np.triu(keep)
+    if ends[-1] < ends[0]:
+        keep &= np.arange(keep.shape[1]) < (ends - firsts[0] - 1)[:, None]
+    return keep
+
+
+def _block_rows(block, picked=None) -> np.ndarray:
+    """The index tuples of a block as rows of an int64 array, in
+    lexicographic order. picked, if given, selects some of them: the
+    np.nonzero of a mask over the one tuple of size 0, over firsts for
+    size 1, and otherwise of the output of _block_cells."""
+    prefix, firsts, ends = block
+    if firsts is None:
+        rows = np.zeros((1, 0), dtype=np.int64)
+        return rows if picked is None else rows[picked]
+    if ends is None:
+        return (firsts if picked is None else firsts[picked])[:, None]
+    if picked is None:
+        grid = np.ones((len(firsts), ends[0] - firsts[0] - 1), dtype=bool)
+        picked = np.nonzero(_block_cells(firsts, ends, grid))
+    at, sec = picked
+    rows = np.empty((len(at), len(prefix) + 2), dtype=np.int64)
+    rows[:, :-2] = prefix
+    rows[:, -2] = firsts[at]
+    rows[:, -1] = firsts[0] + 1 + sec
+    return rows
 
 
 def _ls2_residual_sq(g00, g11, g01, b0, b1, yy: float) -> np.ndarray:
@@ -628,71 +646,71 @@ def _ls2_residual_sq(g00, g11, g01, b0, b1, yy: float) -> np.ndarray:
 
 
 def _subset_ls_residual_sq(
-    gram: np.ndarray, corr: np.ndarray, yy: float, rows: np.ndarray, forced=()
-) -> np.ndarray:
-    """Least-squares residual^2 of y on the columns forced + rows[r], for
-    each row r of an (R, k) index array, given the Gram matrix of all
-    columns, their correlations corr with y, and yy = |y|^2. An exact
-    lower bound on any point of each stratum.
+    gram: np.ndarray, corr: np.ndarray, yy: float, block, limit: float, forced=()
+):
+    """The strata of one block of _budgeted_blocks whose least-squares
+    residual is within limit, as (rows, residual^2): an exact lower bound
+    on any point of each stratum. A stratum is the columns forced + its
+    index tuple, given the Gram matrix of all columns, their correlations
+    corr with y, and yy = |y|^2; no forced column is in the block.
 
-    Rows hold ascending indices, none of them forced, in lexicographic
-    order, so rows that share their first k - 2 indices are contiguous. Each such run is one projection: F is
-    the forced columns plus the shared prefix, and one Cholesky step per
+    F is the forced columns plus the block's prefix. One Cholesky step per
     column f of F (W's row w_f is f's projected Gram row over the root of
     its pivot, c_f its projected correlation over the same) leaves the
     last one or two indices with the Gram matrix gram - W^T W, the
-    correlations corr - W^T c and |y|^2 - |c|^2. They finish with the
-    one-column formula or _ls2_residual_sq. With no forced columns and no
-    prefix (k <= 2) the arithmetic is that of the two formulas alone.
+    correlations corr - W^T c and |y|^2 - |c|^2. The one-column formula
+    or _ls2_residual_sq then runs on the block's firsts, or on its dense
+    grid of firsts x seconds, and only the cells that are strata and pass
+    the bound are kept. With no forced columns and no prefix the
+    arithmetic is that of the two formulas alone.
 
     Strata with (nearly) dependent columns get bound 0, so they are never
     pruned: when a projected diagonal entry, a pivot of F included, is
     not above _SUBSET_GUARD times its unprojected value. A column in the
     span of F projects to rounding noise, so projected entries alone
     cannot tell."""
-    count, k = rows.shape
-    lead = max(k - 2, 0)
+    prefix, firsts, ends = block
     diag = np.diagonal(gram)
-    out = np.zeros(count)
-    splits = np.flatnonzero(np.any(rows[1:, :lead] != rows[:-1, :lead], axis=1)) + 1
-    bounds = [0, *splits.tolist(), count] if count else []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        g, b, rest, w = diag, corr, yy, []
-        fixed = [*forced, *rows[lo, :lead].tolist()]
-        for f in fixed:
-            pivot = g[f]
-            if not pivot > _SUBSET_GUARD * diag[f]:
-                break  # the run keeps bound 0
-            root = math.sqrt(pivot)
-            wf = (gram[f] - sum(v[f] * v for v in w)) / root
-            cf = b[f] / root
-            g = g - wf * wf
-            b = b - cf * wf
-            rest -= cf * cf
-            w.append(wf)
-        else:
-            tail = rows[lo:hi, lead:]
-            if not tail.shape[1]:
-                out[lo:hi] = rest
-                continue
-            i = tail[:, 0]
-            if tail.shape[1] == 1:
-                gi = g[i]
-                good = gi > 1e-300
-                res = np.full(len(i), rest)
-                res[good] = rest - b[i][good] ** 2 / gi[good]
-            else:
-                j = tail[:, 1]
-                g01 = gram[i, j] - sum(v[i] * v[j] for v in w)
-                res = _ls2_residual_sq(g[i], g[j], g01, b[i], b[j], rest)
-            if w:
-                # the projected columns themselves are not in tail
-                bad = ~(g > _SUBSET_GUARD * diag)
-                bad[fixed] = False
-                if bad.any():
-                    res[bad[tail].any(axis=1)] = 0.0
-            out[lo:hi] = res
-    return np.maximum(out, 0.0, out=out)
+    g, b, rest, w = diag, corr, yy, []
+    fixed = [*forced, *prefix]
+    for f in fixed:
+        pivot = g[f]
+        if not pivot > _SUBSET_GUARD * diag[f]:
+            rows = _block_rows(block)  # the whole block keeps bound 0
+            return rows, np.zeros(len(rows))
+        root = math.sqrt(pivot)
+        wf = (gram[f] - sum(v[f] * v for v in w)) / root
+        cf = b[f] / root
+        g = g - wf * wf
+        b = b - cf * wf
+        rest -= cf * cf
+        w.append(wf)
+    if w:
+        # the projected columns themselves are not in the block
+        bad = ~(g > _SUBSET_GUARD * diag)
+        bad[fixed] = False
+    if firsts is None:
+        res = np.full(1, max(rest, 0.0))
+    elif ends is None:
+        gi, bi = g[firsts], b[firsts]
+        res = rest - np.divide(bi**2, gi, out=np.zeros(len(gi)), where=gi > 1e-300)
+        if w:
+            res[bad[firsts]] = 0.0
+        np.maximum(res, 0.0, out=res)
+    else:
+        i = slice(firsts[0], firsts[-1] + 1)
+        j = slice(firsts[0] + 1, ends[0])
+        g01 = gram[i, j]
+        if w:
+            g01 = g01 - sum(v[i, None] * v[None, j] for v in w)
+        res = _ls2_residual_sq(g[i, None], g[None, j], g01, b[i, None], b[None, j], rest)
+        if w:
+            res[bad[i, None] | bad[None, j]] = 0.0
+    keep = np.sqrt(res) <= limit
+    if ends is not None:
+        keep = _block_cells(firsts, ends, keep)
+    picked = np.nonzero(keep)
+    return _block_rows(block, picked), res[picked]
 
 
 def _ls_residual_sq(gram: np.ndarray, bvec: np.ndarray, yy: float) -> np.ndarray:
@@ -712,31 +730,6 @@ def _ls_residual_sq(gram: np.ndarray, bvec: np.ndarray, yy: float) -> np.ndarray
         sol = np.linalg.solve(gram[good], bvec[good][..., None])[..., 0]
         out[good] = yy - np.einsum("bi,bi->b", bvec[good], sol)
     return np.maximum(out, 0.0)
-
-
-def _feasible_pairs(gram: np.ndarray, aty: np.ndarray, yy: float, limit: float):
-    """Pairs i < j (n >= 2) whose least-squares residual is within limit,
-    in row-major order, with their residual^2. Works on blocks of
-    _PAIR_ROWS rows of the full Gram matrix, so scratch memory is a few
-    blocks of _PAIR_ROWS x n floats plus the survivors."""
-    n = len(aty)
-    diag = np.diagonal(gram)
-    pairs, res = [], []
-    for lo in range(0, n - 1, _PAIR_ROWS):
-        hi = min(lo + _PAIR_ROWS, n - 1)
-        # columns lo+1.. cover every j > i for the rows lo..hi-1
-        res_sq = _ls2_residual_sq(
-            diag[lo:hi, None],
-            diag[None, lo + 1 :],
-            gram[lo:hi, lo + 1 :],
-            aty[lo:hi, None],
-            aty[None, lo + 1 :],
-            yy,
-        )
-        rows, cols = np.nonzero(np.triu(np.sqrt(res_sq) <= limit))
-        pairs.append(np.column_stack((rows + lo, cols + lo + 1)))
-        res.append(res_sq[rows, cols])
-    return np.concatenate(pairs), np.concatenate(res)
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +848,39 @@ class _Search:
             score, accept, blocks, top + 1,
         )
 
+    # -- one level of strata ---------------------------------------------
+
+    def run_level(self, costs, size, base, bound, offer) -> None:
+        """Offer the strata of one level: the ascending tuples of `size`
+        indices, whose code length is base plus their costs, in order of
+        length, then least-squares bound, then generation order, up to the
+        first one longer than the incumbent.
+
+        Only tuples within the incumbent's length are generated, as blocks
+        of _budgeted_blocks. Each block is charged to the node cap before
+        bound(block) returns the rows that pass the least-squares prune,
+        with their residual^2. Only those are priced and sorted, once for
+        the whole level, so memory is a few blocks plus the survivors, and
+        offer(row, dl) gets them in that order."""
+        budget_left = int(min(self.incumbent.dl - base, costs.sum(initial=0)))
+        rows, res_sq = [], []
+        for block in _budgeted_blocks(costs, size, budget_left):
+            self.budget.add_strata(_block_size(block))
+            passed, passed_res = bound(block)
+            rows.append(passed)
+            res_sq.append(passed_res)
+        if not rows:
+            return
+        rows = np.concatenate(rows)
+        res_sq = np.concatenate(res_sq)
+        dls = base + costs[rows].sum(axis=1)
+        order = np.lexsort((res_sq, dls))
+        for i, dl in zip(order.tolist(), dls[order].tolist()):
+            # the incumbent only shrinks, so every later stratum is too long
+            if dl > self.incumbent.dl:
+                break
+            offer(rows[i], dl)
+
     # -- sparse strata --------------------------------------------------
 
     def sparse_dl(self, k: int, cost_sum: int) -> int:
@@ -885,45 +911,14 @@ class _Search:
                 continue
             if self.gram_full is None:
                 self.gram_full = self.a.T @ self.a
-            for supports, dls in self.feasible_supports(k):
-                for support, dl in zip(supports, dls.tolist()):
-                    if dl <= self.incumbent.dl:
-                        self.offer_sparse(support, dl)
-
-    def feasible_supports(self, k: int):
-        """Support sets of size k within the current length budget that
-        pass the least-squares prune, with their code lengths, in batches.
-        A batch is in offer order (length, then residual bound, then
-        generation order) and is charged to the node cap before it is
-        built. The full k=2 scan works in row blocks of A^T A; every other
-        batch is one chunk of _budgeted_tuples, bounded by
-        _subset_ls_residual_sq on A^T A and A^T y. Only the supports that
-        pass the bound get a code length; those longer than the incumbent
-        are dropped and the rest sorted. Batches have bounded size, so the
-        node cap fires before memory runs out."""
-        base = self.sparse_dl(k, 0)
-        budget_left = self.incumbent.dl - base
-        budget_left = int(min(budget_left, self.pos_costs.sum()))
-        limit = self.eta + _LS_MARGIN
-        if k == 2 and budget_left >= self.pos_costs.max() * 2:
-            # every pair is within the length budget
-            self.budget.add_strata(self.n * (self.n - 1) // 2)
-            supports, res_sq = _feasible_pairs(
-                self.gram_full, self.aty, self.yy, limit
+            limit = self.eta + _LS_MARGIN
+            self.run_level(
+                self.pos_costs, k, self.sparse_dl(k, 0),
+                lambda block: _subset_ls_residual_sq(
+                    self.gram_full, self.aty, self.yy, block, limit
+                ),
+                self.offer_sparse,
             )
-            dls = base + self.pos_costs[supports].sum(axis=1)
-            order = np.lexsort((res_sq, dls))
-            yield supports[order], dls[order]
-            return
-        for supports in _budgeted_tuples(self.pos_costs, k, budget_left, _COMBO_CHUNK):
-            self.budget.add_strata(len(supports))
-            res_sq = _subset_ls_residual_sq(self.gram_full, self.aty, self.yy, supports)
-            passed = np.flatnonzero(np.sqrt(res_sq) <= limit)
-            dls = base + self.pos_costs[supports[passed]].sum(axis=1)
-            keep = dls <= self.incumbent.dl
-            passed, dls = passed[keep], dls[keep]
-            order = np.lexsort((res_sq[passed], dls))
-            yield supports[passed[order]], dls[order]
 
     def offer_sparse(self, support: np.ndarray, dl: int) -> None:
         """Walk one nonempty support: values 1 .. 2^m - 1 at its positions."""
@@ -954,11 +949,12 @@ class _Search:
 
     @cached_property
     def edge_gram(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gram matrix and correlations with y of the rows of
-        prefix_table(0). A degree-0 pattern with breaks b_1 .. b_q spans
-        the same space as rows b_1 .. b_q and n, so these give its
+        """Gram matrix and correlations with y of the rows T[1] .. T[n] of
+        T = prefix_table(0), so that break b and the edge n are indices
+        b - 1 and n - 1. A degree-0 pattern with breaks b_1 .. b_q spans
+        the same space as T[b_1], .., T[b_q] and T[n], so these give its
         least-squares bound without building its columns."""
-        tab = self.prefix_table(0)
+        tab = self.prefix_table(0)[1:]
         return tab @ tab.T, tab @ self.y
 
     def run_pp(self) -> None:
@@ -982,14 +978,39 @@ class _Search:
                 )
                 if fixed + int(prefix_b[q_breaks]) > self.incumbent.dl:
                     break
-                budget_left = int(
-                    min(self.incumbent.dl - fixed, break_costs.sum(initial=0))
+                self.run_level(
+                    break_costs, q_breaks, fixed, self.pp_bound(n_deg, m_prime),
+                    lambda row, dl: self.offer_pp(n_deg, row + 1, dl, m_prime),
                 )
-                for idx in _budgeted_tuples(
-                    break_costs, q_breaks, budget_left, _PP_CHUNK
-                ):
-                    self.budget.add_strata(len(idx))
-                    self.process_pp_batch(n_deg, idx + 1, fixed, m_prime)
+
+    def pp_bound(self, n_deg, m_prime):
+        """The least-squares prune of one degree's breakpoint patterns, for
+        run_level: a block of break indices (break b is index b - 1) to the
+        patterns that pass and their residual^2. Degree 0 takes the bound
+        from edge_gram with T[n] forced in. Higher degrees build the
+        columns of at most _PP_CHUNK patterns at a time and solve each
+        pattern's Gram system; their samples are floored, so the prune
+        carries pp_slack."""
+        if n_deg == 0:
+            gram, corr = self.edge_gram
+            limit = self.eta + _LS_MARGIN
+            return lambda block: _subset_ls_residual_sq(
+                gram, corr, self.yy, block, limit, (self.n - 1,)
+            )
+
+        def bound(block):
+            rows = _block_rows(block)
+            res_sq = np.empty(len(rows))
+            for lo in range(0, len(rows), _PP_CHUNK):
+                cols = self.pp_columns(n_deg, rows[lo : lo + _PP_CHUNK] + 1, m_prime)
+                cols_t = cols.transpose(0, 2, 1)
+                res_sq[lo : lo + _PP_CHUNK] = _ls_residual_sq(
+                    cols_t @ cols, cols_t @ self.y, self.yy
+                )
+            keep = np.sqrt(res_sq) <= self.eta + self.pp_slack + _LS_MARGIN
+            return rows[keep], res_sq[keep]
+
+        return bound
 
     def pp_columns(self, n_deg, breaks, m_prime) -> np.ndarray:
         """(batch, d, dims) columns of a batch of breakpoint patterns (rows
@@ -1007,34 +1028,6 @@ class _Search:
                 tab = self.prefix_table(j)
                 cols[:, :, piece * (n_deg + 1) + j] = (tab[hi_e] - tab[lo_e]) * scale
         return cols
-
-    def process_pp_batch(self, n_deg, breaks, fixed, m_prime):
-        """Prune and offer one batch of breakpoint patterns (rows of
-        breaks, in lexicographic order) of one degree, whose code lengths
-        are fixed plus their break costs. Degree 0 takes its least-squares
-        bound from edge_gram with row n forced in. Higher degrees build the
-        batch's columns and solve each pattern's Gram system; their samples
-        are floored, so the prune carries pp_slack. Only the patterns that
-        pass the bound are priced and sorted, by length and then by bound.
-        Columns for the walk are built per offered pattern."""
-        if n_deg == 0:
-            gram, corr = self.edge_gram
-            res_sq = _subset_ls_residual_sq(gram, corr, self.yy, breaks, (self.n,))
-            slack = 0.0
-        else:
-            cols = self.pp_columns(n_deg, breaks, m_prime)
-            cols_t = cols.transpose(0, 2, 1)
-            res_sq = _ls_residual_sq(cols_t @ cols, cols_t @ self.y, self.yy)
-            slack = self.pp_slack
-        passed = np.flatnonzero(np.sqrt(res_sq) <= self.eta + slack + _LS_MARGIN)
-        # break b costs pos_costs[b - 1]
-        dls = fixed + self.pos_costs[breaks[passed] - 1].sum(axis=1)
-        order = np.lexsort((res_sq[passed], dls))
-        for i, dl in zip(passed[order].tolist(), dls[order].tolist()):
-            # lengths ascend along the order and the incumbent only shrinks
-            if dl > self.incumbent.dl:
-                break
-            self.offer_pp(n_deg, breaks[i], dl, m_prime)
 
     def offer_pp(self, n_deg, breaks, dl, m_prime):
         """Walk one breakpoint pattern: n_deg + 1 coefficient numerators

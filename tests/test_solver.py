@@ -33,7 +33,9 @@ from mcpursuit.solver import (
     ProbeStats,
     SolverConfig,
     SolverResourceError,
-    _budgeted_tuples,
+    _block_rows,
+    _block_size,
+    _budgeted_blocks,
     _ls_residual_sq,
     _Search,
     corollary_error_bound,
@@ -199,21 +201,25 @@ def _budgeted_cases(draw):
 @given(case=_budgeted_cases())
 @settings(max_examples=300, deadline=None)
 def test_budgeted_tuples_match_filtered_combinations(case):
-    costs, size, budget, chunk = case
+    costs, size, budget, block_rows = case
     want = [
         t for t in itertools.combinations(range(len(costs)), size)
         if sum(costs[i] for i in t) <= budget
     ]
-    chunks = list(_budgeted_tuples(np.array(costs, dtype=np.int64), size, budget, chunk))
-    assert [len(c) for c in chunks[:-1]] == [chunk] * (len(chunks) - 1)
-    assert all(0 < len(c) <= chunk and c.shape[1] == size for c in chunks)
-    assert all(c.dtype == np.int64 for c in chunks)
-    assert [tuple(row) for c in chunks for row in c.tolist()] == want
+    with mock.patch.object(solver, "_BLOCK_ROWS", block_rows):
+        blocks = list(_budgeted_blocks(np.array(costs, dtype=np.int64), size, budget))
+    rows = [_block_rows(b) for b in blocks]
+    for (prefix, firsts, _), r in zip(blocks, rows):
+        assert len(prefix) == max(size - 2, 0)
+        assert firsts is None or 0 < len(firsts) <= block_rows
+        assert r.dtype == np.int64 and r.shape[1] == size
+        assert 0 < len(r) == _block_size((prefix, firsts, _))
+    assert [tuple(row) for r in rows for row in r.tolist()] == want
 
 
 def test_budgeted_tuples_reject_decreasing_costs():
     with pytest.raises(ValueError):
-        next(_budgeted_tuples(np.array([1, 3, 2]), 2, 10, 8))
+        next(_budgeted_blocks(np.array([1, 3, 2]), 2, 10))
 
 
 def test_budgeted_tuples_stop_at_first_unaffordable_index():
@@ -221,7 +227,7 @@ def test_budgeted_tuples_stop_at_first_unaffordable_index():
     # the rest once per prefix
     costs = np.repeat(np.array([1, 100], dtype=np.int64), [16, (1 << 20) - 16])
     start = time.perf_counter()
-    rows = np.concatenate(list(_budgeted_tuples(costs, 3, 3, solver._COMBO_CHUNK)))
+    rows = np.concatenate([_block_rows(b) for b in _budgeted_blocks(costs, 3, 3)])
     elapsed = time.perf_counter() - start
     assert len(rows) == math.comb(16, 3) == 560
     assert rows.max() == 15
@@ -230,11 +236,13 @@ def test_budgeted_tuples_stop_at_first_unaffordable_index():
 
 def _three_break_instance():
     # The samples at 2, 15 and 31 sit halfway between their neighbours'
-    # piece values, so several three-break patterns near (2, 15, 31) fit.
-    # The 16,215 three-break strata are offered per chunk of _PP_CHUNK in
-    # order of length; here a shorter pattern follows a longer one across
-    # the first chunk boundary, so merging chunks, or an offer order not
-    # led by length, changes points_tested.
+    # piece values, so several three-break patterns near (2, 15, 31) pass
+    # the bound: (0, 3, 15, 31) at 64 bits, and longer ones that come
+    # first in generation order. The 16,215 three-break strata are sorted
+    # by length once for the whole level, so the shortest is walked first
+    # and its one point leaves the rest too long; an order not led by
+    # length, or one sorted in separate parts of the level, walks them too
+    # and changes points_tested.
     n, m, d = 48, 6, 16
     v = np.array([8, 56, 16, 48]) / 64
     x = np.repeat(v, [2, 14, 16, 16])
@@ -309,10 +317,12 @@ def _assert_pinned(instance, pinned, probe=False):
 
 
 def test_three_break_offer_order_is_pinned():
-    # Values recorded before the generator was vectorized.
+    # Values recorded before the generator was vectorized, apart from the
+    # points: 1 since strata are sorted once per level, 4 when they were
+    # sorted per chunk of 2048 patterns.
     _assert_pinned(_three_break_instance, (
         64, "0010011010000101100010100100111001011111001011110110001111101100",
-        18521, 4))
+        18521, 1))
 
 
 @pytest.mark.parametrize("instance,pinned", [
@@ -354,10 +364,7 @@ def _offer_sequence(instance, monkeypatch):
 
 
 @pytest.mark.parametrize("instance,pinned", [
-    (_three_break_instance, [
-        ((0, 2, 15, 32), 65), ((0, 2, 16, 31), 65), ((0, 2, 15, 33), 65),
-        ((0, 3, 15, 31), 64),
-    ]),
+    (_three_break_instance, [((0, 3, 15, 31), 64)]),
     (_ramp_instance, [((1,), 27)]),
     (_loose_sparse_instance, [
         ((0, 1), 24), ((7, 8), 35), ((7, 10), 35),
@@ -379,40 +386,81 @@ def _offer_sequence(instance, monkeypatch):
 ], ids=["three-break", "degree1", "loose-sparse"])
 def test_offer_sequence_is_pinned(instance, pinned, monkeypatch):
     # Values recorded before only the strata that pass the bound were
-    # priced and sorted. Strata of one length are offered by ascending
-    # bound, and equal bounds in generation order, so a sort by length
-    # alone, or one that is not stable, changes these sequences.
+    # priced and sorted; the three-break one since strata are sorted once
+    # per level. Strata of one length are offered by ascending bound, and
+    # equal bounds in generation order, so a sort by length alone, or one
+    # that is not stable, changes these sequences.
     res, offers = _offer_sequence(instance, monkeypatch)
     assert res.status == "ok"
     assert offers == pinned
 
 
+def _tied_pairs_instance():
+    # Columns 9 and 12 of A are equal and positions 9 and 12 share a
+    # code length, so the pairs (9, 30) and (12, 30) tie exactly in length
+    # and bound, and both reach the same residual; blocks of 1 or 5 first
+    # indices put them in different blocks. (9, 12) itself is singular.
+    n, m, d = 40, 4, 12
+    base = sample_ensemble(n, d, derive_seed(915, "pairs"))
+    a = base.matrix.copy()
+    a[:, 12] = a[:, 9]
+    x = np.zeros(n)
+    x[9], x[30] = 0.5, 0.25
+    return MeasurementEnsemble(a, base.key), x, m, 1e-6, PAIR_SCOPE
+
+
+@pytest.mark.parametrize("instance", [
+    _three_break_instance, _loose_sparse_instance, _ramp_instance, _tied_pairs_instance,
+], ids=["three-break", "loose-sparse", "degree1", "tied-pairs"])
+def test_offer_order_does_not_depend_on_block_or_chunk_size(instance, monkeypatch):
+    # Strata are sorted once per level, so neither the first indices per
+    # block nor the degree >= 1 patterns whose columns are built at once
+    # may change what is offered, in what order, or the counters.
+    def run(patch):
+        res, offers = _offer_sequence(instance, patch)
+        return (res.dl_bits, res.stream, res.strata_examined, res.points_tested), offers
+
+    with monkeypatch.context() as patch:
+        want = run(patch)
+    for block_rows, pp_chunk in itertools.product((1, 5, 64), (1, 7, 2048)):
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_BLOCK_ROWS", block_rows)
+            patch.setattr(solver, "_PP_CHUNK", pp_chunk)
+            assert run(patch) == want
+
+
+def test_pp_columns_are_built_at_most_one_chunk_at_a_time(monkeypatch):
+    # The one-break degree-1 level of this solve is one block of 7
+    # patterns; with 3-pattern chunks its columns are built in three parts.
+    sizes, pp_columns = [], _Search.pp_columns
+
+    def counting(self, n_deg, breaks, m_prime):
+        sizes.append(len(breaks))
+        return pp_columns(self, n_deg, breaks, m_prime)
+
+    monkeypatch.setattr(_Search, "pp_columns", counting)
+    monkeypatch.setattr(solver, "_PP_CHUNK", 3)
+    res = _solve(_one_sample_piece_instance)
+    assert (res.dl_bits, res.strata_examined, res.points_tested) == (36, 53, 6380)
+    assert max(sizes) == 3
+
+
 def test_only_strata_that_pass_the_bound_are_sorted(monkeypatch):
     # Of the 18,521 strata of the three-break solve, a handful pass the
     # bound; no sort may see the rest.
-    ens, x, m, eta, cfg = _three_break_instance()
-    limit = eta + _LS_MARGIN
     passed, sorted_rows = [], []
-    subset_bound, pair_scan, lexsort = (
-        solver._subset_ls_residual_sq, solver._feasible_pairs, np.lexsort
-    )
+    subset_bound, lexsort = solver._subset_ls_residual_sq, np.lexsort
 
     def counting_bound(*args):
-        res_sq = subset_bound(*args)
-        passed.append(int(np.count_nonzero(np.sqrt(res_sq) <= limit)))
-        return res_sq
-
-    def counting_pairs(*args):
-        pairs, res_sq = pair_scan(*args)
-        passed.append(len(pairs))
-        return pairs, res_sq
+        rows, res_sq = subset_bound(*args)
+        passed.append(len(rows))
+        return rows, res_sq
 
     def counting_lexsort(keys, *args, **kwargs):
         sorted_rows.append(len(keys[0]))
         return lexsort(keys, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_subset_ls_residual_sq", counting_bound)
-    monkeypatch.setattr(solver, "_feasible_pairs", counting_pairs)
     monkeypatch.setattr(np, "lexsort", counting_lexsort)
     res = _solve(_three_break_instance)
     assert res.strata_examined == 18521
@@ -440,16 +488,19 @@ def test_floored_walk_with_probe_is_pinned(instance, pinned, probe):
     (_literal_instance, 136),
     (_one_sample_piece_instance, 8417),
     (_unmeasured_first_instance, 302),
-], ids=["degree1", "literal", "free-level", "free-innermost"])
+    (_three_break_instance, 18522),
+], ids=["degree1", "literal", "free-level", "free-innermost", "three-break"])
 @pytest.mark.parametrize("leaf_slice", [2, solver._LEAF_SLICE])
 def test_node_cap_fires_at_the_same_node(instance, nodes, leaf_slice, monkeypatch):
     # Values recorded before the innermost walk level was batched: the
     # strata, points and walk steps each solve charges (ramp 154 + 241 + 0,
     # literal 46 + 18 + 72, one-sample piece 53 + 6,380 + 1,984, unmeasured
-    # first coordinate 2 + 12 + 288). The solve completes under exactly
+    # first coordinate 2 + 12 + 288; three-break, recorded once strata were
+    # sorted per level, 18,521 + 1 + 0). The solve completes under exactly
     # that cap and runs out one node below it, so a walk that charges a
-    # batch of leaves or walk steps differently fails here. 2-value slices
-    # split the innermost visits of these walks.
+    # batch of leaves or walk steps differently, or a level that charges
+    # strata it does not generate, fails here. 2-value slices split the
+    # innermost visits of these walks.
     monkeypatch.setattr(solver, "_LEAF_SLICE", leaf_slice)
     assert _solve(instance, node_cap=nodes).status == "ok"
     with pytest.raises(SolverResourceError):
@@ -611,10 +662,30 @@ def _gathered_pairs(gram, aty, yy):
     return pairs, _ls_residual_sq(sub, aty[pairs], yy)
 
 
-@pytest.mark.parametrize("rows", [5, solver._PAIR_ROWS])
+def _record_offers(monkeypatch):
+    """Replace offer_sparse by a recorder that walks nothing: every
+    (support, dl) the level offers, in order."""
+    offers = []
+    monkeypatch.setattr(
+        _Search, "offer_sparse",
+        lambda self, support, dl: offers.append((tuple(support.tolist()), dl)),
+    )
+    return offers
+
+
+def _bound_level(gram, aty, yy, costs, k, limit, forced=()):
+    """Every k-tuple of indices into costs within their total cost, bounded
+    block by block: the rows that pass limit and their residual^2."""
+    budget = int(np.sum(costs))
+    out = [solver._subset_ls_residual_sq(gram, aty, yy, block, limit, forced)
+           for block in _budgeted_blocks(costs, k, budget)]
+    return np.concatenate([r for r, _ in out]), np.concatenate([v for _, v in out])
+
+
+@pytest.mark.parametrize("rows", [5, solver._BLOCK_ROWS])
 def test_pair_scan_matches_gathered_reference(rows, monkeypatch):
     # 5-row blocks put the tied pairs below in different blocks
-    monkeypatch.setattr(solver, "_PAIR_ROWS", rows)
+    monkeypatch.setattr(solver, "_BLOCK_ROWS", rows)
     n, d, m = 40, 12, 4
     ens = sample_ensemble(n, d, derive_seed(915, "pairs"))
     rng = make_generator(915, "pairs-draw")
@@ -629,26 +700,28 @@ def test_pair_scan_matches_gathered_reference(rows, monkeypatch):
     _duplicate_column(gram, aty, 9, 12)
     _duplicate_column(gram, aty, 20, 25)
     all_pairs, all_res = _gathered_pairs(gram, aty, yy)
+    offers = _record_offers(monkeypatch)
     for eta in (0.0, math.sqrt(np.quantile(all_res, 0.3))):
         keep = np.sqrt(all_res) <= eta + _LS_MARGIN
-        pairs, res_sq = solver._feasible_pairs(gram, aty, yy, eta + _LS_MARGIN)
+        search = _Search(ens, np.zeros(d), m, eta, PAIR_SCOPE, None)
+        search.gram_full, search.aty, search.yy = gram, aty, yy
+        pairs, res_sq = _bound_level(gram, aty, yy, search.pos_costs, 2, eta + _LS_MARGIN)
         np.testing.assert_array_equal(pairs, all_pairs[keep])
         np.testing.assert_array_equal(res_sq, all_res[keep])
         # singular pairs have bound 0 and survive any eta
         listed = [tuple(p) for p in pairs.tolist()]
         assert (9, 12) in listed and (20, 25) in listed
 
-        search = _Search(ens, np.zeros(d), m, eta, PAIR_SCOPE, None)
-        search.gram_full, search.aty, search.yy = gram, aty, yy
-        batches = list(search.feasible_supports(2))
+        offers.clear()
+        search.run_sparse(2, 2)
         assert search.budget.strata == n * (n - 1) // 2
         dls = search.sparse_dl(2, 0) + search.pos_costs[pairs].sum(axis=1)
         order = np.lexsort((res_sq, dls))
-        assert len(batches) == 1
-        np.testing.assert_array_equal(batches[0][0], pairs[order])
-        np.testing.assert_array_equal(batches[0][1], dls[order])
+        assert offers == [
+            (tuple(p), dl) for p, dl in zip(pairs[order].tolist(), dls[order].tolist())
+        ]
     # the tie is feasible at the larger eta, and stays in generation order
-    offered = [tuple(p) for p in batches[0][0].tolist()]
+    offered = [p for p, _ in offers]
     at = offered.index((9, 30))
     assert offered[at + 1] == (12, 30)
 
@@ -659,14 +732,16 @@ def test_pair_scan_memory_is_a_few_row_blocks():
     y = make_generator(916, "pair-mem-draw").normal(size=d)
     search = _Search(ens, y, 4, 1e-6, PAIR_SCOPE, None)
     search.gram_full = np.asarray(ens.matrix).T @ np.asarray(ens.matrix)
-    block_bytes = solver._PAIR_ROWS * n * 8
+    block_bytes = solver._BLOCK_ROWS * n * 8
     tracemalloc.start()
     try:
-        batches = list(search.feasible_supports(2))
+        search.run_sparse(2, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(len(p) for p, _ in batches) == 0
+    # every pair is charged, none passes, so none is walked
+    assert search.budget.strata == n * (n - 1) // 2
+    assert search.budget.points == 0
     # one float per pair would already be 2048 * 2047 / 2 * 8 = 16.8 MB
     assert peak <= 8 * block_bytes
 
@@ -709,42 +784,49 @@ def _gram_problem(rng, d, n, copies=(), near=()):
     return b, y, gram, aty, float(y @ y)
 
 
-@pytest.mark.parametrize("forced", [(), (0,)], ids=["free", "forced"])
-def test_subset_bound_matches_lstsq(forced):
+@pytest.mark.parametrize("forced", [(), (9,)], ids=["free", "forced"])
+def test_subset_bound_matches_lstsq(forced, monkeypatch):
+    # The forced column is the last one, as T[n] is for breakpoint patterns.
     b, y, gram, aty, yy = _gram_problem(make_generator(920, "subset", len(forced)), 14, 10)
-    free = [i for i in range(10) if i not in forced]
+    costs = np.zeros(10 - len(forced), dtype=np.int64)
     for k in range(5):
-        rows = _lexicographic_rows(free, k)
-        got = solver._subset_ls_residual_sq(gram, aty, yy, rows, forced)
+        rows, got = _bound_level(gram, aty, yy, costs, k, math.inf, forced)
+        np.testing.assert_array_equal(rows, _lexicographic_rows(range(len(costs)), k))
         want = [_lstsq_residual_sq(b, y, [*forced, *r]) for r in rows.tolist()]
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * yy)
-        # runs cut anywhere (chunk boundaries, the length filter) give the
-        # same bits: each row depends only on its own prefix
-        part = rows[::3]
-        np.testing.assert_array_equal(
-            solver._subset_ls_residual_sq(gram, aty, yy, part, forced), got[::3]
-        )
+        # a limit keeps exactly the strata within it, in generation order
+        limit = float(np.sqrt(np.median(got)))
+        kept = np.sqrt(got) <= limit
+        passed = _bound_level(gram, aty, yy, costs, k, limit, forced)
+        np.testing.assert_array_equal(passed[0], rows[kept])
+        np.testing.assert_array_equal(passed[1], got[kept])
+        # blocks cut anywhere give the same bits: each stratum depends only
+        # on its own prefix
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_BLOCK_ROWS", 1)
+            one = _bound_level(gram, aty, yy, costs, k, math.inf, forced)
+        np.testing.assert_array_equal(one[0], rows)
+        np.testing.assert_array_equal(one[1], got)
 
 
-def test_subset_bound_is_zero_on_dependent_columns():
-    # 4 copies the forced column 0, 6 copies 2 and 8 copies 7, so a copy
+def test_subset_bound_is_zero_on_dependent_columns(monkeypatch):
+    # 4 copies the forced column 9, 6 copies 2 and 8 copies 7, so a copy
     # sits next to its original in the forced set, in the projected prefix
     # and within the final pair; 5 is 3 up to 1e-7. Projected onto its
     # original, a copy is rounding noise, and a near copy leaves a 1e-14
     # pivot that amplifies it. The bound must be 0 there, not whatever the
     # noise gives.
-    copies, near = ((0, 4), (2, 6), (7, 8)), ((3, 5),)
+    copies, near = ((9, 4), (2, 6), (7, 8)), ((3, 5),)
     n, d = 10, 12
     b, y, gram, aty, yy = _gram_problem(make_generator(920, "subset-dup"), d, n, copies, near)
 
     def dependent(cols):
         return any({p, q} <= set(cols) for p, q in copies + near)
 
-    for forced in [(), (0,)]:
-        free = [i for i in range(n) if i not in forced]
+    for forced in [(), (9,)]:
+        costs = np.zeros(n - len(forced), dtype=np.int64)
         for k in range(1, 5):
-            rows = _lexicographic_rows(free, k)
-            got = solver._subset_ls_residual_sq(gram, aty, yy, rows, forced)
+            rows, got = _bound_level(gram, aty, yy, costs, k, math.inf, forced)
             cols = [[*forced, *r] for r in rows.tolist()]
             dep = np.array([dependent(c) for c in cols])
             assert dep.any() == (k > 1 or bool(forced))
@@ -757,7 +839,9 @@ def test_subset_bound_is_zero_on_dependent_columns():
     ens = sample_ensemble(n, d, derive_seed(920, "subset-dup"))
     search = _Search(ens, y, 3, 0.0, SolverConfig(max_sparse_k=3, include_pp=False), None)
     search.gram_full, search.aty, search.yy = gram, aty, yy
-    offered = {tuple(s) for batch, _ in search.feasible_supports(3) for s in batch.tolist()}
+    offers = _record_offers(monkeypatch)
+    search.run_sparse(3, 3)
+    offered = {support for support, _ in offers}
     for support in _lexicographic_rows(range(n), 3).tolist():
         if dependent(support):
             assert tuple(support) in offered
