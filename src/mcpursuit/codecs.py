@@ -157,10 +157,6 @@ def coeff_resolution(n_deg: int, m: int) -> int:
     return m + n_deg.bit_length()  # ceil(log2(N+1)) == N.bit_length()
 
 
-def _ceil_log2(x: int) -> int:
-    return (x - 1).bit_length()
-
-
 def sparse_dl_bound(k: int, n: int, m: int) -> int:
     """Upper bound on the sparse codeword length for support size k."""
     if not 0 <= k <= n or m < 1:
@@ -180,7 +176,7 @@ def pp_dl_bound(q_breaks: int, n_deg: int, n: int, m: int) -> int:
     if q_breaks < 0 or n_deg < 0 or n < 1 or m < 1:
         raise ValueError("invalid piecewise-poly shape")
     c = UNIVERSAL_CODE_SLACK
-    m_prime = m + _ceil_log2(n_deg + 1)
+    m_prime = coeff_resolution(n_deg, m)
     return (
         (q_breaks + 1) * (n_deg + 1) * m_prime
         + (q_breaks + 1) * (math.ceil(log_star(n)) + c)

@@ -25,7 +25,7 @@ and tightens the radius. Sparse supports, breakpoint patterns and the
 literal block pass only what differs: columns, value box, piece blocks,
 the map to sample numerators and the encoder. Degree >= 1 pieces floor
 their samples, so their radius carries a slack and their residual is
-recomputed from the samples. The empty support is accepted without a walk.
+recomputed from the samples.
 
 The walk's two innermost levels are one numpy batch per visit of level 1:
 every (level-1 value, level-0 value) leaf in walk order, laid out from
@@ -51,7 +51,7 @@ uint_code_len(b)). Both costs never decrease with the index, so each
 index range is one searchsorted cut on running cost sums, and only
 (size - 2)-index prefixes are walked in Python. The generator writes no
 rows: a block is one prefix with up to _BLOCK_ROWS first indices, each
-with its range of last indices.
+with its range of last indices; a level of single indices is one block.
 
 The least-squares bound of a sparse support or a degree-0 breakpoint
 pattern is one function, _subset_ls_residual_sq, of a Gram matrix and the
@@ -71,7 +71,10 @@ to the node cap before bounding it, keeps the strata that pass, and
 prices (sums the code lengths of) and sorts only those, once for the
 whole level, by length, then bound, then generation order. That order
 depends on neither the block size nor the chunk size, and it fixes the
-counters a solve reports.
+counters a solve reports. It is also the only test of whether a level
+fits: each family of strata (sparse supports, each degree's breakpoint
+patterns) ends at its first level with no stratum in budget, since
+lengths only grow with the size.
 """
 
 from __future__ import annotations
@@ -89,7 +92,6 @@ from .codecs import (
     coeff_resolution,
     encode_literal,
     encode_sparse,
-    pp_sample_numerators,
     uint_code_len,
     _encode_pp_numerators,
 )
@@ -543,9 +545,10 @@ def _budgeted_blocks(costs: np.ndarray, size: int, budget: int):
     A block stands for the tuples prefix + (firsts[t], j) with
     firsts[t] < j < ends[t]: firsts is a run of at most _BLOCK_ROWS
     consecutive indices, and ends never increases along it, so every
-    second index of the block lies below ends[0]. Size 1 gives blocks
-    ((), firsts, None) of the tuples (i,), and size 0 the one block
-    ((), None, None) of the empty tuple when the budget allows it.
+    second index of the block lies below ends[0]. Size 1 gives the one
+    block ((), firsts, None) of all tuples (i,) that fit, and size 0 the
+    one block ((), None, None) of the empty tuple; either only when the
+    budget allows a tuple.
 
     Costs must not decrease with the index. Then the cheapest way to pick
     r more indices from i on is the window costs[i:i+r], whose sum does
@@ -562,8 +565,8 @@ def _budgeted_blocks(costs: np.ndarray, size: int, budget: int):
         return
     if size == 1:
         stop = np.searchsorted(costs, budget, side="right")
-        for lo in range(0, stop, _BLOCK_ROWS):
-            yield (), np.arange(lo, min(lo + _BLOCK_ROWS, stop), dtype=np.int64), None
+        if stop:
+            yield (), np.arange(stop, dtype=np.int64), None
         return
     if size > n:
         return
@@ -753,7 +756,6 @@ class _Search:
         self.m = m
         self.eta = eta
         self.config = config
-        self.gram_full = None  # filled lazily for sparse scans
         self.prefix_tables = {}  # filled lazily by prefix_table
         self.aty = self.a.T @ self.y
         self.yy = float(self.y @ self.y)
@@ -763,6 +765,12 @@ class _Search:
         self.pos_costs = _position_costs(self.n)
         self.len_n = uint_code_len(self.n)
         self.ens = ens
+
+    @cached_property
+    def gram_full(self) -> np.ndarray:
+        """A^T A, for the least-squares bound of sparse supports. Built
+        when the first support is bounded."""
+        return self.a.T @ self.a
 
     @cached_property
     def pp_slack(self) -> float:
@@ -808,7 +816,9 @@ class _Search:
         after it only leaves that can beat or tie the incumbent residual.
         Batch residuals can differ from accept's in the last bits, so they
         are compared with res_margin to spare, and accept decides on the
-        exact residual."""
+        exact residual. A stratum with no columns has the one point u = (),
+        which accept gets without a walk; like any stratum, it was charged
+        to the node cap by its level, and the point is not charged."""
         r_mat, qty, base_sq = _qr_rows(cols, self.y)
         slack = self.pp_slack if floored else 0.0
         radius_sq = (self.eta + slack) ** 2 + _LS_MARGIN - base_sq
@@ -842,6 +852,9 @@ class _Search:
                 return radius_bound, math.inf
             return radius_bound, self.incumbent.residual + margin
 
+        if not cols.shape[1]:
+            accept(np.zeros(0, dtype=np.int64), 0.0)
+            return
         top = (1 << bits) - 1
         _sphere_walk(
             r_mat, qty, radius_sq, self.eta + margin, lo, top, self.budget,
@@ -850,11 +863,13 @@ class _Search:
 
     # -- one level of strata ---------------------------------------------
 
-    def run_level(self, costs, size, base, bound, offer) -> None:
+    def run_level(self, costs, size, base, bound, offer) -> bool:
         """Offer the strata of one level: the ascending tuples of `size`
         indices, whose code length is base plus their costs, in order of
         length, then least-squares bound, then generation order, up to the
-        first one longer than the incumbent.
+        first one longer than the incumbent. Returns whether any stratum
+        was within the incumbent's length: when none is, no larger size of
+        the same family can be either.
 
         Only tuples within the incumbent's length are generated, as blocks
         of _budgeted_blocks. Each block is charged to the node cap before
@@ -870,7 +885,7 @@ class _Search:
             rows.append(passed)
             res_sq.append(passed_res)
         if not rows:
-            return
+            return False
         rows = np.concatenate(rows)
         res_sq = np.concatenate(res_sq)
         dls = base + costs[rows].sum(axis=1)
@@ -880,6 +895,7 @@ class _Search:
             if dl > self.incumbent.dl:
                 break
             offer(rows[i], dl)
+        return True
 
     # -- sparse strata --------------------------------------------------
 
@@ -892,36 +908,19 @@ class _Search:
         max_k = self.n if max_k is None else min(max_k, self.n)
         if k_hi is not None:
             max_k = min(max_k, k_hi)
-        cheapest = np.sort(self.pos_costs)
-        prefix = np.concatenate(([0], np.cumsum(cheapest)))
+        limit = self.eta + _LS_MARGIN
         for k in range(k_lo, max_k + 1):
-            if self.sparse_dl(k, int(prefix[k])) > self.incumbent.dl:
-                break
-            if k == 0:
-                # the empty support has no coordinates to walk
-                self.budget.add_strata(1)
-                res = math.sqrt(self.yy)
-                if res <= self.eta:
-                    zero = QuantizedVector((0,) * self.n, self.m)
-                    if self.probe is not None:
-                        self.probe.observe(zero.to_floats())
-                    self.incumbent.offer(
-                        self.sparse_dl(0, 0), res, lambda: encode_sparse(zero), zero
-                    )
-                continue
-            if self.gram_full is None:
-                self.gram_full = self.a.T @ self.a
-            limit = self.eta + _LS_MARGIN
-            self.run_level(
+            if not self.run_level(
                 self.pos_costs, k, self.sparse_dl(k, 0),
                 lambda block: _subset_ls_residual_sq(
                     self.gram_full, self.aty, self.yy, block, limit
                 ),
                 self.offer_sparse,
-            )
+            ):
+                break
 
     def offer_sparse(self, support: np.ndarray, dl: int) -> None:
-        """Walk one nonempty support: values 1 .. 2^m - 1 at its positions."""
+        """Walk one support: values 1 .. 2^m - 1 at its positions."""
 
         def samples(us):
             nums = np.zeros((len(us), self.n), dtype=np.int64)
@@ -961,27 +960,23 @@ class _Search:
         if not self.config.include_pp or self.n < 1:
             return
         max_deg = min(self.config.pp_max_degree, self.n - 1)
+        max_q = min(self.config.pp_max_breaks, self.n - 1)
         # break b sits at index b - 1
         break_costs = self.pos_costs[:-1]
-        prefix_b = np.concatenate(([0], np.cumsum(break_costs)))
         for n_deg in range(max_deg + 1):
             m_prime = coeff_resolution(n_deg, self.m)
             base = CODEC_HEADER_BITS + self.len_n + uint_code_len(n_deg + 1)
-            if base + 1 + (n_deg + 1) * m_prime > self.incumbent.dl:
-                break
-            max_q = min(self.config.pp_max_breaks, self.n - 1)
             for q_breaks in range(max_q + 1):
                 fixed = (
                     base
                     + uint_code_len(q_breaks + 1)
                     + (q_breaks + 1) * (n_deg + 1) * m_prime
                 )
-                if fixed + int(prefix_b[q_breaks]) > self.incumbent.dl:
-                    break
-                self.run_level(
+                if not self.run_level(
                     break_costs, q_breaks, fixed, self.pp_bound(n_deg, m_prime),
                     lambda row, dl: self.offer_pp(n_deg, row + 1, dl, m_prime),
-                )
+                ):
+                    break
 
     def pp_bound(self, n_deg, m_prime):
         """The least-squares prune of one degree's breakpoint patterns, for
@@ -992,10 +987,11 @@ class _Search:
         pattern's Gram system; their samples are floored, so the prune
         carries pp_slack."""
         if n_deg == 0:
-            gram, corr = self.edge_gram
             limit = self.eta + _LS_MARGIN
+            # edge_gram is built when a block is first bounded, not for a
+            # degree whose levels are all out of budget
             return lambda block: _subset_ls_residual_sq(
-                gram, corr, self.yy, block, limit, (self.n - 1,)
+                *self.edge_gram, self.yy, block, limit, (self.n - 1,)
             )
 
         def bound(block):
@@ -1050,35 +1046,29 @@ class _Search:
         """Sample-numerator evaluator for one stratum: an (L, D) batch of
         coefficient points to their (L, n) int64 sample numerators. Exact
         integer arithmetic, in int64 when the intermediate products
-        provably fit. At degree 0 the samples are the piece constants
-        themselves."""
+        provably fit and in Python integers otherwise. At degree 0 the
+        samples are the piece constants themselves."""
         n, m = self.n, self.m
         width = n_deg + 1
         bit_bound = (
             m_prime + n_deg * max(n - 1, 1).bit_length() + width.bit_length() + m
         )
-        if bit_bound > 62:
-            def decode_exact(us):
-                return np.array([
-                    pp_sample_numerators(breaks, _coeff_rows(u, width), n_deg, n, m)
-                    for u in us
-                ], dtype=np.int64)
-
-            return decode_exact
+        dtype = np.int64 if bit_bound <= 62 else object
         # row p * width + j holds i^j n^(n_deg - j) on piece p's samples i
-        i = np.arange(n, dtype=np.int64)
+        i = np.arange(n).astype(dtype)
         edges = (0,) + tuple(breaks) + (n,)
-        basis = np.zeros((width * (len(edges) - 1), n), dtype=np.int64)
+        basis = np.zeros((width * (len(edges) - 1), n), dtype=dtype)
         for p in range(len(edges) - 1):
             lo, hi = edges[p], edges[p + 1]
             for j in range(width):
                 basis[p * width + j, lo:hi] = i[lo:hi] ** j * n ** (n_deg - j)
         denom = (1 << m_prime) * n**n_deg
 
-        def decode_fast(us):
-            return (us @ basis << m) // denom
+        def decode(us):
+            nums = (us.astype(dtype, copy=False) @ basis << m) // denom
+            return nums.astype(np.int64, copy=False)
 
-        return decode_fast
+        return decode
 
     # -- literal stratum -------------------------------------------------
 

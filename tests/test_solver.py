@@ -74,6 +74,10 @@ def _draw_y(kind, ens, m, rng):
     if kind == "barely":
         y = rng.normal(size=d)
         return y, 0.25 * float(np.linalg.norm(y))
+    if kind == "loose":
+        # the empty support is feasible, and no other codeword is as short
+        y = rng.normal(size=d)
+        return y, 1.01 * float(np.linalg.norm(y))
     raise AssertionError(kind)
 
 
@@ -179,7 +183,7 @@ def test_matches_brute_force_degenerate_sizes():
         ens = sample_ensemble(n, d, derive_seed(903, "bf-tiny", idx))
         rng = make_generator(903, "bf-tiny-draw", idx)
         cfg = SolverConfig(max_sparse_k=None, pp_max_degree=1, pp_max_breaks=1)
-        for kind in ("random", "barely"):
+        for kind in ("random", "barely", "loose"):
             y, eta = _draw_y(kind, ens, m, rng)
             got = mcp_exact(ens, y, m, eta, cfg)
             want = brute_force_argmin(ens, y, m, eta, cfg)
@@ -209,9 +213,13 @@ def test_budgeted_tuples_match_filtered_combinations(case):
     with mock.patch.object(solver, "_BLOCK_ROWS", block_rows):
         blocks = list(_budgeted_blocks(np.array(costs, dtype=np.int64), size, budget))
     rows = [_block_rows(b) for b in blocks]
+    if size < 2:
+        # the empty tuple, or every single index that fits, is one block
+        assert len(blocks) <= 1
     for (prefix, firsts, _), r in zip(blocks, rows):
         assert len(prefix) == max(size - 2, 0)
-        assert firsts is None or 0 < len(firsts) <= block_rows
+        assert firsts is None or 0 < len(firsts)
+        assert size < 2 or len(firsts) <= block_rows
         assert r.dtype == np.int64 and r.shape[1] == size
         assert 0 < len(r) == _block_size((prefix, firsts, _))
     assert [tuple(row) for r in rows for row in r.tolist()] == want
@@ -951,6 +959,20 @@ def test_zero_signal_codes_as_empty_sparse():
     assert res.x_hat.support() == ()
     assert res.codec_id == "sparse"
     assert res.points_tested == 0
+    # a nonzero y within eta of 0: the empty support is the one stratum
+    # in budget, and its one point is accepted without being charged
+    y = make_generator(907, "zero-draw").normal(size=12)
+    yy = float(y @ y)
+    ref = quantize_vector(np.full(32, 0.5), 5)
+    for probe_ref in (None, ref):
+        res = mcp_exact(ens, y, 5, 1.01 * math.sqrt(yy), probe_ref=probe_ref)
+        assert res.x_hat.support() == ()
+        assert res.codec_id == "sparse"
+        assert res.strata_examined == 1
+        assert res.points_tested == 0
+        assert res.residual == math.sqrt(yy)
+        if probe_ref is not None:
+            assert res.probe.candidates == 1
 
 
 def test_infeasible_reported():
