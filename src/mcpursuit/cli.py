@@ -74,12 +74,7 @@ def _apply_config(sub: argparse.ArgumentParser, overrides: dict[str, str]) -> No
         action = actions.get(key)
         if action is None:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            low = raw.lower()
-            if low not in ("0", "1", "true", "false", "yes", "no"):
-                raise ValueError(f"config key {key!r} expects a boolean, got {raw!r}")
-            defaults[key] = low in ("1", "true", "yes")
-        elif action.type is not None:
+        if action.type is not None:
             defaults[key] = action.type(raw)
         else:
             defaults[key] = raw

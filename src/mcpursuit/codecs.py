@@ -390,13 +390,8 @@ def decode_literal(c: CodedSignal, n: int, m: int) -> QuantizedVector:
 
 
 def _pack_numerators(q: QuantizedVector) -> bytes:
-    w = BitWriter()
-    m = q.resolution_bits
-    for v in q.numerators:
-        w.write_fixed(v, m)
-    bits = w.getvalue()
-    bits += "0" * ((-len(bits)) % 8)
-    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+    """The literal payload's bits, zero-padded to whole bytes."""
+    return bits_to_bytes(encode_literal(q).payload[CODEC_HEADER_BITS:])[:-1]
 
 
 def encode_compressor_proxy(q: QuantizedVector) -> CodedSignal:

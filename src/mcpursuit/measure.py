@@ -64,13 +64,15 @@ def sample_ensemble(n: int, d: int, key: int) -> MeasurementEnsemble:
     return MeasurementEnsemble(matrix, key)
 
 
-def power_iteration_sigma_max(
-    a: np.ndarray, rel_tol: float = 1e-8, max_iter: int = 50_000
-) -> float:
+_POWER_REL_TOL = 1e-8
+_POWER_MAX_ITER = 50_000
+
+
+def power_iteration_sigma_max(a: np.ndarray) -> float:
     """Largest singular value via power iteration on the smaller Gram matrix.
 
     Deterministic ramp start; stops when the Rayleigh quotient is stable
-    to rel_tol. Degenerate top singular pairs are harmless because any
+    to _POWER_REL_TOL. Degenerate top singular pairs are harmless because any
     vector in the top eigenspace already attains the quotient.
 
     One Gram matvec per iteration: the product gram @ v of the Rayleigh
@@ -85,14 +87,14 @@ def power_iteration_sigma_max(
     v /= np.linalg.norm(v)
     w = gram @ v
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_MAX_ITER):
         norm = math.sqrt(w @ w)
         if norm == 0.0:
             return 0.0
         v = w / norm
         w = gram @ v
         new_lam = float(v @ w)
-        if abs(new_lam - lam) <= rel_tol * new_lam:
+        if abs(new_lam - lam) <= _POWER_REL_TOL * new_lam:
             return math.sqrt(new_lam)
         lam = new_lam
     return math.sqrt(lam)
@@ -135,13 +137,13 @@ class TailCheckResult:
         return self.empirical <= self.bound + 3.0 * self.sigma
 
 
+_CHI_AMBIENT_N = 8  # columns of each drawn ensemble in the chi-square check
+_CHI_BATCH = 2000  # chi-square trials drawn at once
+_SIGMA_BATCH = 500  # sigma_max trials drawn at once
+
+
 def mc_check_chi_lower_tail(
-    d: int,
-    tau: float,
-    trials: int,
-    rng: np.random.Generator,
-    ambient_n: int = 8,
-    batch: int = 2000,
+    d: int, tau: float, trials: int, rng: np.random.Generator
 ) -> TailCheckResult:
     """Empirical rate of |Az|^2 <= (1 - tau) for unit z over fresh ensembles.
 
@@ -153,9 +155,9 @@ def mc_check_chi_lower_tail(
     done = 0
     scale = 1.0 / math.sqrt(d)
     while done < trials:
-        b = min(batch, trials - done)
-        mats = rng.normal(0.0, scale, size=(b, d, ambient_n))
-        z = rng.normal(size=(b, ambient_n))
+        b = min(_CHI_BATCH, trials - done)
+        mats = rng.normal(0.0, scale, size=(b, d, _CHI_AMBIENT_N))
+        z = rng.normal(size=(b, _CHI_AMBIENT_N))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         r = np.einsum("bdn,bn->bd", mats, z)
         hits += int(np.count_nonzero(np.sum(r * r, axis=1) <= 1.0 - tau))
@@ -164,12 +166,7 @@ def mc_check_chi_lower_tail(
 
 
 def mc_check_sigma_tail(
-    n: int,
-    d: int,
-    t: float,
-    trials: int,
-    rng: np.random.Generator,
-    batch: int = 500,
+    n: int, d: int, t: float, trials: int, rng: np.random.Generator
 ) -> TailCheckResult:
     """Empirical rate of sigma_max > 1 + sqrt(n/d) + t over fresh ensembles."""
     bound = sigma_max_tail_bound(d, t)
@@ -178,7 +175,7 @@ def mc_check_sigma_tail(
     done = 0
     scale = 1.0 / math.sqrt(d)
     while done < trials:
-        b = min(batch, trials - done)
+        b = min(_SIGMA_BATCH, trials - done)
         mats = rng.normal(0.0, scale, size=(b, d, n))
         tops = np.linalg.svd(mats, compute_uv=False)[:, 0]
         hits += int(np.count_nonzero(tops > threshold))

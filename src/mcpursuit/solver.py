@@ -64,7 +64,10 @@ projected entries over the block's dense grid of first and last indices:
 the shared prefix work of Furnival & Wilson's leaps and bounds (1974).
 Scratch memory is a few grids of _BLOCK_ROWS x n floats, not proportional
 to the number of strata. Degree >= 1 patterns build their columns, at
-most _PP_CHUNK patterns at a time, and solve each Gram system.
+most _PP_CHUNK patterns at a time, and take the residual from one batched
+Householder QR, as the walk does for one stratum (Businger & Golub 1965):
+|y|^2 - |Q^T y|^2. Q spans at least the columns, so dependent columns
+need no guard and only lower the bound.
 
 One method, _Search.run_level, serves every level: it charges each block
 to the node cap before bounding it, keeps the strata that pass, and
@@ -716,25 +719,6 @@ def _subset_ls_residual_sq(
     return _block_rows(block, picked), res[picked]
 
 
-def _ls_residual_sq(gram: np.ndarray, bvec: np.ndarray, yy: float) -> np.ndarray:
-    """Batched continuous least-squares residual^2 of strata of two or
-    more columns, exact lower bound on any point of the stratum. Singular
-    strata get bound 0 (never pruned)."""
-    batch, k, _ = gram.shape
-    if k == 2:
-        return _ls2_residual_sq(
-            gram[:, 0, 0], gram[:, 1, 1], gram[:, 0, 1], bvec[:, 0], bvec[:, 1], yy
-        )
-    det = np.linalg.det(gram)
-    scale = np.abs(np.diagonal(gram, axis1=1, axis2=2)).prod(axis=1) + 1e-300
-    good = det > 1e-10 * scale
-    out = np.zeros(batch)
-    if good.any():
-        sol = np.linalg.solve(gram[good], bvec[good][..., None])[..., 0]
-        out[good] = yy - np.einsum("bi,bi->b", bvec[good], sol)
-    return np.maximum(out, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # the search itself
 
@@ -983,9 +967,10 @@ class _Search:
         run_level: a block of break indices (break b is index b - 1) to the
         patterns that pass and their residual^2. Degree 0 takes the bound
         from edge_gram with T[n] forced in. Higher degrees build the
-        columns of at most _PP_CHUNK patterns at a time and solve each
-        pattern's Gram system; their samples are floored, so the prune
-        carries pp_slack."""
+        columns of at most _PP_CHUNK patterns at a time and take
+        |y|^2 - |Q^T y|^2 from one stacked QR of them, the residual that
+        walk_stratum skips a stratum on; their samples are floored, so the
+        prune carries pp_slack."""
         if n_deg == 0:
             limit = self.eta + _LS_MARGIN
             # edge_gram is built when a block is first bounded, not for a
@@ -999,10 +984,9 @@ class _Search:
             res_sq = np.empty(len(rows))
             for lo in range(0, len(rows), _PP_CHUNK):
                 cols = self.pp_columns(n_deg, rows[lo : lo + _PP_CHUNK] + 1, m_prime)
-                cols_t = cols.transpose(0, 2, 1)
-                res_sq[lo : lo + _PP_CHUNK] = _ls_residual_sq(
-                    cols_t @ cols, cols_t @ self.y, self.yy
-                )
+                qty = self.y @ np.linalg.qr(cols)[0]
+                res_sq[lo : lo + _PP_CHUNK] = self.yy - np.einsum("bi,bi->b", qty, qty)
+            np.maximum(res_sq, 0.0, out=res_sq)
             keep = np.sqrt(res_sq) <= self.eta + self.pp_slack + _LS_MARGIN
             return rows[keep], res_sq[keep]
 

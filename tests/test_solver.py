@@ -36,7 +36,7 @@ from mcpursuit.solver import (
     _block_rows,
     _block_size,
     _budgeted_blocks,
-    _ls_residual_sq,
+    _ls2_residual_sq,
     _Search,
     corollary_error_bound,
     corollary_failure_prob,
@@ -667,7 +667,10 @@ def _gathered_pairs(gram, aty, yy):
     with its 2x2 Gram gathered."""
     pairs = np.array(list(itertools.combinations(range(len(aty)), 2)))
     sub = gram[pairs[:, :, None], pairs[:, None, :]]
-    return pairs, _ls_residual_sq(sub, aty[pairs], yy)
+    b = aty[pairs]
+    return pairs, _ls2_residual_sq(
+        sub[:, 0, 0], sub[:, 1, 1], sub[:, 0, 1], b[:, 0], b[:, 1], yy
+    )
 
 
 def _record_offers(monkeypatch):
@@ -853,6 +856,64 @@ def test_subset_bound_is_zero_on_dependent_columns(monkeypatch):
     for support in _lexicographic_rows(range(n), 3).tolist():
         if dependent(support):
             assert tuple(support) in offered
+
+
+# ---------------------------------------------------------------------------
+# breakpoint-pattern least-squares bound
+
+
+def _pp_lstsq_residual_sq(a, y, n_deg, breaks):
+    """Independent reference: residual^2 of y on the columns sum_i a_i
+    (i / n)^j over each piece, j <= n_deg."""
+    n = a.shape[1]
+    t = np.arange(n) / n
+    edges = (0, *breaks, n)
+    cols = [a[:, lo:hi] @ t[lo:hi] ** j
+            for lo, hi in zip(edges, edges[1:]) for j in range(n_deg + 1)]
+    return _lstsq_residual_sq(np.stack(cols, axis=1), y, list(range(len(cols))))
+
+
+def test_pp_bound_matches_lstsq():
+    # the shape of the pp_linear_n24 workload; eta = inf keeps every pattern
+    n, d, m = 24, 16, 6
+    ens = sample_ensemble(n, d, derive_seed(921, "pp-bound"))
+    y = make_generator(921, "pp-bound-draw").normal(size=d)
+    yy = float(y @ y)
+    search = _Search(ens, y, m, math.inf, PP_SCOPE, None)
+    costs = np.zeros(n - 1, dtype=np.int64)
+    for n_deg in (1, 2, 3):
+        bound = search.pp_bound(n_deg, coeff_resolution(n_deg, m))
+        for q in range(3):
+            out = [bound(block) for block in _budgeted_blocks(costs, q, 0)]
+            rows = np.concatenate([r for r, _ in out])
+            got = np.concatenate([v for _, v in out])
+            np.testing.assert_array_equal(rows, _lexicographic_rows(range(n - 1), q))
+            breaks = (rows + 1).tolist()
+            want = np.array([_pp_lstsq_residual_sq(ens.matrix, y, n_deg, b) for b in breaks])
+            # a piece of at most n_deg samples makes the columns dependent:
+            # the bound may then fall below the residual, never above it
+            full = np.array([min(np.diff((0, *b, n))) > n_deg for b in breaks])
+            assert full.any()
+            np.testing.assert_allclose(got[full], want[full], rtol=0, atol=1e-9 * yy)
+            assert np.all(got[~full] <= want[~full] + 1e-9 * yy)
+
+
+def test_pp_bound_keeps_floored_grid_signal():
+    # The samples of a degree-2 grid polynomial are floored, so y = A x is
+    # off the span of its pattern's continuous columns by more than eta;
+    # only pp_slack keeps the pattern.
+    n, d, m, n_deg, brk = 24, 16, 6, 2, 9
+    m_prime = coeff_resolution(n_deg, m)
+    ens = sample_ensemble(n, d, derive_seed(922, "pp-floor"))
+    coeffs = ((41, 97, 113), (120, 19, 100))
+    nums = pp_sample_numerators((brk,), coeffs, n_deg, n, m)
+    y = np.asarray(ens.matrix) @ (np.array(nums) * 2.0 ** -m)
+    eta = 1e-6
+    search = _Search(ens, y, m, eta, PP_SCOPE, None)
+    rows, res_sq = search.pp_bound(n_deg, m_prime)(((), np.array([brk - 1]), None))
+    assert rows.tolist() == [[brk - 1]]
+    assert math.sqrt(res_sq[0]) > eta + _LS_MARGIN
+    assert math.sqrt(res_sq[0]) <= eta + search.pp_slack + _LS_MARGIN
 
 
 # ---------------------------------------------------------------------------
