@@ -1,0 +1,63 @@
+"""Write SolveOutcome.key() of every solver-workload instance of the
+benchmark at one seed, as JSON.
+
+    python3 scripts/solve_keys.py --seed 20261017 --out keys.json
+
+A key holds the status, code length, stream, numerators and both counters
+of one solve (None for a solve that hit the node cap). The script imports
+the package from the src/ directory of its own checkout and the workloads
+from its bench/ directory, with one BLAS thread as the benchmark uses, so
+two checkouts are compared with
+
+    cmp parent/keys.json change/keys.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from pathlib import Path
+
+# before numpy is imported: BLAS products, and so the bits of the bound,
+# can depend on the thread count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads as W  # noqa: E402
+from spans import NullTracer  # noqa: E402
+
+
+def solve_keys(seed: int) -> dict[str, list]:
+    tracer = NullTracer()
+    keys = {}
+    for name, wl in W.SOLVER_WORKLOADS.items():
+        keys[name] = [W.solve(wl, inst, tracer).key()
+                      for inst in W.make_inputs(name, seed, tracer)]
+    return keys
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    keys = solve_keys(args.seed)
+    # one instance per line, so a diff of two files points at the solve
+    groups = [
+        f"  {json.dumps(name)}: [\n" + ",\n".join(f"   {json.dumps(k)}" for k in ks) + "\n  ]"
+        for name, ks in keys.items()
+    ]
+    args.out.write_text(
+        f'{{"seed": {args.seed}, "keys": {{\n' + ",\n".join(groups) + "\n}}\n"
+    )
+    print(f"{sum(map(len, keys.values()))} keys written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

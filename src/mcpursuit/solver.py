@@ -54,20 +54,31 @@ rows: a block is one prefix with up to _BLOCK_ROWS first indices, each
 with its range of last indices; a level of single indices is one block.
 
 The least-squares bound of a sparse support or a degree-0 breakpoint
-pattern is one function, _subset_ls_residual_sq, of a Gram matrix and the
-correlations with y: A^T A and A^T y for supports; for patterns, those of
-the rows T[e] of the degree-0 prefix table, because a pattern with breaks
-b_1 .. b_q spans the same space as T[b_1], .., T[b_q] and T[n]. One
-Cholesky factor per block projects out its prefix and the forced column
-T[n], and the closed-form one- or two-column formula runs on the
-projected entries over the block's dense grid of first and last indices:
-the shared prefix work of Furnival & Wilson's leaps and bounds (1974).
-Scratch memory is a few grids of _BLOCK_ROWS x n floats, not proportional
-to the number of strata. Degree >= 1 patterns build their columns, at
-most _PP_CHUNK patterns at a time, and take the residual from one batched
-Householder QR, as the walk does for one stratum (Businger & Golub 1965):
-|y|^2 - |Q^T y|^2. Q spans at least the columns, so dependent columns
-need no guard and only lower the bound.
+pattern is one class, _SubsetBound, of a (d, N) column matrix and its
+correlations with y: A itself for supports; for patterns, the rows T[e]
+of the degree-0 prefix table as columns, because a pattern with breaks
+b_1 .. b_q spans the same space as T[b_1], .., T[b_q] and T[n]. Cholesky
+steps project out the forced column T[n], once per solve, and each
+block's prefix, once per prefix, and the closed-form one- or two-column
+formula runs on the projected entries over the block's first indices or
+its grid of first and last indices: the shared prefix work of Furnival &
+Wilson's leaps and bounds (1974). On a pair grid a cheap screen (about
+eight array passes) first drops the cells whose residual provably
+exceeds the limit by far more than rounding, and the closed form runs on
+the rest, so the kept strata and their bounds are bit for bit those of
+the whole grid (safe screening, El Ghaoui, Viallon & Rabbani 2012).
+Gram entries come from aligned panels cols[:, p:p+64].T @ cols[:, p:],
+built when first needed, which at one BLAS thread match the full product
+cols.T @ cols bit for bit (a slice that starts off a panel boundary can
+differ in the last bit): the diagonal from their 64 x 64 diagonal blocks,
+a prefix's row from the panel that holds it, T[n]'s from the last column
+of each. No N x N array is built: scratch memory is at most _PANEL_CACHE
+panels of 64 x N floats plus a few grids of _BLOCK_ROWS x N, not
+proportional to the number of strata. Degree >= 1 patterns build their
+columns, at most _PP_CHUNK patterns at a time, and take the residual from
+one batched Householder QR, as the walk does for one stratum (Businger &
+Golub 1965): |y|^2 - |Q^T y|^2. Q spans at least the columns, so
+dependent columns need no guard and only lower the bound.
 
 One method, _Search.run_level, serves every level: it charges each block
 to the node cap before bounding it, keeps the strata that pass, and
@@ -117,6 +128,15 @@ __all__ = [
 _LS_MARGIN = 1e-9  # float slack on the continuous feasibility prune
 _SUBSET_GUARD = 1e-10  # projected/unprojected diagonal not above this: bound 0
 _BLOCK_ROWS = 64  # first indices per block of _budgeted_blocks
+_PANEL_ROWS = 64  # columns whose Gram rows one panel holds
+_PANEL_CACHE = 8  # Gram panels a bound keeps, least recently used dropped first
+# The pair screen drops a cell only when e^2 < c_i (h - _SCREEN_TAU g_j), so
+# the cell's exact residual^2, r_i - e^2 / h, exceeds limit^2 by at least
+# c_i _SCREEN_TAU g_j / h; and it screens a row only when c_i > _SCREEN_TAU
+# rest. Rounding moves either formula by about eps g_j / h times rest, so the
+# drop has _SCREEN_TAU^2 / eps > 4000 times that to spare, and cells with
+# h < _SCREEN_TAU g_j (nearly dependent pairs) are never dropped.
+_SCREEN_TAU = 1e-6
 _PP_CHUNK = 2048  # degree >= 1 breakpoint patterns whose columns are built at once
 _LEAF_SLICE = 256  # leaves of the two innermost walk levels decoded and scored per batch
 
@@ -537,7 +557,10 @@ def _qr_rows(a_cols: np.ndarray, y: np.ndarray):
 
 
 def _position_costs(n: int) -> np.ndarray:
-    return np.array([uint_code_len(p + 1) for p in range(n)], dtype=np.int64)
+    """uint_code_len(p + 1) for p in 0 .. n - 1. The frexp exponent of an
+    integer below 2^53 is its exact bit length."""
+    exp = np.frexp(np.arange(1, n + 1, dtype=np.float64))[1].astype(np.int64) - 1
+    return exp + 2 * (np.frexp(exp + 1.0)[1] - 1) + 1
 
 
 def _budgeted_blocks(costs: np.ndarray, size: int, budget: int):
@@ -605,22 +628,13 @@ def _block_size(block) -> int:
     return int((ends - firsts - 1).sum())
 
 
-def _block_cells(firsts: np.ndarray, ends: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """keep, a mask over the dense grid of a block of size >= 2 (firsts x
-    seconds, seconds running over firsts[0] + 1 .. ends[0] - 1), cut to
-    the cells that are tuples of the block: firsts[t] < seconds[s], which
-    is s >= t because firsts are consecutive, and seconds[s] < ends[t]."""
-    keep = np.triu(keep)
-    if ends[-1] < ends[0]:
-        keep &= np.arange(keep.shape[1]) < (ends - firsts[0] - 1)[:, None]
-    return keep
-
-
 def _block_rows(block, picked=None) -> np.ndarray:
     """The index tuples of a block as rows of an int64 array, in
     lexicographic order. picked, if given, selects some of them: the
     np.nonzero of a mask over the one tuple of size 0, over firsts for
-    size 1, and otherwise of the output of _block_cells."""
+    size 1, and otherwise (t, s) arrays of cells of the block's grid that
+    are tuples, in row-major order: first index firsts[t] and second index
+    firsts[0] + 1 + s."""
     prefix, firsts, ends = block
     if firsts is None:
         rows = np.zeros((1, 0), dtype=np.int64)
@@ -628,9 +642,12 @@ def _block_rows(block, picked=None) -> np.ndarray:
     if ends is None:
         return (firsts if picked is None else firsts[picked])[:, None]
     if picked is None:
-        grid = np.ones((len(firsts), ends[0] - firsts[0] - 1), dtype=bool)
-        picked = np.nonzero(_block_cells(firsts, ends, grid))
-    at, sec = picked
+        # firsts are consecutive, so row t's tuples are s = t .. ends[t] - firsts[0] - 2
+        counts = ends - firsts - 1
+        at = np.repeat(np.arange(len(firsts)), counts)
+        sec = at + np.arange(len(at)) - np.repeat(np.cumsum(counts) - counts, counts)
+    else:
+        at, sec = picked
     rows = np.empty((len(at), len(prefix) + 2), dtype=np.int64)
     rows[:, :-2] = prefix
     rows[:, -2] = firsts[at]
@@ -651,72 +668,212 @@ def _ls2_residual_sq(g00, g11, g01, b0, b1, yy: float) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _subset_ls_residual_sq(
-    gram: np.ndarray, corr: np.ndarray, yy: float, block, limit: float, forced=()
-):
-    """The strata of one block of _budgeted_blocks whose least-squares
-    residual is within limit, as (rows, residual^2): an exact lower bound
-    on any point of each stratum. A stratum is the columns forced + its
-    index tuple, given the Gram matrix of all columns, their correlations
-    corr with y, and yy = |y|^2; no forced column is in the block.
+class _GramPanels:
+    """Gram entries G[i, j] = cols[:, i] . cols[:, j] of a (d, N) column
+    matrix, without an N x N array.
 
-    F is the forced columns plus the block's prefix. One Cholesky step per
+    Entries with i <= j are read from aligned panels cols[:, p:p + R].T @
+    cols[:, p:], with R = _PANEL_ROWS and p a multiple of R, and an entry
+    with i > j is G[j, i]. At one BLAS thread these give the bits of the
+    full product cols.T @ cols; a slice that starts off a panel boundary
+    can differ from it in the last bit. Panels are built when first needed,
+    and at most _PANEL_CACHE of them are kept."""
+
+    def __init__(self, cols: np.ndarray) -> None:
+        self.cols = cols
+        self.size = cols.shape[1]
+        self.panels = {}  # start -> panel, least recently used first
+
+    def panel(self, p: int) -> np.ndarray:
+        """The panel of rows p .. p + R - 1, kept or built."""
+        got = self.panels.pop(p, None)
+        if got is None:
+            if len(self.panels) >= _PANEL_CACHE:
+                del self.panels[next(iter(self.panels))]
+            got = self.cols[:, p : p + _PANEL_ROWS].T @ self.cols[:, p:]
+        self.panels[p] = got
+        return got
+
+    @cached_property
+    def diag(self) -> np.ndarray:
+        """G[i, i] for every i, from the R x R diagonal blocks alone."""
+        starts = range(0, self.size, _PANEL_ROWS)
+        blocks = (self.cols[:, p : p + _PANEL_ROWS] for p in starts)
+        return np.concatenate([np.diagonal(x.T @ x) for x in blocks])
+
+    def row(self, i: int, idx: np.ndarray) -> np.ndarray:
+        """G[i, idx] for indices idx >= i: from the panel that holds i."""
+        p = i - i % _PANEL_ROWS
+        return self.panel(p)[i - p, idx - p]
+
+    def last_column(self) -> np.ndarray:
+        """G[:, N - 1]: the last column of every panel."""
+        return np.concatenate(
+            [self.panel(p)[:, -1] for p in range(0, self.size, _PANEL_ROWS)]
+        )
+
+    def grid(self, lo: int, hi: int, j_lo: int, j_hi: int) -> np.ndarray:
+        """G[i, j] for lo <= i < hi and j_lo <= j < j_hi, where lo < j_lo and
+        hi < j_hi. Cells with j < i are left 0 where the rows leave the
+        panel of lo."""
+        p = lo - lo % _PANEL_ROWS
+        if hi <= p + _PANEL_ROWS:
+            return self.panel(p)[lo - p : hi - p, j_lo - p : j_hi - p]
+        out = np.zeros((hi - lo, j_hi - j_lo))
+        for q in range(p, hi, _PANEL_ROWS):
+            r0, r1, c0 = max(lo, q), min(hi, q + _PANEL_ROWS), max(j_lo, q)
+            panel = self.panel(q)
+            out[r0 - lo : r1 - lo, c0 - j_lo :] = panel[r0 - q : r1 - q, c0 - q : j_hi - q]
+        return out
+
+
+class _SubsetBound:
+    """The least-squares prune of one family of strata, for run_level: a
+    block of _budgeted_blocks to the strata whose least-squares residual is
+    within limit, as (rows, residual^2), an exact lower bound on any point
+    of each stratum. A stratum is the columns of cols (d, N) at its index
+    tuple, plus the last column if last_forced; the block never holds that
+    one. corr = cols.T @ y and yy = |y|^2.
+
+    F is the forced column plus the block's prefix. One Cholesky step per
     column f of F (W's row w_f is f's projected Gram row over the root of
     its pivot, c_f its projected correlation over the same) leaves the
-    last one or two indices with the Gram matrix gram - W^T W, the
-    correlations corr - W^T c and |y|^2 - |c|^2. The one-column formula
-    or _ls2_residual_sq then runs on the block's firsts, or on its dense
-    grid of firsts x seconds, and only the cells that are strata and pass
-    the bound are kept. With no forced columns and no prefix the
-    arithmetic is that of the two formulas alone.
+    last one or two indices with the Gram matrix G - W^T W, the
+    correlations corr - W^T c and |y|^2 - |c|^2. The forced column's step
+    is taken once for the family and each prefix's once for its blocks.
+    The one-column formula or _ls2_residual_sq then runs on the projected
+    entries of the block's firsts, or of the cells of its grid of firsts x
+    seconds that pass a cheap screen (pairs). With no forced column and no
+    prefix the arithmetic is that of the two formulas alone.
 
     Strata with (nearly) dependent columns get bound 0, so they are never
     pruned: when a projected diagonal entry, a pivot of F included, is
     not above _SUBSET_GUARD times its unprojected value. A column in the
     span of F projects to rounding noise, so projected entries alone
     cannot tell."""
-    prefix, firsts, ends = block
-    diag = np.diagonal(gram)
-    g, b, rest, w = diag, corr, yy, []
-    fixed = [*forced, *prefix]
-    for f in fixed:
-        pivot = g[f]
-        if not pivot > _SUBSET_GUARD * diag[f]:
+
+    def __init__(self, cols, corr, yy: float, limit: float, last_forced=False) -> None:
+        self.gram = _GramPanels(cols)
+        self.corr = corr
+        self.yy = yy
+        self.limit = limit
+        self.last_forced = last_forced
+        self.last_prefix = None  # (prefix, its state) of the last block
+
+    @cached_property
+    def base(self):
+        """(g, b, rest, w) over every index after the forced column's
+        Cholesky step, if any; None if its pivot is singular."""
+        diag = self.gram.diag
+        if not self.last_forced:
+            return diag, self.corr, self.yy, []
+        f = len(diag) - 1
+        if not diag[f] > _SUBSET_GUARD * diag[f]:
+            return None
+        root = math.sqrt(diag[f])
+        wf = self.gram.last_column() / root
+        cf = self.corr[f] / root
+        return diag - wf * wf, self.corr - cf * wf, self.yy - cf * cf, [wf]
+
+    def state(self, prefix):
+        """project(prefix), kept for the blocks that share the prefix."""
+        if self.last_prefix is None or self.last_prefix[0] != prefix:
+            self.last_prefix = prefix, self.project(prefix)
+        return self.last_prefix[1]
+
+    def project(self, prefix):
+        """(start, g, b, rest, w, bad) over the indices start .. N - 1 after
+        the steps of F; bad marks the guarded ones (None with F empty).
+        None if a pivot of F is singular."""
+        if self.base is None:
+            return None
+        g, b, rest, w = self.base
+        start = prefix[-1] + 1 if prefix else 0
+        if prefix:
+            idx = np.concatenate((prefix, np.arange(start, len(g))))
+            g, b, w = g[idx], b[idx], [v[idx] for v in w]
+        for f in prefix:
+            # position 0 holds f; the positions before it are dropped
+            if not g[0] > _SUBSET_GUARD * self.gram.diag[f]:
+                return None
+            root = math.sqrt(g[0])
+            wf = (self.gram.row(f, idx) - sum(v[0] * v for v in w)) / root
+            cf = b[0] / root
+            g, b = (g - wf * wf)[1:], (b - cf * wf)[1:]
+            rest -= cf * cf
+            w = [v[1:] for v in w] + [wf[1:]]
+            idx = idx[1:]
+        bad = ~(g > _SUBSET_GUARD * self.gram.diag[start:]) if w else None
+        return start, g, b, rest, w, bad
+
+    def __call__(self, block):
+        prefix, firsts, ends = block
+        state = self.state(prefix)
+        if state is None:
             rows = _block_rows(block)  # the whole block keeps bound 0
             return rows, np.zeros(len(rows))
-        root = math.sqrt(pivot)
-        wf = (gram[f] - sum(v[f] * v for v in w)) / root
-        cf = b[f] / root
-        g = g - wf * wf
-        b = b - cf * wf
-        rest -= cf * cf
-        w.append(wf)
-    if w:
-        # the projected columns themselves are not in the block
-        bad = ~(g > _SUBSET_GUARD * diag)
-        bad[fixed] = False
-    if firsts is None:
-        res = np.full(1, max(rest, 0.0))
-    elif ends is None:
-        gi, bi = g[firsts], b[firsts]
-        res = rest - np.divide(bi**2, gi, out=np.zeros(len(gi)), where=gi > 1e-300)
-        if w:
-            res[bad[firsts]] = 0.0
-        np.maximum(res, 0.0, out=res)
-    else:
-        i = slice(firsts[0], firsts[-1] + 1)
-        j = slice(firsts[0] + 1, ends[0])
-        g01 = gram[i, j]
+        start, g, b, rest, w, bad = state
+        if firsts is None:
+            res = np.full(1, max(rest, 0.0))
+        elif ends is None:
+            gi, bi = g[firsts - start], b[firsts - start]
+            res = rest - np.divide(bi**2, gi, out=np.zeros(len(gi)), where=gi > 1e-300)
+            if bad is not None:
+                res[bad[firsts - start]] = 0.0
+            np.maximum(res, 0.0, out=res)
+        else:
+            return self.pairs(block, state)
+        picked = np.nonzero(np.sqrt(res) <= self.limit)
+        return _block_rows(block, picked), res[picked]
+
+    def pairs(self, block, state):
+        """The pair grid of a block of size >= 2. With i the first and j the
+        second index, the exact residual^2 is r_i - e^2 / h, where r_i =
+        rest - b_i^2 / g_i, e = b_j - g01 b_i / g_i and h = g_j - g01^2 / g_i.
+        A cell with e^2 < c_i (h - _SCREEN_TAU g_j), c_i = r_i - limit^2, is
+        dropped without it; every cell of a row with c_i <= _SCREEN_TAU rest
+        and of a guarded row or column is kept. _ls2_residual_sq then runs on
+        the kept cells that are tuples of the block, so its bits are those of
+        the whole grid's."""
+        _, firsts, ends = block
+        start, g, b, rest, w, bad = state
+        lo, hi = firsts[0] - start, firsts[-1] + 1 - start
+        i, j = slice(lo, hi), slice(lo + 1, ends[0] - start)
+        g01 = self.gram.grid(firsts[0], firsts[-1] + 1, firsts[0] + 1, ends[0])
         if w:
             g01 = g01 - sum(v[i, None] * v[None, j] for v in w)
-        res = _ls2_residual_sq(g[i, None], g[None, j], g01, b[i, None], b[None, j], rest)
-        if w:
-            res[bad[i, None] | bad[None, j]] = 0.0
-    keep = np.sqrt(res) <= limit
-    if ends is not None:
-        keep = _block_cells(firsts, ends, keep)
-    picked = np.nonzero(keep)
-    return _block_rows(block, picked), res[picked]
+        gi, bi, gj, bj = g[i], b[i], g[j], b[j]
+
+        screen = gi > 0
+        inv = np.divide(1.0, gi, out=np.zeros(len(gi)), where=screen)
+        ratio = bi * inv
+        c = rest - bi * ratio - self.limit * self.limit
+        screen &= c > _SCREEN_TAU * rest
+        h_room = gj - _SCREEN_TAU * gj
+        if bad is not None:
+            screen &= ~bad[i]
+            h_room[bad[j]] = 0.0
+        c[~screen] = inv[~screen] = ratio[~screen] = 0.0
+        e_sq = g01 * ratio[:, None]
+        np.subtract(bj, e_sq, out=e_sq)
+        e_sq *= e_sq
+        room = g01 * g01
+        room *= inv[:, None]
+        np.subtract(h_room, room, out=room)
+        room *= c[:, None]
+        t, s = np.divmod(np.flatnonzero(~(e_sq < room)), room.shape[1])
+
+        # cells of the grid that are tuples: firsts[t] < seconds[s], which
+        # is s >= t, and seconds[s] < ends[t]
+        cell = s >= t
+        if ends[-1] < ends[0]:
+            cell &= s < (ends - firsts[0] - 1)[t]
+        t, s = t[cell], s[cell]
+        res = _ls2_residual_sq(gi[t], gj[s], g01[t, s], bi[t], bj[s], rest)
+        if bad is not None:
+            res[bad[i][t] | bad[j][s]] = 0.0
+        keep = np.sqrt(res) <= self.limit
+        return _block_rows(block, (t[keep], s[keep])), res[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +898,6 @@ class _Search:
         self.eta = eta
         self.config = config
         self.prefix_tables = {}  # filled lazily by prefix_table
-        self.aty = self.a.T @ self.y
         self.yy = float(self.y @ self.y)
         self.budget = _Budget(config.node_cap)
         self.incumbent = _Incumbent()
@@ -751,10 +907,9 @@ class _Search:
         self.ens = ens
 
     @cached_property
-    def gram_full(self) -> np.ndarray:
-        """A^T A, for the least-squares bound of sparse supports. Built
-        when the first support is bounded."""
-        return self.a.T @ self.a
+    def support_bound(self) -> _SubsetBound:
+        """The least-squares prune of sparse supports, for every size."""
+        return _SubsetBound(self.a, self.a.T @ self.y, self.yy, self.eta + _LS_MARGIN)
 
     @cached_property
     def pp_slack(self) -> float:
@@ -892,14 +1047,10 @@ class _Search:
         max_k = self.n if max_k is None else min(max_k, self.n)
         if k_hi is not None:
             max_k = min(max_k, k_hi)
-        limit = self.eta + _LS_MARGIN
         for k in range(k_lo, max_k + 1):
             if not self.run_level(
                 self.pos_costs, k, self.sparse_dl(k, 0),
-                lambda block: _subset_ls_residual_sq(
-                    self.gram_full, self.aty, self.yy, block, limit
-                ),
-                self.offer_sparse,
+                self.support_bound, self.offer_sparse,
             ):
                 break
 
@@ -931,14 +1082,14 @@ class _Search:
         return self.prefix_tables[j]
 
     @cached_property
-    def edge_gram(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gram matrix and correlations with y of the rows T[1] .. T[n] of
-        T = prefix_table(0), so that break b and the edge n are indices
-        b - 1 and n - 1. A degree-0 pattern with breaks b_1 .. b_q spans
-        the same space as T[b_1], .., T[b_q] and T[n], so these give its
-        least-squares bound without building its columns."""
+    def pattern_bound(self) -> _SubsetBound:
+        """The least-squares prune of degree-0 breakpoint patterns, for
+        every break count: columns T[1] .. T[n] of T = prefix_table(0), so
+        that break b and the edge n are indices b - 1 and n - 1. A pattern
+        with breaks b_1 .. b_q spans the same space as T[b_1], .., T[b_q]
+        and T[n], so this bounds it without building its columns."""
         tab = self.prefix_table(0)[1:]
-        return tab @ tab.T, tab @ self.y
+        return _SubsetBound(tab.T, tab @ self.y, self.yy, self.eta + _LS_MARGIN, True)
 
     def run_pp(self) -> None:
         if not self.config.include_pp or self.n < 1:
@@ -966,18 +1117,15 @@ class _Search:
         """The least-squares prune of one degree's breakpoint patterns, for
         run_level: a block of break indices (break b is index b - 1) to the
         patterns that pass and their residual^2. Degree 0 takes the bound
-        from edge_gram with T[n] forced in. Higher degrees build the
+        from pattern_bound, with T[n] forced in. Higher degrees build the
         columns of at most _PP_CHUNK patterns at a time and take
         |y|^2 - |Q^T y|^2 from one stacked QR of them, the residual that
         walk_stratum skips a stratum on; their samples are floored, so the
         prune carries pp_slack."""
         if n_deg == 0:
-            limit = self.eta + _LS_MARGIN
-            # edge_gram is built when a block is first bounded, not for a
-            # degree whose levels are all out of budget
-            return lambda block: _subset_ls_residual_sq(
-                *self.edge_gram, self.yy, block, limit, (self.n - 1,)
-            )
+            # built when a block is first bounded, not for a degree whose
+            # levels are all out of budget
+            return lambda block: self.pattern_bound(block)
 
         def bound(block):
             rows = _block_rows(block)

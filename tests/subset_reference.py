@@ -1,0 +1,79 @@
+"""A least-squares bound of subset strata that evaluates every cell.
+
+It bounds the same strata as solver._SubsetBound and returns the same rows
+and residual^2 values, but it reads a whole N x N Gram matrix, takes every
+Cholesky step for every block, and runs the closed-form pair formula on
+every cell of a block's grid, with no screen. The Gram matrix comes from
+the same aligned panels the solver reads, so the two must agree bit for
+bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from mcpursuit.solver import _PANEL_ROWS, _SUBSET_GUARD, _block_rows, _ls2_residual_sq
+
+
+def panel_gram(cols: np.ndarray) -> np.ndarray:
+    """cols.T @ cols, with every entry i <= j from the panel
+    cols[:, p:p + _PANEL_ROWS].T @ cols[:, p:] that holds row i, and the
+    entries below the diagonal mirrored from above it."""
+    n = cols.shape[1]
+    gram = np.zeros((n, n))
+    for p in range(0, n, _PANEL_ROWS):
+        gram[p : p + _PANEL_ROWS, p:] = cols[:, p : p + _PANEL_ROWS].T @ cols[:, p:]
+    upper = np.triu(gram)
+    return upper + np.triu(upper, 1).T
+
+
+def reference_bound(gram, corr, yy, block, limit, forced=()):
+    """The strata of one block whose least-squares residual is within
+    limit, as (rows, residual^2). A stratum is the columns forced + its
+    index tuple; no forced column is in the block."""
+    prefix, firsts, ends = block
+    diag = np.diagonal(gram)
+    g, b, rest, w = diag, corr, yy, []
+    fixed = [*forced, *prefix]
+    for f in fixed:
+        pivot = g[f]
+        if not pivot > _SUBSET_GUARD * diag[f]:
+            rows = _block_rows(block)  # the whole block keeps bound 0
+            return rows, np.zeros(len(rows))
+        root = math.sqrt(pivot)
+        wf = (gram[f] - sum(v[f] * v for v in w)) / root
+        cf = b[f] / root
+        g = g - wf * wf
+        b = b - cf * wf
+        rest -= cf * cf
+        w.append(wf)
+    if w:
+        bad = ~(g > _SUBSET_GUARD * diag)
+        bad[fixed] = False
+    if firsts is None:
+        res = np.full(1, max(rest, 0.0))
+    elif ends is None:
+        gi, bi = g[firsts], b[firsts]
+        res = rest - np.divide(bi**2, gi, out=np.zeros(len(gi)), where=gi > 1e-300)
+        if w:
+            res[bad[firsts]] = 0.0
+        np.maximum(res, 0.0, out=res)
+    else:
+        i = slice(firsts[0], firsts[-1] + 1)
+        j = slice(firsts[0] + 1, ends[0])
+        g01 = gram[i, j]
+        if w:
+            g01 = g01 - sum(v[i, None] * v[None, j] for v in w)
+        res = _ls2_residual_sq(g[i, None], g[None, j], g01, b[i, None], b[None, j], rest)
+        if w:
+            res[bad[i, None] | bad[None, j]] = 0.0
+    keep = np.sqrt(res) <= limit
+    if ends is not None:
+        # the cells that are tuples: firsts[t] < seconds[s], which is
+        # s >= t, and seconds[s] < ends[t]
+        keep = np.triu(keep)
+        keep &= np.arange(keep.shape[1]) < (ends - firsts[0] - 1)[:, None]
+    picked = np.nonzero(keep)
+    return _block_rows(block, picked), res[picked]

@@ -22,6 +22,7 @@ from mcpursuit.codecs import (
     decode_any,
     encode_sparse,
     pp_sample_numerators,
+    uint_code_len,
 )
 from mcpursuit.measure import MeasurementEnsemble, sample_ensemble
 from mcpursuit.quantize import quantization_gap_bound, quantize_vector
@@ -38,6 +39,7 @@ from mcpursuit.solver import (
     _budgeted_blocks,
     _ls2_residual_sq,
     _Search,
+    _SubsetBound,
     corollary_error_bound,
     corollary_failure_prob,
     dl_budget_bits,
@@ -47,6 +49,7 @@ from mcpursuit.solver import (
 )
 
 from oracle_enum import assert_matches_oracle, brute_force_argmin
+from subset_reference import panel_gram, reference_bound
 from walk_reference import reference_walk, zigzag
 
 
@@ -422,8 +425,9 @@ def _tied_pairs_instance():
 ], ids=["three-break", "loose-sparse", "degree1", "tied-pairs"])
 def test_offer_order_does_not_depend_on_block_or_chunk_size(instance, monkeypatch):
     # Strata are sorted once per level, so neither the first indices per
-    # block nor the degree >= 1 patterns whose columns are built at once
-    # may change what is offered, in what order, or the counters.
+    # block, nor the degree >= 1 patterns whose columns are built at once,
+    # nor the Gram panels kept may change what is offered, in what order,
+    # or the counters.
     def run(patch):
         res, offers = _offer_sequence(instance, patch)
         return (res.dl_bits, res.stream, res.strata_examined, res.points_tested), offers
@@ -434,6 +438,7 @@ def test_offer_order_does_not_depend_on_block_or_chunk_size(instance, monkeypatc
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_BLOCK_ROWS", block_rows)
             patch.setattr(solver, "_PP_CHUNK", pp_chunk)
+            patch.setattr(solver, "_PANEL_CACHE", 1 + block_rows % 2)
             assert run(patch) == want
 
 
@@ -457,10 +462,10 @@ def test_only_strata_that_pass_the_bound_are_sorted(monkeypatch):
     # Of the 18,521 strata of the three-break solve, a handful pass the
     # bound; no sort may see the rest.
     passed, sorted_rows = [], []
-    subset_bound, lexsort = solver._subset_ls_residual_sq, np.lexsort
+    subset_bound, lexsort = _SubsetBound.__call__, np.lexsort
 
-    def counting_bound(*args):
-        rows, res_sq = subset_bound(*args)
+    def counting_bound(self, block):
+        rows, res_sq = subset_bound(self, block)
         passed.append(len(rows))
         return rows, res_sq
 
@@ -468,7 +473,7 @@ def test_only_strata_that_pass_the_bound_are_sorted(monkeypatch):
         sorted_rows.append(len(keys[0]))
         return lexsort(keys, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "_subset_ls_residual_sq", counting_bound)
+    monkeypatch.setattr(_SubsetBound, "__call__", counting_bound)
     monkeypatch.setattr(np, "lexsort", counting_lexsort)
     res = _solve(_three_break_instance)
     assert res.strata_examined == 18521
@@ -654,14 +659,6 @@ def test_batched_pp_decoder_is_exact(n_deg, m):
 PAIR_SCOPE = SolverConfig(max_sparse_k=2, include_pp=False)
 
 
-def _duplicate_column(gram, aty, p, q):
-    """Make column q an exact copy of column p: the pair (p, q) is
-    singular, and (p, j), (q, j) have identical Gram entries."""
-    gram[q, :] = gram[p, :]
-    gram[:, q] = gram[:, p]
-    aty[q] = aty[p]
-
-
 def _gathered_pairs(gram, aty, yy):
     """Reference for the pair scan: every pair i < j in row-major order,
     with its 2x2 Gram gathered."""
@@ -684,13 +681,18 @@ def _record_offers(monkeypatch):
     return offers
 
 
-def _bound_level(gram, aty, yy, costs, k, limit, forced=()):
+def _bound_level(b, y, costs, k, limit, forced=False):
     """Every k-tuple of indices into costs within their total cost, bounded
-    block by block: the rows that pass limit and their residual^2."""
-    budget = int(np.sum(costs))
-    out = [solver._subset_ls_residual_sq(gram, aty, yy, block, limit, forced)
-           for block in _budgeted_blocks(costs, k, budget)]
+    block by block over the columns b (plus the last one if forced): the
+    rows that pass limit and their residual^2."""
+    bound = _SubsetBound(b, b.T @ y, float(y @ y), limit, forced)
+    out = [bound(block) for block in _budgeted_blocks(costs, k, int(np.sum(costs)))]
     return np.concatenate([r for r, _ in out]), np.concatenate([v for _, v in out])
+
+
+def _search_on(b, y, m, eta, config):
+    """A search whose measurement matrix is b."""
+    return _Search(MeasurementEnsemble(b, 0), y, m, eta, config, None)
 
 
 @pytest.mark.parametrize("rows", [5, solver._BLOCK_ROWS])
@@ -698,25 +700,19 @@ def test_pair_scan_matches_gathered_reference(rows, monkeypatch):
     # 5-row blocks put the tied pairs below in different blocks
     monkeypatch.setattr(solver, "_BLOCK_ROWS", rows)
     n, d, m = 40, 12, 4
-    ens = sample_ensemble(n, d, derive_seed(915, "pairs"))
     rng = make_generator(915, "pairs-draw")
     b = rng.normal(size=(d, n))
     y = 0.5 * b[:, 9] + 0.3 * b[:, 30] + 0.01 * rng.normal(size=d)
-    yy = float(y @ y)
-    gram = b.T @ b
-    gram = 0.5 * (gram + gram.T)
-    aty = b.T @ y
     # 9 and 12 share a position cost, so (9, j) and (12, j) tie exactly
     # in length and residual; (20, 25) is a second singular pair
-    _duplicate_column(gram, aty, 9, 12)
-    _duplicate_column(gram, aty, 20, 25)
-    all_pairs, all_res = _gathered_pairs(gram, aty, yy)
+    b[:, 12], b[:, 25] = b[:, 9], b[:, 20]
+    yy = float(y @ y)
+    all_pairs, all_res = _gathered_pairs(panel_gram(b), b.T @ y, yy)
     offers = _record_offers(monkeypatch)
     for eta in (0.0, math.sqrt(np.quantile(all_res, 0.3))):
         keep = np.sqrt(all_res) <= eta + _LS_MARGIN
-        search = _Search(ens, np.zeros(d), m, eta, PAIR_SCOPE, None)
-        search.gram_full, search.aty, search.yy = gram, aty, yy
-        pairs, res_sq = _bound_level(gram, aty, yy, search.pos_costs, 2, eta + _LS_MARGIN)
+        search = _search_on(b, y, m, eta, PAIR_SCOPE)
+        pairs, res_sq = _bound_level(b, y, search.pos_costs, 2, eta + _LS_MARGIN)
         np.testing.assert_array_equal(pairs, all_pairs[keep])
         np.testing.assert_array_equal(res_sq, all_res[keep])
         # singular pairs have bound 0 and survive any eta
@@ -738,12 +734,13 @@ def test_pair_scan_matches_gathered_reference(rows, monkeypatch):
 
 
 def test_pair_scan_memory_is_a_few_row_blocks():
-    n, d = 2048, 8
+    # The whole k=2 level, Gram entries included, inside the window: an
+    # n x n Gram matrix would be 4096^2 * 8 = 134 MB.
+    n, d = 4096, 8
     ens = sample_ensemble(n, d, derive_seed(916, "pair-mem"))
     y = make_generator(916, "pair-mem-draw").normal(size=d)
     search = _Search(ens, y, 4, 1e-6, PAIR_SCOPE, None)
-    search.gram_full = np.asarray(ens.matrix).T @ np.asarray(ens.matrix)
-    block_bytes = solver._BLOCK_ROWS * n * 8
+    panel_bytes = solver._PANEL_ROWS * n * 8
     tracemalloc.start()
     try:
         search.run_sparse(2, 2)
@@ -753,8 +750,16 @@ def test_pair_scan_memory_is_a_few_row_blocks():
     # every pair is charged, none passes, so none is walked
     assert search.budget.strata == n * (n - 1) // 2
     assert search.budget.points == 0
-    # one float per pair would already be 2048 * 2047 / 2 * 8 = 16.8 MB
-    assert peak <= 8 * block_bytes
+    # the kept panels, one grid's screen and a little more
+    assert peak <= (solver._PANEL_CACHE + 4) * panel_bytes
+
+
+def test_position_costs_match_uint_code_len():
+    want = [uint_code_len(p + 1) for p in range(5000)]
+    for n in (0, 1, 2, 3, 7, 8, 255, 256, 1024, 5000):
+        costs = solver._position_costs(n)
+        assert costs.dtype == np.int64
+        assert costs.tolist() == want[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -775,47 +780,42 @@ def _lstsq_residual_sq(b, y, cols):
     return float(r @ r)
 
 
-def _gram_problem(rng, d, n, copies=(), near=()):
+def _column_problem(rng, d, n, copies=(), near=()):
     """Columns b with b[:, q] = b[:, p] for each (p, q) in copies and
-    b[:, q] within 1e-7 of b[:, p] for each (p, q) in near, y near the span
-    of three columns, and the Gram entries the bound reads. The copies'
-    Gram rows are made bit-identical, as they are for equal columns of
-    A^T A."""
+    b[:, q] within 1e-7 of b[:, p] for each (p, q) in near, and y near the
+    span of three columns."""
     b = rng.normal(size=(d, n))
     for p, q in copies:
         b[:, q] = b[:, p]
     for p, q in near:
         b[:, q] = b[:, p] + 1e-7 * rng.normal(size=d)
     y = b[:, [1, 3, 5]] @ rng.normal(size=3) + 0.2 * rng.normal(size=d)
-    gram = b.T @ b
-    gram = 0.5 * (gram + gram.T)
-    aty = b.T @ y
-    for p, q in copies:
-        _duplicate_column(gram, aty, p, q)
-    return b, y, gram, aty, float(y @ y)
+    return b, y
 
 
-@pytest.mark.parametrize("forced", [(), (9,)], ids=["free", "forced"])
+@pytest.mark.parametrize("forced", [False, True], ids=["free", "forced"])
 def test_subset_bound_matches_lstsq(forced, monkeypatch):
     # The forced column is the last one, as T[n] is for breakpoint patterns.
-    b, y, gram, aty, yy = _gram_problem(make_generator(920, "subset", len(forced)), 14, 10)
-    costs = np.zeros(10 - len(forced), dtype=np.int64)
+    b, y = _column_problem(make_generator(920, "subset", int(forced)), 14, 10)
+    yy = float(y @ y)
+    fixed = [9] if forced else []
+    costs = np.zeros(10 - forced, dtype=np.int64)
     for k in range(5):
-        rows, got = _bound_level(gram, aty, yy, costs, k, math.inf, forced)
+        rows, got = _bound_level(b, y, costs, k, math.inf, forced)
         np.testing.assert_array_equal(rows, _lexicographic_rows(range(len(costs)), k))
-        want = [_lstsq_residual_sq(b, y, [*forced, *r]) for r in rows.tolist()]
+        want = [_lstsq_residual_sq(b, y, [*fixed, *r]) for r in rows.tolist()]
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * yy)
         # a limit keeps exactly the strata within it, in generation order
         limit = float(np.sqrt(np.median(got)))
         kept = np.sqrt(got) <= limit
-        passed = _bound_level(gram, aty, yy, costs, k, limit, forced)
+        passed = _bound_level(b, y, costs, k, limit, forced)
         np.testing.assert_array_equal(passed[0], rows[kept])
         np.testing.assert_array_equal(passed[1], got[kept])
         # blocks cut anywhere give the same bits: each stratum depends only
         # on its own prefix
         with monkeypatch.context() as patch:
             patch.setattr(solver, "_BLOCK_ROWS", 1)
-            one = _bound_level(gram, aty, yy, costs, k, math.inf, forced)
+            one = _bound_level(b, y, costs, k, math.inf, forced)
         np.testing.assert_array_equal(one[0], rows)
         np.testing.assert_array_equal(one[1], got)
 
@@ -829,33 +829,97 @@ def test_subset_bound_is_zero_on_dependent_columns(monkeypatch):
     # noise gives.
     copies, near = ((9, 4), (2, 6), (7, 8)), ((3, 5),)
     n, d = 10, 12
-    b, y, gram, aty, yy = _gram_problem(make_generator(920, "subset-dup"), d, n, copies, near)
+    b, y = _column_problem(make_generator(920, "subset-dup"), d, n, copies, near)
+    yy = float(y @ y)
 
     def dependent(cols):
         return any({p, q} <= set(cols) for p, q in copies + near)
 
-    for forced in [(), (9,)]:
-        costs = np.zeros(n - len(forced), dtype=np.int64)
+    for forced in (False, True):
+        costs = np.zeros(n - forced, dtype=np.int64)
         for k in range(1, 5):
-            rows, got = _bound_level(gram, aty, yy, costs, k, math.inf, forced)
-            cols = [[*forced, *r] for r in rows.tolist()]
+            rows, got = _bound_level(b, y, costs, k, math.inf, forced)
+            cols = [[9] * forced + r for r in rows.tolist()]
             dep = np.array([dependent(c) for c in cols])
-            assert dep.any() == (k > 1 or bool(forced))
+            assert dep.any() == (k > 1 or forced)
             assert np.all(got[dep] == 0.0)
             want = [_lstsq_residual_sq(b, y, c) for c in cols]
             np.testing.assert_allclose(
                 got[~dep], np.array(want)[~dep], rtol=1e-9, atol=1e-12 * yy
             )
     # and the sparse scan offers every dependent support even at eta = 0
-    ens = sample_ensemble(n, d, derive_seed(920, "subset-dup"))
-    search = _Search(ens, y, 3, 0.0, SolverConfig(max_sparse_k=3, include_pp=False), None)
-    search.gram_full, search.aty, search.yy = gram, aty, yy
+    search = _search_on(b, y, 3, 0.0, SolverConfig(max_sparse_k=3, include_pp=False))
     offers = _record_offers(monkeypatch)
     search.run_sparse(3, 3)
     offered = {support for support, _ in offers}
     for support in _lexicographic_rows(range(n), 3).tolist():
         if dependent(support):
             assert tuple(support) in offered
+
+
+@st.composite
+def _screen_cases(draw):
+    """Columns, y, a limit and a level of blocks for the pair screen: exact
+    and 1e-7 near copies, y on or near one column (whose row then fits on
+    its own), a forced last column, prefixes, and blocks that straddle
+    panels."""
+    n = draw(st.integers(3, 90))
+    d = draw(st.integers(2, 16))
+    k = draw(st.integers(0, 4 if n <= 24 else 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(d, n))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for p, q in draw(st.lists(pairs, max_size=3)):
+        b[:, q] = b[:, p]
+    for p, q in draw(st.lists(pairs, max_size=2)):
+        b[:, q] = b[:, p] + 1e-7 * rng.normal(size=d)
+    target = draw(st.sampled_from(["two", "one", "noise"]))
+    if target == "noise":
+        y = rng.normal(size=d)
+    else:
+        picked = rng.choice(n, size=1 if target == "one" else 2, replace=False)
+        y = b[:, picked] @ rng.normal(size=len(picked)) + 1e-9 * rng.normal(size=d)
+    forced = draw(st.booleans())
+    block_rows = draw(st.sampled_from([1, 5, 64]))
+    cache = draw(st.sampled_from([1, 2, 8]))
+    slack = draw(st.integers(0, 6))
+    scale = draw(st.sampled_from([0.0, 1e-8, 1e-3, 0.05, 0.3, 1.0]))
+    return b, y, forced, k, slack, scale * float(np.linalg.norm(y)), block_rows, cache
+
+
+def _spanning_case():
+    # Three columns span R^2, so each pair plus the forced column fits y:
+    # residual^2 is rounding noise around 0, and so is each row's c_i at
+    # limit 0. Only the rule that keeps rows with c_i <= tau * rest keeps
+    # the noise the exact formula rounds to 0.
+    rng = np.random.default_rng(0)
+    return rng.normal(size=(2, 3)), rng.normal(size=2), True, 2, 0, 0.0, 1, 1
+
+
+@given(_screen_cases())
+@example(_spanning_case())
+@settings(max_examples=60, deadline=None)
+def test_screened_bound_matches_full_grid(case):
+    # Every block's rows and residual^2 must be those of the full-grid
+    # reference, bit for bit: the screen may only drop cells that the
+    # exact formula also puts above the limit.
+    b, y, forced, k, slack, limit, block_rows, cache = case
+    n = b.shape[1]
+    yy = float(y @ y)
+    corr = b.T @ y
+    gram = panel_gram(b)
+    costs = solver._position_costs(n - forced)
+    budget = int(costs[:k].sum()) + slack
+    with mock.patch.object(solver, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(solver, "_PANEL_CACHE", cache):
+        bound = _SubsetBound(b, corr, yy, limit, forced)
+        for block in _budgeted_blocks(costs, k, budget):
+            rows, res = bound(block)
+            want_rows, want_res = reference_bound(
+                gram, corr, yy, block, limit, (n - 1,) if forced else ())
+            np.testing.assert_array_equal(rows, want_rows)
+            assert res.tobytes() == want_res.tobytes()
 
 
 # ---------------------------------------------------------------------------
