@@ -1,10 +1,12 @@
 """Write SolveOutcome.key() of every solver-workload instance of the
-benchmark at one seed, as JSON.
+benchmark at one seed, and the hit count of every lemmas_mc chunk, as JSON.
 
     python3 scripts/solve_keys.py --seed 20261017 --out keys.json
 
 A key holds the status, code length, stream, numerators and both counters
-of one solve (None for a solve that hit the node cap). The script imports
+of one solve (None for a solve that hit the node cap). A chunk's entry is
+its family, d, n, parameter (tau or t) and the number of its trials that
+hit the tail event, round(empirical * trials). The script imports
 the package from the src/ directory of its own checkout and the workloads
 from its bench/ directory, with one BLAS thread as the benchmark uses, so
 two checkouts are compared with
@@ -38,6 +40,11 @@ def solve_keys(seed: int) -> dict[str, list]:
     for name, wl in W.SOLVER_WORKLOADS.items():
         keys[name] = [W.solve(wl, inst, tracer).key()
                       for inst in W.make_inputs(name, seed, tracer)]
+    keys["lemmas_mc"] = []
+    for chunk in W.make_inputs("lemmas_mc", seed, tracer):
+        r, c = W.run_chunk(chunk, tracer), chunk.cell
+        keys["lemmas_mc"].append(
+            [c.family, c.d, c.n, c.param, round(r.empirical * r.trials)])
     return keys
 
 
@@ -55,7 +62,7 @@ def main(argv=None) -> int:
     args.out.write_text(
         f'{{"seed": {args.seed}, "keys": {{\n' + ",\n".join(groups) + "\n}}\n"
     )
-    print(f"{sum(map(len, keys.values()))} keys written to {args.out}")
+    print(f"{sum(map(len, keys.values()))} keys and chunk counts written to {args.out}")
     return 0
 
 

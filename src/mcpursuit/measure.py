@@ -1,7 +1,10 @@
 """Gaussian measurement ensembles and their spectral diagnostics.
 
 An ensemble is a d x n matrix with iid N(0, 1/d) entries, regenerable
-from a 128-bit key. The checks in this module validate the two
+from a 128-bit key. Its largest singular value, which sets the solver's
+default tolerance, and the Monte-Carlo check of its upper tail both come
+from top_singular_value: the square root of the top eigenvalue of the
+smaller Gram matrix. The checks in this module validate the two
 concentration facts the recovery analysis leans on: the lower tail of
 |Az|^2 / |z|^2 for a fixed direction z, and the upper tail of the largest
 singular value.
@@ -18,7 +21,7 @@ import numpy as np
 __all__ = [
     "MeasurementEnsemble",
     "sample_ensemble",
-    "power_iteration_sigma_max",
+    "top_singular_value",
     "sigma_max_expectation_bound",
     "sigma_max_tail_bound",
     "chi_square_lower_tail_bound",
@@ -29,6 +32,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeasurementEnsemble:
+    """A measurement matrix and the key that regenerates it. sigma_max is
+    its largest singular value, exact to rounding, computed on first use."""
+
     matrix: np.ndarray  # (d, n), iid N(0, 1/d)
     key: int  # 128-bit regeneration key
 
@@ -42,7 +48,7 @@ class MeasurementEnsemble:
 
     @cached_property
     def sigma_max(self) -> float:
-        return power_iteration_sigma_max(self.matrix)
+        return float(top_singular_value(self.matrix))
 
     def expectation_bound(self, t: float) -> float:
         """1 + sqrt(n/d) + t, the threshold whose exceedance probability
@@ -64,40 +70,22 @@ def sample_ensemble(n: int, d: int, key: int) -> MeasurementEnsemble:
     return MeasurementEnsemble(matrix, key)
 
 
-_POWER_REL_TOL = 1e-8
-_POWER_MAX_ITER = 50_000
+def top_singular_value(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of a matrix, or of each matrix of a stack
+    (..., d, n); the result has shape a.shape[:-2].
 
-
-def power_iteration_sigma_max(a: np.ndarray) -> float:
-    """Largest singular value via power iteration on the smaller Gram matrix.
-
-    Deterministic ramp start; stops when the Rayleigh quotient is stable
-    to _POWER_REL_TOL. Degenerate top singular pairs are harmless because any
-    vector in the top eigenspace already attains the quotient.
-
-    One Gram matvec per iteration: the product gram @ v of the Rayleigh
-    quotient is the next iterate before normalizing. The norm is
-    sqrt(w @ w), which is what np.linalg.norm computes for a real vector.
+    The square root of the top eigenvalue of the smaller Gram matrix,
+    a a^T or a^T a. It is exact to rounding, which matters because the
+    solver's eta and piecewise slack are built from it and must not fall
+    short of the true value. The max with 0 absorbs a rounded negative
+    top eigenvalue of a zero matrix.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError("need a nonempty matrix")
-    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    v = 1.0 + 0.01 * np.arange(gram.shape[0])
-    v /= np.linalg.norm(v)
-    w = gram @ v
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        norm = math.sqrt(w @ w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        w = gram @ v
-        new_lam = float(v @ w)
-        if abs(new_lam - lam) <= _POWER_REL_TOL * new_lam:
-            return math.sqrt(new_lam)
-        lam = new_lam
-    return math.sqrt(lam)
+    if a.ndim < 2 or a.size == 0:
+        raise ValueError("need a nonempty matrix or stack of matrices")
+    at = np.swapaxes(a, -1, -2)
+    gram = a @ at if a.shape[-2] <= a.shape[-1] else at @ a
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +165,7 @@ def mc_check_sigma_tail(
     while done < trials:
         b = min(_SIGMA_BATCH, trials - done)
         mats = rng.normal(0.0, scale, size=(b, d, n))
-        tops = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        tops = top_singular_value(mats)
         hits += int(np.count_nonzero(tops > threshold))
         done += b
     return TailCheckResult(hits / trials, bound, trials)

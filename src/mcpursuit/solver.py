@@ -915,7 +915,8 @@ class _Search:
     def pp_slack(self) -> float:
         """Floored samples sit within 2^-m below the continuous polynomial,
         so continuous-space prunes of degree >= 1 strata get this much
-        extra room. Computed on first use: sigma_max is a power iteration."""
+        extra room. Computed on first use: sigma_max is a Gram
+        eigendecomposition that sparse-only solves never need."""
         return self.ens.sigma_max * math.sqrt(self.n) * 2.0 ** (-self.m)
 
     @cached_property

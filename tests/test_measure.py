@@ -8,11 +8,11 @@ from mcpursuit.measure import (
     chi_square_lower_tail_bound,
     mc_check_chi_lower_tail,
     mc_check_sigma_tail,
-    power_iteration_sigma_max,
     sample_ensemble,
     sigma_max_expectation_bound,
     sigma_max_tail_bound,
     TailCheckResult,
+    top_singular_value,
 )
 from mcpursuit.rng import derive_seed, make_generator
 
@@ -28,51 +28,43 @@ def test_sample_ensemble_shape_and_determinism():
     assert a.matrix.std() == pytest.approx(1 / 4, rel=0.15)
 
 
-def test_power_iteration_matches_svd():
+def test_top_singular_value_matches_svd():
     rng = make_generator(5, "sigma")
     for _ in range(40):
         d = int(rng.integers(1, 30))
         n = int(rng.integers(1, 30))
         a = rng.normal(size=(d, n))
         top = np.linalg.svd(a, compute_uv=False)[0]
-        assert power_iteration_sigma_max(a) == pytest.approx(top, rel=1e-6)
-    assert power_iteration_sigma_max(np.zeros((3, 5))) == 0.0
+        assert top_singular_value(a) == pytest.approx(top, rel=1e-12)
+    assert top_singular_value(np.zeros((3, 5))) == 0.0
+    with pytest.raises(ValueError):
+        top_singular_value(np.zeros(4))
 
 
-def _two_matvec_sigma_max(a, rel_tol=1e-8, max_iter=50_000):
-    """Reference: the power iteration with a second Gram matvec for each
-    Rayleigh quotient, and the norm from np.linalg.norm."""
-    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    v = 1.0 + 0.01 * np.arange(gram.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_lam = float(v @ (gram @ v))
-        if abs(new_lam - lam) <= rel_tol * new_lam:
-            return math.sqrt(new_lam)
-        lam = new_lam
-    return math.sqrt(lam)
+@pytest.mark.parametrize("n, d", [(1024, 182), (128, 30), (16, 40), (24, 16)])
+def test_ensemble_sigma_max_is_the_svd_value(n, d):
+    # eta and the piecewise slack are built from sigma_max, so it may not
+    # fall short of the top singular value by more than rounding
+    ens = sample_ensemble(n, d, derive_seed(11, "sigma-exact", n, d))
+    top = float(np.linalg.svd(ens.matrix, compute_uv=False)[0])
+    assert ens.sigma_max == pytest.approx(top, rel=1e-12)
+    assert MeasurementEnsemble(np.zeros((d, n)), 0).sigma_max == 0.0
 
 
-@pytest.mark.parametrize("shape", [(16, 24), (30, 128), (182, 1024), (104, 16), (10, 10)])
-def test_power_iteration_is_bit_identical_to_two_matvecs(shape):
-    # Reusing the quotient's matvec as the next iterate must not move a
-    # single bit: the solver's eta and pp_slack are built from sigma_max.
-    rng = make_generator(5, "sigma-bits", *shape)
-    for _ in range(3):
-        a = rng.normal(0.0, 1.0 / math.sqrt(shape[0]), size=shape)
-        assert power_iteration_sigma_max(a) == _two_matvec_sigma_max(a)
+@pytest.mark.parametrize("shape", [(20, 10, 30), (20, 30, 10), (3, 4, 7, 5)])
+def test_stacked_top_singular_value_matches_each_svd(shape):
+    a = make_generator(5, "sigma-stack", *shape).normal(size=shape)
+    tops = top_singular_value(a)
+    assert tops.shape == shape[:-2]
+    for idx in np.ndindex(*shape[:-2]):
+        top = np.linalg.svd(a[idx], compute_uv=False)[0]
+        assert tops[idx] == pytest.approx(top, rel=1e-12)
 
 
 def test_sigma_max_cached_on_ensemble():
     ens = sample_ensemble(32, 8, derive_seed(11, "ens", 1))
     top = np.linalg.svd(ens.matrix, compute_uv=False)[0]
-    assert ens.sigma_max == pytest.approx(top, rel=1e-6)
+    assert ens.sigma_max == pytest.approx(top, rel=1e-12)
     assert ens.sigma_max is ens.sigma_max  # cached float, one computation
     assert ens.expectation_bound(1.0) == pytest.approx(4.0)
     assert sigma_max_expectation_bound(32, 8) == 3.0
