@@ -14,7 +14,6 @@ from .quantize import (
 )
 from .codecs import (
     CodedSignal,
-    SurrogateResult,
     decode_any,
     dl_surrogate,
     encode_sparse,
@@ -31,7 +30,6 @@ __all__ = [
     "subtract_mod",
     "truncate_bits",
     "CodedSignal",
-    "SurrogateResult",
     "decode_any",
     "dl_surrogate",
     "encode_sparse",

@@ -226,7 +226,7 @@ def _cmd_encode(args) -> int:
         return USAGE_ERROR
     q = quantize_vector(x, args.m)
     pick = dl_surrogate(q, include_proxy=not args.no_proxy)
-    Path(args.out).write_bytes(coded_to_bytes(pick.coded))
+    Path(args.out).write_bytes(coded_to_bytes(pick))
     print(f"{pick.codec_id}: {pick.dl_bits} bits for {q.n} samples "
           f"at {args.m} bits each")
     return 0

@@ -28,7 +28,6 @@ from .quantize import QuantizedVector, truncate_bits
 __all__ = [
     "CodecError",
     "CodedSignal",
-    "SurrogateResult",
     "log_star",
     "encode_uint",
     "decode_uint",
@@ -89,13 +88,6 @@ class CodedSignal:
     @property
     def dl_bits(self) -> int:
         return len(self.payload)
-
-
-@dataclass(frozen=True)
-class SurrogateResult:
-    dl_bits: int
-    codec_id: str
-    coded: CodedSignal
 
 
 def log_star(n: int) -> float:
@@ -206,7 +198,8 @@ def encode_sparse(q: QuantizedVector) -> CodedSignal:
     return CodedSignal("sparse", w.getvalue())
 
 
-def _decode_sparse_body(r: BitReader, n: int, m: int) -> QuantizedVector:
+def decode_sparse(c: CodedSignal, n: int, m: int) -> QuantizedVector:
+    _, r = _read_tag(c.payload, "sparse")
     coded_n = decode_uint(r)
     if coded_n != n:
         raise DecodeError(f"stream is for n={coded_n}, context says n={n}")
@@ -227,14 +220,8 @@ def _decode_sparse_body(r: BitReader, n: int, m: int) -> QuantizedVector:
         if v == 0:
             raise DecodeError("zero payload at coded position is non-canonical")
         nums[pos] = v
-    return QuantizedVector(tuple(nums), m)
-
-
-def decode_sparse(c: CodedSignal, n: int, m: int) -> QuantizedVector:
-    r = _open_reader(c, "sparse")
-    q = _decode_sparse_body(r, n, m)
     r.expect_end()
-    return q
+    return QuantizedVector(tuple(nums), m)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +320,7 @@ def encode_piecewise_poly(breakpoints, coefficients, n: int, m: int) -> CodedSig
 
 
 def decode_piecewise_poly(c: CodedSignal, n: int, m: int) -> QuantizedVector:
-    r = _open_reader(c, "piecewise_poly")
+    _, r = _read_tag(c.payload, "piecewise_poly")
     coded_n = decode_uint(r)
     if coded_n != n:
         raise DecodeError(f"stream is for n={coded_n}, context says n={n}")
@@ -376,7 +363,7 @@ def encode_literal(q: QuantizedVector) -> CodedSignal:
 
 
 def decode_literal(c: CodedSignal, n: int, m: int) -> QuantizedVector:
-    r = _open_reader(c, "literal")
+    _, r = _read_tag(c.payload, "literal")
     nums = tuple(r.read_fixed(m) for _ in range(n))
     r.expect_end()
     return QuantizedVector(nums, m)
@@ -405,7 +392,7 @@ def encode_compressor_proxy(q: QuantizedVector) -> CodedSignal:
 
 
 def decode_compressor_proxy(c: CodedSignal, n: int, m: int) -> QuantizedVector:
-    r = _open_reader(c, "compressor_proxy")
+    _, r = _read_tag(c.payload, "compressor_proxy")
     nbytes = decode_uint(r) - 1
     blob = bytes(r.read_fixed(8) for _ in range(nbytes))
     r.expect_end()
@@ -423,12 +410,19 @@ def decode_compressor_proxy(c: CodedSignal, n: int, m: int) -> QuantizedVector:
 # ---------------------------------------------------------------------------
 
 
-def _open_reader(c: CodedSignal, expect_id: str) -> BitReader:
-    r = BitReader(c.payload)
-    tag = "".join(str(r.read_bit()) for _ in range(CODEC_HEADER_BITS))
-    if _HEADER_TO_ID.get(tag) != expect_id:
+def _read_tag(bits: str, expect_id: str | None = None) -> tuple[str, BitReader]:
+    """The codec that a stream's tag names, and a reader past the tag.
+    Raises DecodeError if the stream does not start with a codec tag, or
+    with another codec's than expect_id, when one is given."""
+    tag = bits[:CODEC_HEADER_BITS]
+    codec_id = _HEADER_TO_ID.get(tag)
+    if codec_id is None:
+        raise DecodeError(f"stream does not start with a codec tag: {tag!r}")
+    if expect_id not in (None, codec_id):
         raise DecodeError(f"stream tag {tag!r} does not match codec {expect_id!r}")
-    return r
+    r = BitReader(bits)
+    r.read_fixed(CODEC_HEADER_BITS)
+    return codec_id, r
 
 
 _DECODERS = {
@@ -441,13 +435,7 @@ _DECODERS = {
 
 def decode_any(c: CodedSignal, n: int, m: int) -> QuantizedVector:
     """Dispatch on the embedded codec tag."""
-    if len(c.payload) < CODEC_HEADER_BITS:
-        raise DecodeError("stream shorter than codec tag")
-    tag = c.payload[:CODEC_HEADER_BITS]
-    codec_id = _HEADER_TO_ID.get(tag)
-    if codec_id is None:
-        raise DecodeError(f"unknown codec tag {tag!r}")
-    return _DECODERS[codec_id](CodedSignal(codec_id, c.payload), n, m)
+    return _DECODERS[_read_tag(c.payload)[0]](c, n, m)
 
 
 def _constant_runs(nums: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -461,17 +449,13 @@ def _constant_runs(nums: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(breaks), tuple(values)
 
 
-def dl_surrogate(
-    q: QuantizedVector,
-    pp_hint: tuple | None = None,
-    include_proxy: bool = True,
-) -> SurrogateResult:
-    """Minimum code length for q over the registered codecs.
+def dl_surrogate(q: QuantizedVector, include_proxy: bool = True) -> CodedSignal:
+    """The shortest codeword of q over the registered codecs, ties going
+    to the codec listed first in CODEC_IDS.
 
-    The piecewise-polynomial entry is searched only over structures that
-    provably reproduce q: exact constant runs, plus an optional caller hint
-    (breakpoints, coefficients) which is used when its decode matches q.
-    Always <= n*m + header because the literal codec applies to everything.
+    The piecewise-polynomial entry is searched only over the exact
+    constant runs of q, which provably reproduce it. Never longer than
+    n*m + header, because the literal codec applies to everything.
     """
     candidates = [encode_sparse(q), encode_literal(q)]
     if q.n >= 1:
@@ -481,19 +465,9 @@ def dl_surrogate(
                 breaks, tuple((v,) for v in values), 0, q.n, q.resolution_bits
             )
         )
-    if pp_hint is not None:
-        try:
-            coded = encode_piecewise_poly(
-                pp_hint[0], pp_hint[1], q.n, q.resolution_bits
-            )
-            if decode_piecewise_poly(coded, q.n, q.resolution_bits) == q:
-                candidates.append(coded)
-        except CodecError:
-            pass
     if include_proxy:
         candidates.append(encode_compressor_proxy(q))
-    best = min(candidates, key=lambda c: (c.dl_bits, CODEC_IDS.index(c.codec_id)))
-    return SurrogateResult(best.dl_bits, best.codec_id, best)
+    return min(candidates, key=lambda c: (c.dl_bits, CODEC_IDS.index(c.codec_id)))
 
 
 def coded_to_bytes(c: CodedSignal) -> bytes:
@@ -502,9 +476,4 @@ def coded_to_bytes(c: CodedSignal) -> bytes:
 
 def coded_from_bytes(data: bytes) -> CodedSignal:
     bits = bytes_to_bits(data)
-    if len(bits) < CODEC_HEADER_BITS:
-        raise DecodeError("stream shorter than codec tag")
-    codec_id = _HEADER_TO_ID.get(bits[:CODEC_HEADER_BITS])
-    if codec_id is None:
-        raise DecodeError("unknown codec tag")
-    return CodedSignal(codec_id, bits)
+    return CodedSignal(_read_tag(bits)[0], bits)

@@ -50,8 +50,9 @@ costs uint_code_len(p + 1)) and breakpoint patterns (break b costs
 uint_code_len(b)). Both costs never decrease with the index, so each
 index range is one searchsorted cut on running cost sums, and only
 (size - 2)-index prefixes are walked in Python. The generator writes no
-rows: a block is one prefix with up to _BLOCK_ROWS first indices, each
-with its range of last indices; a level of single indices is one block.
+rows: a block is one prefix with up to _BLOCK_ROWS first indices inside
+one Gram panel (below), each with its range of last indices; a level of
+single indices is one block.
 
 The least-squares bound of a sparse support or a degree-0 breakpoint
 pattern is one class, _SubsetBound, of a (d, N) column matrix and its
@@ -71,14 +72,15 @@ Gram entries come from aligned panels cols[:, p:p+64].T @ cols[:, p:],
 built when first needed, which at one BLAS thread match the full product
 cols.T @ cols bit for bit (a slice that starts off a panel boundary can
 differ in the last bit): the diagonal from their 64 x 64 diagonal blocks,
-a prefix's row from the panel that holds it, T[n]'s from the last column
-of each. No N x N array is built: scratch memory is at most _PANEL_CACHE
-panels of 64 x N floats plus a few grids of _BLOCK_ROWS x N, not
-proportional to the number of strata. Degree >= 1 patterns build their
-columns, at most _PP_CHUNK patterns at a time, and take the residual from
-one batched Householder QR, as the walk does for one stratum (Businger &
-Golub 1965): |y|^2 - |Q^T y|^2. Q spans at least the columns, so
-dependent columns need no guard and only lower the bound.
+a prefix's row, and a block's pair grid, from the panel that holds it,
+T[n]'s from the last column of each. No N x N array is built: scratch
+memory is at most _PANEL_CACHE panels of 64 x N floats plus a few grids
+of _BLOCK_ROWS x N, not proportional to the number of strata.
+Degree >= 1 patterns build their columns, at most _PP_CHUNK patterns at
+a time, and take the residual from one batched Householder QR, as the
+walk does for one stratum (Businger & Golub 1965): |y|^2 - |Q^T y|^2.
+Q spans at least the columns, so dependent columns need no guard and
+only lower the bound.
 
 One method, _Search.run_level, serves every level: it charges each block
 to the node cap before bounding it, keeps the strata that pass, and
@@ -538,12 +540,13 @@ def _qr_rows(a_cols: np.ndarray, y: np.ndarray):
     """QR pieces for |a_cols u - y|^2 = |R u - qty|^2 + base_sq.
 
     When the stratum has more coordinates than rows, R is padded square
-    with zero rows; those levels walk the whole box (zero pivot path)."""
+    with zero rows; those levels walk the whole box (zero pivot path).
+    Pivots may have either sign: negating a row of R and its entry of qty
+    (exact in IEEE arithmetic) swaps the ends of that level's interval,
+    which the walk orders itself, and leaves its zig-zag centre and the
+    squared contributions as they were."""
     q, r = np.linalg.qr(a_cols)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    r = signs[:, None] * r
-    qty = signs * (q.T @ y)
+    qty = q.T @ y
     base_sq = max(float(y @ y - qty @ qty), 0.0)
     d, dims = r.shape
     if d < dims:
@@ -570,11 +573,12 @@ def _budgeted_blocks(costs: np.ndarray, size: int, budget: int):
 
     A block stands for the tuples prefix + (firsts[t], j) with
     firsts[t] < j < ends[t]: firsts is a run of at most _BLOCK_ROWS
-    consecutive indices, and ends never increases along it, so every
-    second index of the block lies below ends[0]. Size 1 gives the one
-    block ((), firsts, None) of all tuples (i,) that fit, and size 0 the
-    one block ((), None, None) of the empty tuple; either only when the
-    budget allows a tuple.
+    consecutive indices that stops before the next multiple of
+    _PANEL_ROWS, so the block's pair grid lies in one Gram panel, and
+    ends never increases along it, so every second index of the block
+    lies below ends[0]. Size 1 gives the one block ((), firsts, None) of
+    all tuples (i,) that fit, and size 0 the one block ((), None, None)
+    of the empty tuple; either only when the budget allows a tuple.
 
     Costs must not decrease with the index. Then the cheapest way to pick
     r more indices from i on is the window costs[i:i+r], whose sum does
@@ -610,12 +614,14 @@ def _budgeted_blocks(costs: np.ndarray, size: int, budget: int):
             yield from prefixes(picked + [i], i + 1, left - int(costs[i]))
 
     for picked, left in prefixes([], 0, budget):
-        start = picked[-1] + 1 if picked else 0
+        lo = picked[-1] + 1 if picked else 0
         stop = np.searchsorted(windows[2], left, side="right")
-        for lo in range(start, stop, _BLOCK_ROWS):
-            firsts = np.arange(lo, min(lo + _BLOCK_ROWS, stop), dtype=np.int64)
+        while lo < stop:
+            hi = min(lo + _BLOCK_ROWS, lo - lo % _PANEL_ROWS + _PANEL_ROWS, stop)
+            firsts = np.arange(lo, hi, dtype=np.int64)
             ends = np.searchsorted(costs, left - costs[firsts], side="right")
             yield tuple(picked), firsts, ends
+            lo = hi
 
 
 def _block_size(block) -> int:
@@ -676,8 +682,10 @@ class _GramPanels:
     cols[:, p:], with R = _PANEL_ROWS and p a multiple of R, and an entry
     with i > j is G[j, i]. At one BLAS thread these give the bits of the
     full product cols.T @ cols; a slice that starts off a panel boundary
-    can differ from it in the last bit. Panels are built when first needed,
-    and at most _PANEL_CACHE of them are kept."""
+    can differ from it in the last bit. A block's pair grid is one slice of
+    one panel, since _budgeted_blocks keeps a block's first indices inside
+    one. Panels are built when first needed, and at most _PANEL_CACHE of
+    them are kept."""
 
     def __init__(self, cols: np.ndarray) -> None:
         self.cols = cols
@@ -713,18 +721,10 @@ class _GramPanels:
         )
 
     def grid(self, lo: int, hi: int, j_lo: int, j_hi: int) -> np.ndarray:
-        """G[i, j] for lo <= i < hi and j_lo <= j < j_hi, where lo < j_lo and
-        hi < j_hi. Cells with j < i are left 0 where the rows leave the
-        panel of lo."""
+        """G[i, j] for lo <= i < hi and j_lo <= j < j_hi, where the rows lo ..
+        hi - 1 lie in one panel and lo < j_lo: a slice of that panel."""
         p = lo - lo % _PANEL_ROWS
-        if hi <= p + _PANEL_ROWS:
-            return self.panel(p)[lo - p : hi - p, j_lo - p : j_hi - p]
-        out = np.zeros((hi - lo, j_hi - j_lo))
-        for q in range(p, hi, _PANEL_ROWS):
-            r0, r1, c0 = max(lo, q), min(hi, q + _PANEL_ROWS), max(j_lo, q)
-            panel = self.panel(q)
-            out[r0 - lo : r1 - lo, c0 - j_lo :] = panel[r0 - q : r1 - q, c0 - q : j_hi - q]
-        return out
+        return self.panel(p)[lo - p : hi - p, j_lo - p : j_hi - p]
 
 
 class _SubsetBound:

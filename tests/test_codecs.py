@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcpursuit.bitio import BitReader, BitWriter, DecodeError
+from mcpursuit.bitio import BitReader, BitWriter, DecodeError, bits_to_bytes
 from mcpursuit.codecs import (
     CODEC_HEADER_BITS,
     CODEC_IDS,
@@ -330,6 +330,13 @@ def test_decode_any_dispatch():
         decode_any(CodedSignal("sparse", "111" + "0" * 20), 8, 4)
     with pytest.raises(DecodeError):
         decode_any(CodedSignal("sparse", "01"), 8, 4)
+    # decoders, decode_any and the byte framing share one tag parser
+    with pytest.raises(DecodeError):
+        coded_from_bytes(bits_to_bytes("01"))
+    with pytest.raises(DecodeError):
+        coded_from_bytes(bits_to_bytes("111" + "0" * 20))
+    with pytest.raises(DecodeError):
+        decode_sparse(encode_literal(q), 8, 4)
 
 
 def test_byte_framing_of_codewords():
@@ -362,23 +369,7 @@ def test_surrogate_finds_constant_runs():
     res = dl_surrogate(q)
     assert res.codec_id == "piecewise_poly"
     assert res.dl_bits == 50
-    assert decode_any(res.coded, 256, 8) == q
-
-
-def test_surrogate_uses_hint_only_when_it_reproduces():
-    # a steep ramp has many distinct sample values, so the constant-run
-    # fallback is expensive and the affine hint should win outright
-    spec = ([], [[0.1, 0.8]])
-    coded = encode_piecewise_poly(spec[0], spec[1], 64, 6)
-    q = decode_piecewise_poly(coded, 64, 6)
-    blind = dl_surrogate(q)
-    hinted = dl_surrogate(q, pp_hint=spec)
-    assert hinted.codec_id == "piecewise_poly"
-    assert hinted.dl_bits == coded.dl_bits
-    assert hinted.dl_bits < blind.dl_bits
-    # a hint that decodes to something else is ignored
-    other = dl_surrogate(q, pp_hint=([], [[0.9, 0.05]]))
-    assert other.dl_bits == blind.dl_bits
+    assert decode_any(res, 256, 8) == q
 
 
 @given(q=sparse_vectors(max_n=24, max_m=6))
@@ -386,7 +377,7 @@ def test_surrogate_uses_hint_only_when_it_reproduces():
 def test_surrogate_never_beaten_by_literal(q):
     res = dl_surrogate(q)
     assert res.dl_bits <= CODEC_HEADER_BITS + q.n * q.resolution_bits
-    assert decode_any(res.coded, q.n, q.resolution_bits) == q
+    assert decode_any(res, q.n, q.resolution_bits) == q
 
 
 # ---------------------------------------------------------------------------

@@ -202,18 +202,20 @@ def _budgeted_cases(draw):
     costs = sorted(draw(st.lists(st.integers(0, 12), max_size=8)))
     total = sum(costs)
     budget = draw(st.sampled_from([-1, 0, total + 1]) | st.integers(0, total))
-    return costs, draw(st.integers(0, 4)), budget, draw(st.integers(1, 6))
+    size, block_rows = draw(st.integers(0, 4)), draw(st.integers(1, 6))
+    return costs, size, budget, block_rows, draw(st.integers(1, 3))
 
 
 @given(case=_budgeted_cases())
 @settings(max_examples=300, deadline=None)
 def test_budgeted_tuples_match_filtered_combinations(case):
-    costs, size, budget, block_rows = case
+    costs, size, budget, block_rows, panel_rows = case
     want = [
         t for t in itertools.combinations(range(len(costs)), size)
         if sum(costs[i] for i in t) <= budget
     ]
-    with mock.patch.object(solver, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(solver, "_BLOCK_ROWS", block_rows), \
+            mock.patch.object(solver, "_PANEL_ROWS", panel_rows):
         blocks = list(_budgeted_blocks(np.array(costs, dtype=np.int64), size, budget))
     rows = [_block_rows(b) for b in blocks]
     if size < 2:
@@ -223,6 +225,8 @@ def test_budgeted_tuples_match_filtered_combinations(case):
         assert len(prefix) == max(size - 2, 0)
         assert firsts is None or 0 < len(firsts)
         assert size < 2 or len(firsts) <= block_rows
+        # a block's pair grid is read from the one Gram panel of its firsts
+        assert size < 2 or firsts[0] // panel_rows == firsts[-1] // panel_rows
         assert r.dtype == np.int64 and r.shape[1] == size
         assert 0 < len(r) == _block_size((prefix, firsts, _))
     assert [tuple(row) for r in rows for row in r.tolist()] == want
@@ -613,18 +617,24 @@ def _walk_record(walk, case, node_cap):
 
 @settings(max_examples=500, deadline=None)
 @given(case=_walk_cases(), leaf_slice=st.sampled_from([1, 2, 3, solver._LEAF_SLICE]),
-       cap_share=st.floats(0.0, 1.0))
+       cap_share=st.floats(0.0, 1.0), flips=st.integers(0, 15))
 # a free level 0 under two level-1 rows laid out in one slice: the leaf
 # accepted in the first row leaves no room for the second, whose leaves
 # must then be neither walked nor charged as walk steps
 @example(case=(np.array([[0.0, -0.13210486], [0.0, 0.30490012]]),
                np.array([0.04869266, 0.95690014]), 0, 1, None, None, 1.0, 0.0, False),
-         leaf_slice=solver._LEAF_SLICE, cap_share=0.0)
-def test_batched_walk_matches_one_leaf_at_a_time(case, leaf_slice, cap_share):
+         leaf_slice=solver._LEAF_SLICE, cap_share=0.0, flips=0)
+def test_batched_walk_matches_one_leaf_at_a_time(case, leaf_slice, cap_share, flips):
     want = _walk_record(reference_walk, case, 1 << 40)
     total = sum(want[1])
+    # negating rows of (R, qty), as a QR with pivots of either sign does,
+    # changes no accept call and no counter
+    r_mat, qty = case[0], case[1]
+    sign = np.where((flips >> np.arange(len(qty))) & 1, -1.0, 1.0)
+    flipped = (sign[:, None] * r_mat, sign * qty, *case[2:])
     with mock.patch.object(solver, "_LEAF_SLICE", leaf_slice):
         assert _walk_record(solver._sphere_walk, case, 1 << 40) == want
+        assert _walk_record(solver._sphere_walk, flipped, 1 << 40) == want
         for cap in (int(cap_share * total), total - 1):
             assert (_walk_record(solver._sphere_walk, case, cap)
                     == _walk_record(reference_walk, case, cap))
