@@ -12,7 +12,8 @@ degree pattern), because value payloads are fixed width. The search walks
 strata in ascending length with three exact prunes: strata whose length
 already exceeds the incumbent are never generated; a continuous
 least-squares bound discards strata whose subspace cannot reach the
-constraint set; and an integer sphere walk with a shrinking radius finds
+constraint set, and a positivity cut sparse supports whose value box
+cannot; and an integer sphere walk with a shrinking radius finds
 the exact minimum-residual grid point inside each surviving stratum. The
 result equals brute-force enumeration of the same codebook, which the
 tests check directly at toy sizes. Only the strata that are walked have
@@ -63,7 +64,23 @@ steps project out the forced column T[n], once per solve, and each
 block's prefix, once per prefix, and the closed-form one- or two-column
 formula runs on the projected entries over the block's first indices or
 its grid of first and last indices: the shared prefix work of Furnival &
-Wilson's leaps and bounds (1974). On a pair grid a cheap screen (about
+Wilson's leaps and bounds (1974).
+
+Sparse supports first pass a positivity cut, which reads no Gram entry.
+Their values lie in [lo, hi] = [2^-m, 1 - 2^-m], so with w = y / |y| a
+support can hold a feasible point only if the sum of its scores s_j =
+max(lo c_j, hi c_j), c_j = w . A_j, reaches |y| - limit - delta, where
+delta bounds the rounding of the scores, |y| and the sum, from d, the
+column norms, |y| and the support size (a Farkas-type certificate;
+Slawski & Hein 2013 on nonnegative sparse recovery). The scores cost one
+pass over n. On a pair grid the cut narrows the second indices, then the
+first ones, then tests each cell, and the survivors take their Gram
+entries from one gathered product of their columns: at the shape of
+corollary_n1024 at most 1,056 of 523,776 pairs survive (0.02-0.20%, 8
+instances), and no panel is built. Breakpoint patterns keep the screen
+instead: their cut is a sum of positive parts over the pieces, which
+kept every one- and two-break pattern of the eight pp_const_n128
+instances at the bench seed. On their pair grids a cheap screen (about
 eight array passes) first drops the cells whose residual provably
 exceeds the limit by far more than rounding, and the closed form runs on
 the rest, so the kept strata and their bounds are bit for bit those of
@@ -85,12 +102,13 @@ only lower the bound.
 One method, _Search.run_level, serves every level: it charges each block
 to the node cap before bounding it, keeps the strata that pass, and
 prices (sums the code lengths of) and sorts only those, once for the
-whole level, by length, then bound, then generation order. That order
-depends on neither the block size nor the chunk size, and it fixes the
-counters a solve reports. It is also the only test of whether a level
-fits: each family of strata (sparse supports, each degree's breakpoint
-patterns) ends at its first level with no stratum in budget, since
-lengths only grow with the size.
+whole level, by length, then generation order. That order is one of
+integers: it depends on neither the block size, the chunk size nor the
+float bits of a bound, which move it only where they keep other strata,
+and it fixes the counters a solve reports. It is also the only test of
+whether a level fits: each family of strata (sparse supports, each
+degree's breakpoint patterns) ends at its first level with no stratum in
+budget, since lengths only grow with the size.
 """
 
 from __future__ import annotations
@@ -634,26 +652,33 @@ def _block_size(block) -> int:
     return int((ends - firsts - 1).sum())
 
 
+def _block_cells(block):
+    """Every tuple of a block, selected as _block_rows takes them."""
+    _, firsts, ends = block
+    if firsts is None:
+        return (np.zeros(1, dtype=np.int64),)
+    if ends is None:
+        return (np.arange(len(firsts)),)
+    # firsts are consecutive, so row t's tuples are s = t .. ends[t] - firsts[0] - 2
+    counts = ends - firsts - 1
+    t = np.repeat(np.arange(len(firsts)), counts)
+    return t, t + np.arange(len(t)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _block_rows(block, picked=None) -> np.ndarray:
     """The index tuples of a block as rows of an int64 array, in
-    lexicographic order. picked, if given, selects some of them: the
-    np.nonzero of a mask over the one tuple of size 0, over firsts for
-    size 1, and otherwise (t, s) arrays of cells of the block's grid that
-    are tuples, in row-major order: first index firsts[t] and second index
+    lexicographic order. picked, if given, selects some of them, as a
+    tuple of index arrays: (t,) over the one tuple of size 0 or over firsts
+    for size 1, and otherwise (t, s), cells of the block's grid that are
+    tuples, in row-major order: first index firsts[t] and second index
     firsts[0] + 1 + s."""
     prefix, firsts, ends = block
+    picked = _block_cells(block) if picked is None else picked
     if firsts is None:
-        rows = np.zeros((1, 0), dtype=np.int64)
-        return rows if picked is None else rows[picked]
+        return np.zeros((len(picked[0]), 0), dtype=np.int64)
     if ends is None:
-        return (firsts if picked is None else firsts[picked])[:, None]
-    if picked is None:
-        # firsts are consecutive, so row t's tuples are s = t .. ends[t] - firsts[0] - 2
-        counts = ends - firsts - 1
-        at = np.repeat(np.arange(len(firsts)), counts)
-        sec = at + np.arange(len(at)) - np.repeat(np.cumsum(counts) - counts, counts)
-    else:
-        at, sec = picked
+        return firsts[picked[0]][:, None]
+    at, sec = picked
     rows = np.empty((len(at), len(prefix) + 2), dtype=np.int64)
     rows[:, :-2] = prefix
     rows[:, -2] = firsts[at]
@@ -728,37 +753,59 @@ class _GramPanels:
 
 
 class _SubsetBound:
-    """The least-squares prune of one family of strata, for run_level: a
-    block of _budgeted_blocks to the strata whose least-squares residual is
-    within limit, as (rows, residual^2), an exact lower bound on any point
-    of each stratum. A stratum is the columns of cols (d, N) at its index
-    tuple, plus the last column if last_forced; the block never holds that
-    one. corr = cols.T @ y and yy = |y|^2.
+    """The prune of one family of strata, for run_level: a block of
+    _budgeted_blocks to the rows of the strata that pass. A stratum is the
+    columns of cols (d, N) at its index tuple, plus the last column if
+    last_forced; the block never holds that one. corr = cols.T @ y and yy =
+    |y|^2.
 
-    F is the forced column plus the block's prefix. One Cholesky step per
-    column f of F (W's row w_f is f's projected Gram row over the root of
-    its pivot, c_f its projected correlation over the same) leaves the
-    last one or two indices with the Gram matrix G - W^T W, the
-    correlations corr - W^T c and |y|^2 - |c|^2. The forced column's step
-    is taken once for the family and each prefix's once for its blocks.
-    The one-column formula or _ls2_residual_sq then runs on the projected
-    entries of the block's firsts, or of the cells of its grid of firsts x
-    seconds that pass a cheap screen (pairs). With no forced column and no
-    prefix the arithmetic is that of the two formulas alone.
+    The least-squares bound keeps a stratum when its least-squares residual,
+    an exact lower bound on that of any point of it, is within limit. F is
+    the forced column plus the block's prefix. One Cholesky step per column
+    f of F (W's row w_f is f's projected Gram row over the root of its
+    pivot, c_f its projected correlation over the same) leaves the last one
+    or two indices with the Gram matrix G - W^T W, the correlations corr -
+    W^T c and |y|^2 - |c|^2. The forced column's step is taken once for the
+    family and each prefix's once for its blocks. The one-column formula or
+    _ls2_residual_sq then runs on the projected entries of the block's
+    firsts, or of the cells of its grid of firsts x seconds that pass the
+    cut (below) or, without one, a cheap screen (screen). With no forced
+    column and no prefix the arithmetic is that of the two formulas alone.
 
-    Strata with (nearly) dependent columns get bound 0, so they are never
-    pruned: when a projected diagonal entry, a pivot of F included, is
-    not above _SUBSET_GUARD times its unprojected value. A column in the
-    span of F projects to rounding noise, so projected entries alone
-    cannot tell."""
+    Strata with (nearly) dependent columns get bound 0, so the least-squares
+    bound never prunes them: when a projected diagonal entry, a pivot of F
+    included, is not above _SUBSET_GUARD times its unprojected value. A
+    column in the span of F projects to rounding noise, so projected entries
+    alone cannot tell.
 
-    def __init__(self, cols, corr, yy: float, limit: float, last_forced=False) -> None:
+    box = (lo, hi), given for sparse supports, adds the positivity cut:
+    every value of a point lies in [lo, hi], so with w = y / |y| a support
+    S holds a point within limit of y only if sum_{j in S} s_j >= |y| -
+    limit, where s_j = max(lo c_j, hi c_j) and c_j = corr_j / |y| = w .
+    cols_j (w . A x >= |y| - |A x - y|; a Farkas-type certificate, as in
+    safe screening, El Ghaoui, Viallon & Rabbani 2012, for nonnegative
+    recovery, Slawski & Hein 2013). It reads no Gram entry, so it runs
+    first, and the least-squares bound sees only the cells it keeps: a
+    block whose cells all fail reads nothing, and a pair grid's
+    survivors take their Gram entries from one gathered product, not from
+    a panel. The threshold is lowered by delta (need), a bound on the
+    rounding of the scores, |y| and any float evaluation of the sum. With
+    y = 0 nothing is cut. Breakpoint patterns keep the screen alone: a
+    pattern's cut is a sum of positive parts over its pieces, which kept
+    every one- and two-break pattern of the instances it was measured
+    on."""
+
+    def __init__(self, cols, corr, yy: float, limit: float, last_forced=False, box=None):
         self.gram = _GramPanels(cols)
         self.corr = corr
         self.yy = yy
         self.limit = limit
         self.last_forced = last_forced
         self.last_prefix = None  # (prefix, its state) of the last block
+        self.scores = None
+        if box is not None and yy > 0:
+            c = corr / math.sqrt(yy)
+            self.scores = np.maximum(box[0] * c, box[1] * c)
 
     @cached_property
     def base(self):
@@ -806,35 +853,111 @@ class _SubsetBound:
         bad = ~(g > _SUBSET_GUARD * self.gram.diag[start:]) if w else None
         return start, g, b, rest, w, bad
 
-    def __call__(self, block):
+    def __call__(self, block) -> np.ndarray:
+        cells, res_sq = self.bounded(block)
+        keep = np.sqrt(res_sq) <= self.limit
+        return _block_rows(block, tuple(c[keep] for c in cells))
+
+    def bounded(self, block):
+        """(cells, res_sq): the cells of a block that reach the
+        least-squares bound, selected as _block_rows takes them, and their
+        least-squares residual^2 (0 where guarded). Those are the cells
+        that pass the cut, or without one every cell of a block of size
+        <= 1 and the cells of a pair grid that pass the screen."""
         prefix, firsts, ends = block
+        cells = None if self.scores is None else self.cut(block)
+        if cells is not None and not len(cells[0]):
+            return cells, np.zeros(0)
         state = self.state(prefix)
         if state is None:
-            rows = _block_rows(block)  # the whole block keeps bound 0
-            return rows, np.zeros(len(rows))
+            # the block's cells keep bound 0
+            cells = _block_cells(block) if cells is None else cells
+            return cells, np.zeros(len(cells[0]))
         start, g, b, rest, w, bad = state
         if firsts is None:
-            res = np.full(1, max(rest, 0.0))
-        elif ends is None:
-            gi, bi = g[firsts - start], b[firsts - start]
+            return _block_cells(block), np.full(1, max(rest, 0.0))
+        if ends is None:
+            t = np.arange(len(firsts)) if cells is None else cells[0]
+            i = firsts[t] - start
+            gi, bi = g[i], b[i]
             res = rest - np.divide(bi**2, gi, out=np.zeros(len(gi)), where=gi > 1e-300)
             if bad is not None:
-                res[bad[firsts - start]] = 0.0
-            np.maximum(res, 0.0, out=res)
+                res[bad[i]] = 0.0
+            return (t,), np.maximum(res, 0.0, out=res)
+        if cells is None:
+            cells, g01 = self.screen(block, state)
         else:
-            return self.pairs(block, state)
-        picked = np.nonzero(np.sqrt(res) <= self.limit)
-        return _block_rows(block, picked), res[picked]
+            g01 = self.gathered(block, cells, state)
+        i = firsts[cells[0]] - start
+        j = firsts[0] + 1 + cells[1] - start
+        res = _ls2_residual_sq(g[i], g[j], g01, b[i], b[j], rest)
+        if bad is not None:
+            res[bad[i] | bad[j]] = 0.0
+        return cells, res
 
-    def pairs(self, block, state):
-        """The pair grid of a block of size >= 2. With i the first and j the
-        second index, the exact residual^2 is r_i - e^2 / h, where r_i =
-        rest - b_i^2 / g_i, e = b_j - g01 b_i / g_i and h = g_j - g01^2 / g_i.
-        A cell with e^2 < c_i (h - _SCREEN_TAU g_j), c_i = r_i - limit^2, is
-        dropped without it; every cell of a row with c_i <= _SCREEN_TAU rest
-        and of a guarded row or column is kept. _ls2_residual_sq then runs on
-        the kept cells that are tuples of the block, so its bits are those of
-        the whole grid's."""
+    def need(self, prefix, size: int) -> float:
+        """The least sum of scores that the indices after prefix of a
+        support of `size` indices must reach: |y| - limit - delta minus the
+        prefix's scores. Each score is within (1.5 d + 4) u |cols_j| of its
+        exact value (u = eps / 2: a length-d dot product, |y| and the
+        quotient), |y| within (d / 2 + 2) u |y|, and each evaluation of the
+        sum against the threshold takes at most size + 3 roundings of terms
+        no larger than |y| + limit + size max_j |cols_j|; delta is twice
+        their first-order sum, rounded up."""
+        d = self.gram.cols.shape[0]
+        norm_y, top = math.sqrt(self.yy), math.sqrt(self.gram.diag.max(initial=0.0))
+        eps = np.finfo(np.float64).eps
+        delta = (2 * d + size + 8) * eps * (size * top + norm_y + self.limit)
+        return norm_y - self.limit - delta - float(self.scores[list(prefix)].sum())
+
+    def cut(self, block):
+        """The cells of a block, selected as _block_rows takes them, whose
+        scores reach need. On a pair grid the seconds that cannot reach it
+        with the best first go first, then the firsts that cannot with the
+        best second left, and only then each cell of what is left."""
+        prefix, firsts, ends = block
+        size = len(prefix) + (0 if firsts is None else 1 if ends is None else 2)
+        need = self.need(prefix, size)
+        if firsts is None:
+            return (np.flatnonzero([need <= 0.0]),)
+        s_i = self.scores[firsts]
+        if ends is None:
+            return (np.flatnonzero(s_i >= need),)
+        s_j = self.scores[firsts[0] + 1 : ends[0]]
+        cand = np.flatnonzero(s_j >= need - s_i.max())
+        rows = np.flatnonzero(s_i >= need - s_j[cand].max(initial=-np.inf))
+        # cells that are tuples: firsts[t] < seconds[s], which is s >= t,
+        # and seconds[s] < ends[t]
+        ok = s_i[rows, None] + s_j[cand] >= need
+        ok &= cand >= rows[:, None]
+        ok &= cand < (ends - firsts[0] - 1)[rows, None]
+        at, sec = np.nonzero(ok)
+        return rows[at], cand[sec]
+
+    def gathered(self, block, cells, state):
+        """The projected Gram entries of the given cells of a pair grid,
+        from one product of the columns of their firsts and seconds."""
+        _, firsts, _ = block
+        start, w = state[0], state[4]
+        ts, at = np.unique(cells[0], return_inverse=True)
+        ss, sec = np.unique(cells[1], return_inverse=True)
+        cols = self.gram.cols
+        g01 = (cols[:, firsts[ts]].T @ cols[:, firsts[0] + 1 + ss])[at, sec]
+        if w:
+            i, j = firsts[cells[0]] - start, firsts[0] + 1 + cells[1] - start
+            g01 -= sum(v[i] * v[j] for v in w)
+        return g01
+
+    def screen(self, block, state):
+        """The cells of a pair grid that pass a cheap screen, and their
+        projected Gram entries. With i the first and j the second index,
+        the exact residual^2 is r_i - e^2 / h, where r_i = rest - b_i^2 /
+        g_i, e = b_j - g01 b_i / g_i and h = g_j - g01^2 / g_i. A cell with
+        e^2 < c_i (h - _SCREEN_TAU g_j), c_i = r_i - limit^2, is dropped
+        without it; every cell of a row with c_i <= _SCREEN_TAU rest and of
+        a guarded row or column is kept. The Gram entries come from one
+        slice of a panel, so the exact formula gives the bits of the whole
+        grid's."""
         _, firsts, ends = block
         start, g, b, rest, w, bad = state
         lo, hi = firsts[0] - start, firsts[-1] + 1 - start
@@ -869,11 +992,7 @@ class _SubsetBound:
         if ends[-1] < ends[0]:
             cell &= s < (ends - firsts[0] - 1)[t]
         t, s = t[cell], s[cell]
-        res = _ls2_residual_sq(gi[t], gj[s], g01[t, s], bi[t], bj[s], rest)
-        if bad is not None:
-            res[bad[i][t] | bad[j][s]] = 0.0
-        keep = np.sqrt(res) <= self.limit
-        return _block_rows(block, (t[keep], s[keep])), res[keep]
+        return (t, s), g01[t, s]
 
 
 # ---------------------------------------------------------------------------
@@ -908,8 +1027,12 @@ class _Search:
 
     @cached_property
     def support_bound(self) -> _SubsetBound:
-        """The least-squares prune of sparse supports, for every size."""
-        return _SubsetBound(self.a, self.a.T @ self.y, self.yy, self.eta + _LS_MARGIN)
+        """The prune of sparse supports, for every size: the least-squares
+        bound and the positivity cut, since values lie in [2^-m, 1 - 2^-m]."""
+        box = 2.0 ** -self.m, 1.0 - 2.0 ** -self.m
+        return _SubsetBound(
+            self.a, self.a.T @ self.y, self.yy, self.eta + _LS_MARGIN, box=box
+        )
 
     @cached_property
     def pp_slack(self) -> float:
@@ -1006,30 +1129,28 @@ class _Search:
     def run_level(self, costs, size, base, bound, offer) -> bool:
         """Offer the strata of one level: the ascending tuples of `size`
         indices, whose code length is base plus their costs, in order of
-        length, then least-squares bound, then generation order, up to the
-        first one longer than the incumbent. Returns whether any stratum
-        was within the incumbent's length: when none is, no larger size of
-        the same family can be either.
+        length, then generation order, up to the first one longer than the
+        incumbent. Returns whether any stratum was within the incumbent's
+        length: when none is, no larger size of the same family can be
+        either.
 
         Only tuples within the incumbent's length are generated, as blocks
         of _budgeted_blocks. Each block is charged to the node cap before
-        bound(block) returns the rows that pass the least-squares prune,
-        with their residual^2. Only those are priced and sorted, once for
-        the whole level, so memory is a few blocks plus the survivors, and
-        offer(row, dl) gets them in that order."""
+        bound(block) returns the rows that pass its prunes. Only those are
+        priced and sorted, once for the whole level, so memory is a few
+        blocks plus the survivors, and offer(row, dl) gets them in that
+        order. The order is one of integers: a bound whose arithmetic
+        changes moves it only where it keeps other strata."""
         budget_left = int(min(self.incumbent.dl - base, costs.sum(initial=0)))
-        rows, res_sq = [], []
+        rows = []
         for block in _budgeted_blocks(costs, size, budget_left):
             self.budget.add_strata(_block_size(block))
-            passed, passed_res = bound(block)
-            rows.append(passed)
-            res_sq.append(passed_res)
+            rows.append(bound(block))
         if not rows:
             return False
         rows = np.concatenate(rows)
-        res_sq = np.concatenate(res_sq)
         dls = base + costs[rows].sum(axis=1)
-        order = np.lexsort((res_sq, dls))
+        order = np.argsort(dls, kind="stable")
         for i, dl in zip(order.tolist(), dls[order].tolist()):
             # the incumbent only shrinks, so every later stratum is too long
             if dl > self.incumbent.dl:
@@ -1117,12 +1238,10 @@ class _Search:
     def pp_bound(self, n_deg, m_prime):
         """The least-squares prune of one degree's breakpoint patterns, for
         run_level: a block of break indices (break b is index b - 1) to the
-        patterns that pass and their residual^2. Degree 0 takes the bound
-        from pattern_bound, with T[n] forced in. Higher degrees build the
-        columns of at most _PP_CHUNK patterns at a time and take
-        |y|^2 - |Q^T y|^2 from one stacked QR of them, the residual that
-        walk_stratum skips a stratum on; their samples are floored, so the
-        prune carries pp_slack."""
+        patterns that pass. Degree 0 takes the bound from pattern_bound,
+        with T[n] forced in. Higher degrees take pp_residual_sq, the
+        residual that walk_stratum skips a stratum on; their samples are
+        floored, so the prune carries pp_slack."""
         if n_deg == 0:
             # built when a block is first bounded, not for a degree whose
             # levels are all out of budget
@@ -1130,16 +1249,21 @@ class _Search:
 
         def bound(block):
             rows = _block_rows(block)
-            res_sq = np.empty(len(rows))
-            for lo in range(0, len(rows), _PP_CHUNK):
-                cols = self.pp_columns(n_deg, rows[lo : lo + _PP_CHUNK] + 1, m_prime)
-                qty = self.y @ np.linalg.qr(cols)[0]
-                res_sq[lo : lo + _PP_CHUNK] = self.yy - np.einsum("bi,bi->b", qty, qty)
-            np.maximum(res_sq, 0.0, out=res_sq)
-            keep = np.sqrt(res_sq) <= self.eta + self.pp_slack + _LS_MARGIN
-            return rows[keep], res_sq[keep]
+            res_sq = self.pp_residual_sq(n_deg, rows, m_prime)
+            return rows[np.sqrt(res_sq) <= self.eta + self.pp_slack + _LS_MARGIN]
 
         return bound
+
+    def pp_residual_sq(self, n_deg, rows, m_prime) -> np.ndarray:
+        """|y|^2 - |Q^T y|^2 of each breakpoint pattern of one degree >= 1
+        (rows of break indices), from a stacked QR of the columns of at
+        most _PP_CHUNK patterns at a time."""
+        res_sq = np.empty(len(rows))
+        for lo in range(0, len(rows), _PP_CHUNK):
+            cols = self.pp_columns(n_deg, rows[lo : lo + _PP_CHUNK] + 1, m_prime)
+            qty = self.y @ np.linalg.qr(cols)[0]
+            res_sq[lo : lo + _PP_CHUNK] = self.yy - np.einsum("bi,bi->b", qty, qty)
+        return np.maximum(res_sq, 0.0, out=res_sq)
 
     def pp_columns(self, n_deg, breaks, m_prime) -> np.ndarray:
         """(batch, d, dims) columns of a batch of breakpoint patterns (rows

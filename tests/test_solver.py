@@ -1,6 +1,7 @@
 """Search correctness against brute-force enumeration, plus the error
 bound helpers and the resource/infeasible contract."""
 
+import decimal
 import gc
 import itertools
 import math
@@ -8,6 +9,7 @@ import time
 import tracemalloc
 import weakref
 from dataclasses import replace
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -351,8 +353,9 @@ def test_offer_order_is_pinned(instance, pinned):
 
 def _loose_sparse_instance():
     # Supports up to k=3 at an eta loose enough that 55 three-column
-    # supports pass the bound and are offered up to the winner's length,
-    # up to 16 of them at one length.
+    # supports pass the least-squares bound up to the winner's length, up
+    # to 16 of them at one length; the positivity cut leaves three at the
+    # winner's length and one past it.
     n, m, d = 12, 2, 4
     ens = sample_ensemble(n, d, derive_seed(933, "loose", d, 1))
     x = make_generator(933, "loose-draw", 1).uniform(0, 1, size=n)
@@ -382,29 +385,15 @@ def _offer_sequence(instance, monkeypatch):
     (_three_break_instance, [((0, 3, 15, 31), 64)]),
     (_ramp_instance, [((1,), 27)]),
     (_loose_sparse_instance, [
-        ((0, 1), 24), ((7, 8), 35), ((7, 10), 35),
-        ((0, 1, 2), 31), ((0, 1, 4), 32), ((0, 1, 5), 32), ((0, 2, 3), 32),
-        ((0, 1, 3), 32), ((0, 1, 6), 32), ((0, 2, 5), 32), ((0, 2, 4), 32),
-        ((0, 4, 5), 33), ((0, 3, 6), 33), ((0, 3, 5), 33), ((0, 1, 11), 35),
-        ((0, 1, 7), 35), ((0, 1, 8), 35), ((0, 1, 10), 35), ((0, 1, 9), 35),
-        ((1, 2, 3), 35), ((0, 4, 7), 36), ((0, 5, 7), 36), ((0, 5, 8), 36),
-        ((0, 5, 11), 36), ((0, 4, 11), 36), ((0, 4, 8), 36), ((1, 3, 5), 36),
-        ((0, 5, 10), 36), ((1, 3, 4), 36), ((0, 3, 9), 36), ((2, 4, 6), 36),
-        ((1, 3, 6), 36), ((0, 3, 11), 36), ((0, 3, 10), 36), ((0, 3, 7), 36),
-        ((3, 4, 5), 37), ((1, 4, 7), 39), ((2, 6, 8), 39), ((2, 6, 10), 39),
-        ((1, 5, 7), 39), ((0, 7, 8), 39), ((1, 3, 10), 39), ((2, 6, 7), 39),
-        ((1, 3, 7), 39), ((1, 3, 9), 39), ((1, 3, 8), 39), ((0, 8, 11), 39),
-        ((0, 7, 10), 39), ((2, 6, 9), 39), ((2, 6, 11), 39), ((1, 3, 11), 39),
-        ((0, 10, 11), 39), ((4, 5, 7), 40), ((3, 4, 8), 40), ((3, 5, 10), 40),
-        ((3, 4, 7), 40), ((3, 5, 7), 40), ((3, 5, 8), 40),
+        ((1, 3, 7), 39), ((1, 4, 7), 39), ((2, 6, 7), 39), ((3, 4, 7), 40),
     ]),
 ], ids=["three-break", "degree1", "loose-sparse"])
 def test_offer_sequence_is_pinned(instance, pinned, monkeypatch):
     # Values recorded before only the strata that pass the bound were
     # priced and sorted; the three-break one since strata are sorted once
-    # per level. Strata of one length are offered by ascending bound, and
-    # equal bounds in generation order, so a sort by length alone, or one
-    # that is not stable, changes these sequences.
+    # per level; the loose-sparse one since supports pass the positivity
+    # cut too (the least-squares bound alone offered 58). Strata of one
+    # length are offered in generation order.
     res, offers = _offer_sequence(instance, monkeypatch)
     assert res.status == "ok"
     assert offers == pinned
@@ -466,19 +455,19 @@ def test_only_strata_that_pass_the_bound_are_sorted(monkeypatch):
     # Of the 18,521 strata of the three-break solve, a handful pass the
     # bound; no sort may see the rest.
     passed, sorted_rows = [], []
-    subset_bound, lexsort = _SubsetBound.__call__, np.lexsort
+    subset_bound, argsort = _SubsetBound.__call__, np.argsort
 
     def counting_bound(self, block):
-        rows, res_sq = subset_bound(self, block)
+        rows = subset_bound(self, block)
         passed.append(len(rows))
-        return rows, res_sq
+        return rows
 
-    def counting_lexsort(keys, *args, **kwargs):
-        sorted_rows.append(len(keys[0]))
-        return lexsort(keys, *args, **kwargs)
+    def counting_argsort(keys, *args, **kwargs):
+        sorted_rows.append(len(keys))
+        return argsort(keys, *args, **kwargs)
 
     monkeypatch.setattr(_SubsetBound, "__call__", counting_bound)
-    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    monkeypatch.setattr(np, "argsort", counting_argsort)
     res = _solve(_three_break_instance)
     assert res.strata_examined == 18521
     assert 0 < sum(sorted_rows) <= sum(passed) < 100
@@ -691,18 +680,38 @@ def _record_offers(monkeypatch):
     return offers
 
 
-def _bound_level(b, y, costs, k, limit, forced=False):
+def _bound_level(b, y, costs, k, limit, forced=False, box=None):
     """Every k-tuple of indices into costs within their total cost, bounded
-    block by block over the columns b (plus the last one if forced): the
-    rows that pass limit and their residual^2."""
-    bound = _SubsetBound(b, b.T @ y, float(y @ y), limit, forced)
-    out = [bound(block) for block in _budgeted_blocks(costs, k, int(np.sum(costs)))]
-    return np.concatenate([r for r, _ in out]), np.concatenate([v for _, v in out])
+    block by block over the columns b (plus the last one if forced), with
+    the positivity cut if box is given: the rows that pass limit, as the
+    bound returns them, and their least-squares residual^2."""
+    bound = _SubsetBound(b, b.T @ y, float(y @ y), limit, forced, box)
+    rows, res = [], []
+    for block in _budgeted_blocks(costs, k, int(np.sum(costs))):
+        cells, res_sq = bound.bounded(block)
+        keep = np.sqrt(res_sq) <= limit
+        rows.append(bound(block))
+        np.testing.assert_array_equal(
+            rows[-1], _block_rows(block, tuple(c[keep] for c in cells)))
+        res.append(res_sq[keep])
+    return np.concatenate(rows), np.concatenate(res)
 
 
 def _search_on(b, y, m, eta, config):
     """A search whose measurement matrix is b."""
     return _Search(MeasurementEnsemble(b, 0), y, m, eta, config, None)
+
+
+def _box(m):
+    """The value range of sparse codewords at m bits."""
+    return 2.0**-m, 1.0 - 2.0**-m
+
+
+def _cut_sums(b, y, m, rows):
+    """Each row's sum of scores max(lo c_j, hi c_j), c_j = b_j . y / |y|."""
+    c = b.T @ y / np.linalg.norm(y)
+    lo, hi = _box(m)
+    return np.maximum(lo * c, hi * c)[rows].sum(axis=1)
 
 
 @pytest.mark.parametrize("rows", [5, solver._BLOCK_ROWS])
@@ -720,27 +729,38 @@ def test_pair_scan_matches_gathered_reference(rows, monkeypatch):
     all_pairs, all_res = _gathered_pairs(panel_gram(b), b.T @ y, yy)
     offers = _record_offers(monkeypatch)
     for eta in (0.0, math.sqrt(np.quantile(all_res, 0.3))):
-        keep = np.sqrt(all_res) <= eta + _LS_MARGIN
+        limit = eta + _LS_MARGIN
+        keep = np.sqrt(all_res) <= limit
         search = _search_on(b, y, m, eta, PAIR_SCOPE)
-        pairs, res_sq = _bound_level(b, y, search.pos_costs, 2, eta + _LS_MARGIN)
+        # without the positivity cut the bound keeps the bits of the whole
+        # grid, and singular pairs have bound 0 and survive any eta
+        pairs, res_sq = _bound_level(b, y, search.pos_costs, 2, limit)
         np.testing.assert_array_equal(pairs, all_pairs[keep])
         np.testing.assert_array_equal(res_sq, all_res[keep])
-        # singular pairs have bound 0 and survive any eta
         listed = [tuple(p) for p in pairs.tolist()]
         assert (9, 12) in listed and (20, 25) in listed
+        # the cut keeps the pairs whose scores reach |y| - limit, up to
+        # rounding
+        cut, _ = _bound_level(b, y, search.pos_costs, 2, limit, box=_box(m))
+        kept = {tuple(p) for p in cut.tolist()}
+        assert kept <= set(listed)
+        sums = _cut_sums(b, y, m, pairs)
+        gap = sums - (math.sqrt(yy) - limit)
+        assert np.all(np.array([p in kept for p in listed]) == (gap >= 0) | (abs(gap) < 1e-9))
+        assert 0 < len(kept) < len(listed)
 
+        # the search offers them by length, then in generation order
         offers.clear()
         search.run_sparse(2, 2)
         assert search.budget.strata == n * (n - 1) // 2
-        dls = search.sparse_dl(2, 0) + search.pos_costs[pairs].sum(axis=1)
-        order = np.lexsort((res_sq, dls))
+        dls = search.sparse_dl(2, 0) + search.pos_costs[cut].sum(axis=1)
+        order = np.argsort(dls, kind="stable")
         assert offers == [
-            (tuple(p), dl) for p, dl in zip(pairs[order].tolist(), dls[order].tolist())
+            (tuple(p), dl) for p, dl in zip(cut[order].tolist(), dls[order].tolist())
         ]
     # the tie is feasible at the larger eta, and stays in generation order
     offered = [p for p, _ in offers]
-    at = offered.index((9, 30))
-    assert offered[at + 1] == (12, 30)
+    assert offered.index((9, 30)) < offered.index((12, 30))
 
 
 def test_pair_scan_memory_is_a_few_row_blocks():
@@ -857,14 +877,20 @@ def test_subset_bound_is_zero_on_dependent_columns(monkeypatch):
             np.testing.assert_allclose(
                 got[~dep], np.array(want)[~dep], rtol=1e-9, atol=1e-12 * yy
             )
-    # and the sparse scan offers every dependent support even at eta = 0
+    # and the least-squares bound keeps every dependent support even at
+    # eta = 0; the sparse scan offers those that also pass the positivity
+    # cut
+    costs = np.zeros(n, dtype=np.int64)
+    rows, _ = _bound_level(b, y, costs, 3, _LS_MARGIN)
+    kept = {tuple(r) for r in rows.tolist()}
+    dep = [tuple(r) for r in _lexicographic_rows(range(n), 3).tolist() if dependent(r)]
+    assert set(dep) <= kept
     search = _search_on(b, y, 3, 0.0, SolverConfig(max_sparse_k=3, include_pp=False))
     offers = _record_offers(monkeypatch)
     search.run_sparse(3, 3)
     offered = {support for support, _ in offers}
-    for support in _lexicographic_rows(range(n), 3).tolist():
-        if dependent(support):
-            assert tuple(support) in offered
+    cut, _ = _bound_level(b, y, costs, 3, _LS_MARGIN, box=_box(3))
+    assert offered == {tuple(r) for r in cut.tolist()} <= kept
 
 
 @st.composite
@@ -925,11 +951,202 @@ def test_screened_bound_matches_full_grid(case):
             mock.patch.object(solver, "_PANEL_CACHE", cache):
         bound = _SubsetBound(b, corr, yy, limit, forced)
         for block in _budgeted_blocks(costs, k, budget):
-            rows, res = bound(block)
+            cells, res = bound.bounded(block)
+            keep = np.sqrt(res) <= limit
+            rows, res = _block_rows(block, tuple(c[keep] for c in cells)), res[keep]
+            np.testing.assert_array_equal(bound(block), rows)
             want_rows, want_res = reference_bound(
                 gram, corr, yy, block, limit, (n - 1,) if forced else ())
             np.testing.assert_array_equal(rows, want_rows)
             assert res.tobytes() == want_res.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# positivity cut of sparse supports
+
+
+CUT_SCOPE = SolverConfig(max_sparse_k=3, include_pp=False)
+
+
+def _best_residual(a, y, m, support):
+    """The least |A x - y| over the grid points of a support, by
+    enumeration: every value 1 .. 2^m - 1 at each of its positions."""
+    vals = np.arange(1, 1 << m) / (1 << m)
+    pts = np.array(list(itertools.product(vals, repeat=len(support))))
+    pts = pts.reshape(len(vals) ** len(support), len(support))
+    return float(np.linalg.norm(pts @ a[:, list(support)].T - y, axis=1).min())
+
+
+def _cut_only(a, y, m, limit, k):
+    """The supports of k indices that the least-squares bound keeps at
+    limit and the positivity cut drops."""
+    costs = np.zeros(a.shape[1], dtype=np.int64)
+    ls, _ = _bound_level(a, y, costs, k, limit)
+    cut, _ = _bound_level(a, y, costs, k, limit, box=_box(m))
+    return {tuple(r) for r in ls.tolist()} - {tuple(r) for r in cut.tolist()}
+
+
+def _cut_instance(kind, ens, m, rng):
+    """(ens, y, eta) of one kind. "top": a 2-sparse grid x at the top value,
+    y = A x moved out along itself by e and eta = 2 e, so the answer's
+    scores fall e short of |y|. "anti": column j is mostly -column i, x_i
+    is the top value and x_j the lowest, y = A x, so c_j < 0 and only
+    lo c_j, not hi c_j, lets the answer reach |y|."""
+    a = np.asarray(ens.matrix).copy()
+    n, d = ens.n, ens.d
+    lo, hi = _box(m)
+    i, j = rng.choice(n, size=2, replace=False)
+    x = np.zeros(n)
+    if kind == "top":
+        x[[i, j]] = hi
+        y = a @ x
+        e = 1e-3 * float(np.linalg.norm(y))
+        return ens, y + e * y / np.linalg.norm(y), 2 * e
+    if kind == "anti":
+        a[:, j] = -0.6 * a[:, i] + 0.3 * rng.normal(size=d)
+        x[i], x[j] = hi, lo
+        return MeasurementEnsemble(a, ens.key), a @ x, 1e-6
+    y, eta = _draw_y(kind, ens, m, rng)
+    return ens, y, eta
+
+
+@pytest.mark.parametrize("idx,n", [(0, 8), (1, 10), (2, 12)])
+def test_matches_brute_force_where_only_the_cut_prunes(idx, n):
+    # With d = 3 most pairs, and every triple, fit y in the least-squares
+    # sense; many do so only with a coefficient outside [2^-m, 1 - 2^-m],
+    # and the cut alone drops those. Each support it drops has no grid
+    # point within eta, and the answer is the oracle's.
+    m, d = 2, 3
+    base = sample_ensemble(n, d, derive_seed(940, "cut", idx))
+    rng = make_generator(940, "cut-draw", idx)
+    dropped = 0
+    for kind in ("top", "anti", "sparse-exact", "barely"):
+        ens, y, eta = _cut_instance(kind, base, m, rng)
+        a = np.asarray(ens.matrix)
+        got = mcp_exact(ens, y, m, eta, CUT_SCOPE)
+        want = brute_force_argmin(ens, y, m, eta, CUT_SCOPE)
+        assert got.status == "ok" or kind == "barely"
+        assert_matches_oracle(got, want, ens, y, eta)
+        for k in range(4):
+            for support in _cut_only(a, y, m, eta + _LS_MARGIN, k):
+                assert _best_residual(a, y, m, support) > eta
+                dropped += 1
+    assert dropped > 0
+
+
+@st.composite
+def _cut_cases(draw):
+    """Columns, y, m and eta for the cut alone: y on the span of a grid
+    point, near it, random or zero; columns at one of three scales, with
+    exact copies; eta from 0 up to past |y|."""
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(d, n)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    for p, q in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2)):
+        a[:, q] = a[:, p]
+    target = draw(st.sampled_from(["grid", "near", "noise", "zero"]))
+    if target in ("grid", "near"):
+        support = rng.choice(n, size=rng.integers(1, min(n, 3) + 1), replace=False)
+        x = np.zeros(n)
+        x[support] = rng.integers(1, 1 << m, size=len(support)) / (1 << m)
+        y = a @ x
+        if target == "near":
+            y = y + 0.01 * np.linalg.norm(y) * rng.normal(size=d)
+    else:
+        y = rng.normal(size=d) * (target == "noise")
+    frac = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.05, 0.3, 1.0, 1.5]))
+    return a, y, m, frac * float(np.linalg.norm(y)), draw(st.integers(0, min(n, 3)))
+
+
+@given(_cut_cases())
+@settings(max_examples=200, deadline=None)
+def test_cut_drops_only_supports_without_a_feasible_point(case):
+    # The cut alone, with no least-squares bound after it: every support it
+    # drops has no grid point within limit of y. With y = 0 it cuts nothing.
+    a, y, m, limit, k = case
+    bound = _SubsetBound(a, a.T @ y, float(y @ y), limit, box=_box(m))
+    assert (bound.scores is None) == (not y.any())
+    costs = np.zeros(a.shape[1], dtype=np.int64)
+    scale = float(np.linalg.norm(y)) + float(np.abs(a).sum())
+    for block in _budgeted_blocks(costs, k, 0):
+        cells = None if bound.scores is None else bound.cut(block)
+        kept = {tuple(r) for r in _block_rows(block, cells).tolist()}
+        for support in _block_rows(block).tolist():
+            if tuple(support) not in kept:
+                assert _best_residual(a, y, m, support) > limit - 1e-13 * scale
+
+
+def test_cut_keeps_supports_on_its_exact_boundary():
+    # y sits 1e-7 |y| off the top corner hi (b_i + b_j) of a pair's box, so
+    # the pair's exact scores fall a hair short of |y|, and its limit is the
+    # least float at which they reach |y| - limit (in 60-digit decimals).
+    # That limit is far below |y|, so the rounding of the scores, about eps
+    # |y| each, decides the float comparison, and delta must keep the pair.
+    # A limit 1e-11 |y| lower drops it: delta is a rounding bound, not
+    # slack.
+    m = 3
+    lo, hi = _box(m)
+    rng = make_generator(941, "cut-boundary")
+    costs = np.zeros(8, dtype=np.int64)
+    on_edge = 0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(4):
+            b = rng.normal(size=(6, 8)) * 10.0 ** rng.integers(-3, 4)
+            for i, j in itertools.combinations(range(8), 2):
+                y = hi * (b[:, i] + b[:, j])
+                y += 1e-7 * np.linalg.norm(y) * rng.normal(size=6)
+                dy = [Decimal(v) for v in y]
+                norm_y = sum(v * v for v in dy).sqrt()
+                short = norm_y
+                for col in (b[:, i], b[:, j]):
+                    c = sum(Decimal(u) * v for u, v in zip(col, dy)) / norm_y
+                    short -= max(Decimal(lo) * c, Decimal(hi) * c)
+                if short <= 0:
+                    continue
+                limit = float(short)
+                if Decimal(limit) < short:
+                    limit = float(np.nextafter(limit, np.inf))
+                tighter = limit - 1e-11 * float(norm_y)
+                for lim, want in ((limit, True), (tighter, False)):
+                    if lim < 0:
+                        continue
+                    bound = _SubsetBound(b, b.T @ y, float(y @ y), lim, box=(lo, hi))
+                    kept = [tuple(r) for blk in _budgeted_blocks(costs, 2, 0)
+                            for r in _block_rows(blk, bound.cut(blk)).tolist()]
+                    assert ((i, j) in kept) == want
+                on_edge += 1
+    assert on_edge > 40
+
+
+def test_sparse_pair_level_builds_no_gram_panel(monkeypatch):
+    # At the shape of corollary_n1024 the cut leaves a handful of the
+    # 523,776 pairs, whose Gram entries come from one gathered product per
+    # block, so the k=2 level builds none of the 64 x 1024 panels that the
+    # pair screen reads.
+    n, d, m = 1024, 182, 10
+    ens = sample_ensemble(n, d, derive_seed(942, "no-panel"))
+    rng = make_generator(942, "no-panel-draw")
+    nums = np.zeros(n, dtype=np.int64)
+    nums[rng.choice(n, size=2, replace=False)] = rng.integers(1, 1 << m, size=2)
+    y = np.asarray(ens.matrix) @ (nums / (1 << m))
+    built, panel = [], solver._GramPanels.panel
+
+    def counting(self, p):
+        built.append(p)
+        return panel(self, p)
+
+    monkeypatch.setattr(solver._GramPanels, "panel", counting)
+    search = _Search(ens, y, m, 1e-6, PAIR_SCOPE, None)
+    search.run_sparse(0, 1)
+    assert search.incumbent.vector is None
+    search.run_sparse(2, 2)
+    assert built == []
+    assert search.budget.strata == 1 + n + n * (n - 1) // 2
+    assert search.incumbent.vector.numerators == tuple(nums.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -956,12 +1173,12 @@ def test_pp_bound_matches_lstsq():
     search = _Search(ens, y, m, math.inf, PP_SCOPE, None)
     costs = np.zeros(n - 1, dtype=np.int64)
     for n_deg in (1, 2, 3):
-        bound = search.pp_bound(n_deg, coeff_resolution(n_deg, m))
+        m_prime = coeff_resolution(n_deg, m)
+        bound = search.pp_bound(n_deg, m_prime)
         for q in range(3):
-            out = [bound(block) for block in _budgeted_blocks(costs, q, 0)]
-            rows = np.concatenate([r for r, _ in out])
-            got = np.concatenate([v for _, v in out])
+            rows = np.concatenate([bound(block) for block in _budgeted_blocks(costs, q, 0)])
             np.testing.assert_array_equal(rows, _lexicographic_rows(range(n - 1), q))
+            got = search.pp_residual_sq(n_deg, rows, m_prime)
             breaks = (rows + 1).tolist()
             want = np.array([_pp_lstsq_residual_sq(ens.matrix, y, n_deg, b) for b in breaks])
             # a piece of at most n_deg samples makes the columns dependent:
@@ -984,8 +1201,9 @@ def test_pp_bound_keeps_floored_grid_signal():
     y = np.asarray(ens.matrix) @ (np.array(nums) * 2.0 ** -m)
     eta = 1e-6
     search = _Search(ens, y, m, eta, PP_SCOPE, None)
-    rows, res_sq = search.pp_bound(n_deg, m_prime)(((), np.array([brk - 1]), None))
+    rows = search.pp_bound(n_deg, m_prime)(((), np.array([brk - 1]), None))
     assert rows.tolist() == [[brk - 1]]
+    res_sq = search.pp_residual_sq(n_deg, rows, m_prime)
     assert math.sqrt(res_sq[0]) > eta + _LS_MARGIN
     assert math.sqrt(res_sq[0]) <= eta + search.pp_slack + _LS_MARGIN
 
