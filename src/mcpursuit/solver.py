@@ -38,8 +38,12 @@ otherwise every feasible leaf up to the stratum's first one, which
 tightens the radius, and then only leaves that can beat or tie the
 incumbent's residual. After each of them the rest of the batch is
 filtered against the tightened radius: a level-1 value that no longer
-fits is skipped, and later level-0 ranges shrink. Points, and walk steps
-at pivot-free levels, are charged in bulk: up to each leaf the handler
+fits is skipped, and later level-0 ranges shrink. The visit's first leaf
+is tried on its own first, when neither level is pivot-free: if the
+handler takes it and nothing else of the visit is left inside the
+tightened radius, as in a walk that ends at its first leaf, the visit
+lays out no batch. Points, and walk steps at
+pivot-free levels, are charged in bulk: up to each leaf the handler
 gets, and at an outer level per run of values that does not descend. So
 the counters a solve reports, and the node at which the node cap fires,
 are those of a walk that handles one leaf at a time.
@@ -64,7 +68,11 @@ steps project out the forced column T[n], once per solve, and each
 block's prefix, once per prefix, and the closed-form one- or two-column
 formula runs on the projected entries over the block's first indices or
 its grid of first and last indices: the shared prefix work of Furnival &
-Wilson's leaps and bounds (1974).
+Wilson's leaps and bounds (1974). It is shared across prefixes too: the
+bound takes a batch of up to _PANEL_CACHE consecutive blocks whose
+prefixes share all but their last index (_batches), projects the shared
+part once and the last indices in one batched step, as the rows of
+(P, N) arrays.
 
 Sparse supports first pass a positivity cut, which reads no Gram entry.
 Their values lie in [lo, hi] = [2^-m, 1 - 2^-m], so with w = y / |y| a
@@ -84,15 +92,23 @@ instances at the bench seed. On their pair grids a cheap screen (about
 eight array passes) first drops the cells whose residual provably
 exceeds the limit by far more than rounding, and the closed form runs on
 the rest, so the kept strata and their bounds are bit for bit those of
-the whole grid (safe screening, El Ghaoui, Viallon & Rabbani 2012).
+the whole grid (safe screening, El Ghaoui, Viallon & Rabbani 2012). The
+screen runs once per Gram panel for a whole batch: one (P, I, J)
+broadcast over the batch's P prefixes, the panel's I rows and the J
+second indices after them, whose elements take the operations of one
+block's grid in the same order, so batching moves no bit either.
 Gram entries come from aligned panels cols[:, p:p+64].T @ cols[:, p:],
 built when first needed, which at one BLAS thread match the full product
 cols.T @ cols bit for bit (a slice that starts off a panel boundary can
 differ in the last bit): the diagonal from their 64 x 64 diagonal blocks,
-a prefix's row, and a block's pair grid, from the panel that holds it,
-T[n]'s from the last column of each. No N x N array is built: scratch
-memory is at most _PANEL_CACHE panels of 64 x N floats plus a few grids
-of _BLOCK_ROWS x N, not proportional to the number of strata.
+the prefixes' rows, and a batch's pair grids, from the panel that holds
+them, T[n]'s from the last column of each. No N x N array is built. A
+batch holds at most _PANEL_CACHE blocks of at most _BLOCK_ROWS first
+indices, so one panel's broadcast has at most _PANEL_CACHE x _PANEL_ROWS
+x N cells, as many floats as the panel cache. Scratch memory is the
+cache plus three float arrays and a boolean one of one broadcast, not
+proportional to the number of strata: a whole three-break level peaks at
+about 1.9 times the cache at N = 127 and 1.3 times at N = 511.
 Degree >= 1 patterns build their columns, at most _PP_CHUNK patterns at
 a time, and take the residual from one batched Householder QR, as the
 walk does for one stratum (Businger & Golub 1965): |y|^2 - |Q^T y|^2.
@@ -100,12 +116,14 @@ Q spans at least the columns, so dependent columns need no guard and
 only lower the bound.
 
 One method, _Search.run_level, serves every level: it charges each block
-to the node cap before bounding it, keeps the strata that pass, and
-prices (sums the code lengths of) and sorts only those, once for the
-whole level, by length, then generation order. That order is one of
-integers: it depends on neither the block size, the chunk size nor the
-float bits of a bound, which move it only where they keep other strata,
-and it fixes the counters a solve reports. It is also the only test of
+to the node cap as it is generated, bounds the blocks a batch at a time,
+keeps the strata that pass, and prices (sums the code lengths of) and
+sorts only those, once for the whole level, by length, then generation
+order. Charging stays per block and in generation order, so the node at
+which the cap fires does not depend on the batches. That order is one of
+integers: it depends on neither the block size, the batches, the chunk
+size nor the float bits of a bound, which move it only where they keep
+other strata, and it fixes the counters a solve reports. It is also the only test of
 whether a level fits: each family of strata (sparse supports, each
 degree's breakpoint patterns) ends at its first level with no stratum in
 budget, since lengths only grow with the size.
@@ -344,10 +362,11 @@ def _zigzag_at(start, lo, hi, j):
     against each other: the order of many level-0 rows at once. The outer
     levels keep the list form, which is several times cheaper for one
     row."""
-    side = np.minimum(hi - start, start - lo)
+    above, below = hi - start, start - lo
+    side = np.minimum(above, below)
     paired = j <= 2 * side
     step = np.where(paired, (j + 1) // 2, j - side)
-    up = np.where(paired, j % 2 == 1, hi - start > start - lo)
+    up = np.where(paired, j % 2 == 1, above > below)
     return np.where(up, start + step, start - step)
 
 
@@ -379,12 +398,14 @@ def _sphere_walk(
     strictly from the next leaf on, so later points must beat a tightened
     radius, not merely tie it. After each accept the rest of the batch is
     filtered again: level-1 values whose own distance no longer fits are
-    skipped, and later level-0 ranges shrink to the tightened radius.
-    Points, and walk steps at free levels, are charged in bulk up to and
-    including each leaf handed to accept, and at a free outer level per
-    run of values that does not descend, so the counters, and the leaf at
-    which the budget runs out, are those of a walk that visits the leaves
-    one at a time.
+    skipped, and later level-0 ranges shrink to the tightened radius. When
+    neither level is free, the first leaf is tried alone before the batch
+    is laid out, and a visit left with nothing inside the radius after
+    accepting it ends there. Points, and walk steps at free levels, are
+    charged in bulk up to and including each leaf handed to accept, and at
+    a free outer level per run of values that does not descend, so the
+    counters, and the leaf at which the budget runs out, are those of a
+    walk that visits the leaves one at a time.
 
     blocks: optional (start, end) slices over which sum(u) must stay
     strictly below block_cap.
@@ -430,9 +451,41 @@ def _sphere_walk(
                 start[at] = np.minimum(np.maximum(center, first[at]), last[at])
             counts[top:] = np.maximum(last[top:] - first[top:] + 1, 0)
 
+        def open_after(h, skip, radius_sq):
+            """Whether a later row, or a value of row h's range other than
+            skip, is still inside radius_sq: by the batch's own test, on
+            _LEAF_SLICE values of row h at a time."""
+            if (partials[h + 1 :] < radius_sq).any():
+                return True
+            for s in range(first[h], last[h] + 1, _LEAF_SLICE):
+                vals = np.arange(s, min(s + _LEAF_SLICE, last[h] + 1))
+                contrib = pivot * vals + inner[h]
+                if ((partials[h] + contrib * contrib < radius_sq) & (vals != skip)).any():
+                    return True
+            return False
+
         # each row enters at the radius of its turn: the rows after an
         # accepted leaf enter again at the tightened radius
         enter(0, radius_sq)
+        # the first leaf on its own, when neither level is free: a visit
+        # that it ends (nothing else inside the tightened radius) lays out
+        # no batch; otherwise the batch goes on after it
+        peeled = False
+        if not (free0 or free1) and counts.any():
+            h = int(np.flatnonzero(counts)[0])
+            leaf = us[h].copy()
+            leaf[0] = start[h]
+            contrib = pivot * leaf[0] + inner[h]
+            dist = partials[h] + contrib * contrib
+            if dist < radius_sq and score(leaf[None], np.array([dist]))[0] <= cut:
+                budget.add_points(1)
+                radius_bound, cut_bound = accept(leaf, float(dist))
+                radius_sq = min(radius_sq, radius_bound)
+                cut = min(cut, cut_bound)
+                if not open_after(h, leaf[0], radius_sq):
+                    return radius_sq
+                enter(h + 1, radius_sq)
+                peeled = True
         charged = top = 0  # rows that paid their walk step; rows walked
         while top < rows:
             # whole rows up to _LEAF_SLICE leaves, or one longer row in slices
@@ -447,6 +500,8 @@ def _sphere_walk(
                 contrib = pivot * vals + inner[row]
                 dist = partials[row] + contrib * contrib
                 alive = np.ones(len(f), dtype=bool)
+                if peeled:
+                    alive[0] = peeled = False  # the first leaf, taken above
                 res = np.full(len(f), np.inf)
                 live = np.flatnonzero(dist < radius_sq)
                 if live.size:
@@ -642,6 +697,19 @@ def _budgeted_blocks(costs: np.ndarray, size: int, budget: int):
             lo = hi
 
 
+def _batches(blocks):
+    """Runs of at most _PANEL_CACHE consecutive blocks, as lists, whose
+    prefixes share all but their last index."""
+    batch = []
+    for block in blocks:
+        if batch and (len(batch) == _PANEL_CACHE or block[0][:-1] != batch[0][0][:-1]):
+            yield batch
+            batch = []
+        batch.append(block)
+    if batch:
+        yield batch
+
+
 def _block_size(block) -> int:
     """Number of index tuples a block stands for."""
     _, firsts, ends = block
@@ -686,6 +754,13 @@ def _block_rows(block, picked=None) -> np.ndarray:
     return rows
 
 
+def _unbounded(block, cells=None):
+    """(cells, res_sq) of cells of a block whose prefix has a singular
+    pivot: they keep bound 0. All of them unless cells are given."""
+    cells = _block_cells(block) if cells is None else cells
+    return cells, np.zeros(len(cells[0]))
+
+
 def _ls2_residual_sq(g00, g11, g01, b0, b1, yy: float) -> np.ndarray:
     """Closed-form least-squares residual^2 of two columns with Gram
     entries g00, g11, g01 and correlations b0, b1 with y. Arguments
@@ -707,10 +782,10 @@ class _GramPanels:
     cols[:, p:], with R = _PANEL_ROWS and p a multiple of R, and an entry
     with i > j is G[j, i]. At one BLAS thread these give the bits of the
     full product cols.T @ cols; a slice that starts off a panel boundary
-    can differ from it in the last bit. A block's pair grid is one slice of
-    one panel, since _budgeted_blocks keeps a block's first indices inside
-    one. Panels are built when first needed, and at most _PANEL_CACHE of
-    them are kept."""
+    can differ from it in the last bit. The pair grids of a batch's blocks
+    in one panel are one slice of it, since _budgeted_blocks keeps a
+    block's first indices inside one panel. Panels are built when first
+    needed, and at most _PANEL_CACHE of them are kept."""
 
     def __init__(self, cols: np.ndarray) -> None:
         self.cols = cols
@@ -734,10 +809,18 @@ class _GramPanels:
         blocks = (self.cols[:, p : p + _PANEL_ROWS] for p in starts)
         return np.concatenate([np.diagonal(x.T @ x) for x in blocks])
 
-    def row(self, i: int, idx: np.ndarray) -> np.ndarray:
-        """G[i, idx] for indices idx >= i: from the panel that holds i."""
-        p = i - i % _PANEL_ROWS
-        return self.panel(p)[i - p, idx - p]
+    def rows(self, idx: np.ndarray, lo: int) -> np.ndarray:
+        """G[i, lo:] for each i of the ascending idx, as the rows of a
+        (len(idx), N - lo) array: from the panel that holds i, which has the
+        entries j >= i, and 0 left of that panel's first row."""
+        out = np.zeros((len(idx), self.size - lo))
+        first, last = int(idx[0]), int(idx[-1])
+        for p in range(first - first % _PANEL_ROWS, last + 1, _PANEL_ROWS):
+            t0, t1 = np.searchsorted(idx, (p, p + _PANEL_ROWS)).tolist()
+            if t0 < t1:
+                c = max(p, lo)
+                out[t0:t1, c - lo :] = self.panel(p)[idx[t0:t1] - p, c - p :]
+        return out
 
     def last_column(self) -> np.ndarray:
         """G[:, N - 1]: the last column of every panel."""
@@ -745,19 +828,13 @@ class _GramPanels:
             [self.panel(p)[:, -1] for p in range(0, self.size, _PANEL_ROWS)]
         )
 
-    def grid(self, lo: int, hi: int, j_lo: int, j_hi: int) -> np.ndarray:
-        """G[i, j] for lo <= i < hi and j_lo <= j < j_hi, where the rows lo ..
-        hi - 1 lie in one panel and lo < j_lo: a slice of that panel."""
-        p = lo - lo % _PANEL_ROWS
-        return self.panel(p)[lo - p : hi - p, j_lo - p : j_hi - p]
-
 
 class _SubsetBound:
-    """The prune of one family of strata, for run_level: a block of
-    _budgeted_blocks to the rows of the strata that pass. A stratum is the
-    columns of cols (d, N) at its index tuple, plus the last column if
-    last_forced; the block never holds that one. corr = cols.T @ y and yy =
-    |y|^2.
+    """The prune of one family of strata, for run_level: a batch of blocks
+    of _budgeted_blocks (_batches) to the rows of the strata that pass, in
+    generation order. A stratum is the columns of cols (d, N) at its index
+    tuple, plus the last column if last_forced; no block holds that one.
+    corr = cols.T @ y and yy = |y|^2.
 
     The least-squares bound keeps a stratum when its least-squares residual,
     an exact lower bound on that of any point of it, is within limit. F is
@@ -766,11 +843,16 @@ class _SubsetBound:
     pivot, c_f its projected correlation over the same) leaves the last one
     or two indices with the Gram matrix G - W^T W, the correlations corr -
     W^T c and |y|^2 - |c|^2. The forced column's step is taken once for the
-    family and each prefix's once for its blocks. The one-column formula or
+    family, and each prefix's steps once for its blocks: in a batch of pair
+    grids, once for the part all its prefixes share, and one batched step
+    (step) for their last indices. The one-column formula or
     _ls2_residual_sq then runs on the projected entries of the block's
     firsts, or of the cells of its grid of firsts x seconds that pass the
-    cut (below) or, without one, a cheap screen (screen). With no forced
-    column and no prefix the arithmetic is that of the two formulas alone.
+    cut (below), one block at a time, or without one a cheap screen, a
+    whole batch at once (screened). With no forced column and no prefix the
+    arithmetic is that of the two formulas alone. Each entry takes the
+    same operations, in the same order, however the blocks are batched, so
+    the bounds do not depend on the batches.
 
     Strata with (nearly) dependent columns get bound 0, so the least-squares
     bound never prunes them: when a projected diagonal entry, a pivot of F
@@ -822,6 +904,21 @@ class _SubsetBound:
         cf = self.corr[f] / root
         return diag - wf * wf, self.corr - cf * wf, self.yy - cf * cf, [wf]
 
+    def step(self, start, g, b, rest, w, fs, rows):
+        """One Cholesky step for each index f of fs, each on its own, from
+        the state (g, b, rest, w) over the indices start .. N - 1, with
+        rows[p] = G[fs[p], start:] at the indices >= fs[p]: per f (leading
+        axis), the projected g, b and rest, f's row wf of W, and whether f's
+        pivot is above the guard. Entries at indices below f, and every
+        entry of a guarded f, mean nothing."""
+        k = fs - start
+        pivot = g[k]
+        ok = pivot > _SUBSET_GUARD * self.gram.diag[fs]
+        root = np.sqrt(np.where(ok, pivot, 1.0))
+        wf = (rows - sum(v[k, None] * v for v in w)) / root[:, None]
+        cf = b[k] / root
+        return g - wf * wf, b - cf[:, None] * wf, rest - cf * cf, wf, ok
+
     def state(self, prefix):
         """project(prefix), kept for the blocks that share the prefix."""
         if self.last_prefix is None or self.last_prefix[0] != prefix:
@@ -835,44 +932,58 @@ class _SubsetBound:
         if self.base is None:
             return None
         g, b, rest, w = self.base
-        start = prefix[-1] + 1 if prefix else 0
-        if prefix:
-            idx = np.concatenate((prefix, np.arange(start, len(g))))
-            g, b, w = g[idx], b[idx], [v[idx] for v in w]
+        start = 0
         for f in prefix:
-            # position 0 holds f; the positions before it are dropped
-            if not g[0] > _SUBSET_GUARD * self.gram.diag[f]:
+            fs = np.array([f])
+            g, b, rest, wf, ok = self.step(
+                start, g, b, rest, w, fs, self.gram.rows(fs, start)
+            )
+            if not ok[0]:
                 return None
-            root = math.sqrt(g[0])
-            wf = (self.gram.row(f, idx) - sum(v[0] * v for v in w)) / root
-            cf = b[0] / root
-            g, b = (g - wf * wf)[1:], (b - cf * wf)[1:]
-            rest -= cf * cf
-            w = [v[1:] for v in w] + [wf[1:]]
-            idx = idx[1:]
+            # the indices up to f are dropped
+            k = f + 1 - start
+            g, b, rest = g[0, k:], b[0, k:], rest[0]
+            w = [v[k:] for v in w] + [wf[0, k:]]
+            start = f + 1
         bad = ~(g > _SUBSET_GUARD * self.gram.diag[start:]) if w else None
         return start, g, b, rest, w, bad
 
-    def __call__(self, block) -> np.ndarray:
-        cells, res_sq = self.bounded(block)
-        keep = np.sqrt(res_sq) <= self.limit
-        return _block_rows(block, tuple(c[keep] for c in cells))
+    def __call__(self, blocks) -> np.ndarray:
+        """The rows of the strata of a batch of blocks that pass, in
+        generation order."""
+        rows = []
+        for block, (cells, res_sq) in zip(blocks, self.bounded(blocks)):
+            if len(res_sq):
+                keep = np.sqrt(res_sq) <= self.limit
+                if keep.any():
+                    rows.append(_block_rows(block, tuple(c[keep] for c in cells)))
+        if rows:
+            return np.concatenate(rows)
+        prefix, firsts, ends = blocks[0]
+        width = len(prefix) + (firsts is not None) + (ends is not None)
+        return np.zeros((0, width), dtype=np.int64)
 
-    def bounded(self, block):
-        """(cells, res_sq): the cells of a block that reach the
-        least-squares bound, selected as _block_rows takes them, and their
-        least-squares residual^2 (0 where guarded). Those are the cells
-        that pass the cut, or without one every cell of a block of size
-        <= 1 and the cells of a pair grid that pass the screen."""
+    def bounded(self, blocks):
+        """(cells, res_sq) of each block of a batch: the cells that reach
+        the least-squares bound, selected as _block_rows takes them, and
+        their least-squares residual^2 (0 where guarded). Those are the
+        cells that pass the cut, one block at a time, or without one every
+        cell of a block of size <= 1, and the cells of the pair grids that
+        pass the screen, for the whole batch at once (screened)."""
+        if self.scores is None and blocks[0][2] is not None:
+            return self.screened(blocks)
+        return [self.one(block) for block in blocks]
+
+    def one(self, block):
+        """(cells, res_sq) of one block of size <= 1, or of a pair grid
+        after the cut, for bounded."""
         prefix, firsts, ends = block
         cells = None if self.scores is None else self.cut(block)
         if cells is not None and not len(cells[0]):
             return cells, np.zeros(0)
         state = self.state(prefix)
         if state is None:
-            # the block's cells keep bound 0
-            cells = _block_cells(block) if cells is None else cells
-            return cells, np.zeros(len(cells[0]))
+            return _unbounded(block, cells)
         start, g, b, rest, w, bad = state
         if firsts is None:
             return _block_cells(block), np.full(1, max(rest, 0.0))
@@ -884,13 +995,9 @@ class _SubsetBound:
             if bad is not None:
                 res[bad[i]] = 0.0
             return (t,), np.maximum(res, 0.0, out=res)
-        if cells is None:
-            cells, g01 = self.screen(block, state)
-        else:
-            g01 = self.gathered(block, cells, state)
         i = firsts[cells[0]] - start
         j = firsts[0] + 1 + cells[1] - start
-        res = _ls2_residual_sq(g[i], g[j], g01, b[i], b[j], rest)
+        res = _ls2_residual_sq(g[i], g[j], self.gathered(block, cells, state), b[i], b[j], rest)
         if bad is not None:
             res[bad[i] | bad[j]] = 0.0
         return cells, res
@@ -948,52 +1055,146 @@ class _SubsetBound:
             g01 -= sum(v[i] * v[j] for v in w)
         return g01
 
-    def screen(self, block, state):
-        """The cells of a pair grid that pass a cheap screen, and their
-        projected Gram entries. With i the first and j the second index,
-        the exact residual^2 is r_i - e^2 / h, where r_i = rest - b_i^2 /
-        g_i, e = b_j - g01 b_i / g_i and h = g_j - g01^2 / g_i. A cell with
-        e^2 < c_i (h - _SCREEN_TAU g_j), c_i = r_i - limit^2, is dropped
-        without it; every cell of a row with c_i <= _SCREEN_TAU rest and of
-        a guarded row or column is kept. The Gram entries come from one
-        slice of a panel, so the exact formula gives the bits of the whole
-        grid's."""
-        _, firsts, ends = block
-        start, g, b, rest, w, bad = state
-        lo, hi = firsts[0] - start, firsts[-1] + 1 - start
-        i, j = slice(lo, hi), slice(lo + 1, ends[0] - start)
-        g01 = self.gram.grid(firsts[0], firsts[-1] + 1, firsts[0] + 1, ends[0])
-        if w:
-            g01 = g01 - sum(v[i, None] * v[None, j] for v in w)
-        gi, bi, gj, bj = g[i], b[i], g[j], b[j]
+    def screened(self, blocks):
+        """(cells, res_sq) of each block of a batch of pair grids whose
+        prefixes share all but their last index: the cells that pass a
+        cheap screen, and their least-squares residual^2.
 
-        screen = gi > 0
-        inv = np.divide(1.0, gi, out=np.zeros(len(gi)), where=screen)
-        ratio = bi * inv
-        c = rest - bi * ratio - self.limit * self.limit
-        screen &= c > _SCREEN_TAU * rest
-        h_room = gj - _SCREEN_TAU * gj
-        if bad is not None:
-            screen &= ~bad[i]
-            h_room[bad[j]] = 0.0
-        c[~screen] = inv[~screen] = ratio[~screen] = 0.0
-        e_sq = g01 * ratio[:, None]
-        np.subtract(bj, e_sq, out=e_sq)
-        e_sq *= e_sq
-        room = g01 * g01
-        room *= inv[:, None]
-        np.subtract(h_room, room, out=room)
-        room *= c[:, None]
-        t, s = np.divmod(np.flatnonzero(~(e_sq < room)), room.shape[1])
+        The shared part of the prefixes is projected once (state), and
+        their last indices take one batched step, as the rows of (P, N)
+        arrays. The batch's grids are then screened a Gram panel at a
+        time, for every prefix at once: one (P, I, J) broadcast over the
+        panel's rows i that are first indices of the batch and the second
+        indices j after them, in which prefix p keeps the cells of its own
+        blocks. With r_i = rest - b_i^2 / g_i, e = b_j - g01 b_i / g_i and
+        h = g_j - g01^2 / g_i, the exact residual^2 is r_i - e^2 / h. A cell
+        with e^2 < c_i (h - _SCREEN_TAU g_j), c_i = r_i - limit^2, is
+        dropped without it; every cell of a row with c_i <= _SCREEN_TAU
+        rest and of a guarded row or column is kept. Each element takes
+        the operations, in the order, of one block's grid on its own, and
+        the Gram entries come from the panel that holds the row, so the
+        exact formula gives the bits of the whole grid's."""
+        prefix = blocks[0][0]
+        state = self.state(prefix[:-1])
+        if state is None:
+            return [_unbounded(block) for block in blocks]
+        start, g, b, rest, shared, bad = state
+        # the batch's prefixes in order, and each block's among them
+        which = [0] * len(blocks)
+        lasts = [prefix[-1] if prefix else None]
+        for k, (pre, _, _) in enumerate(blocks):
+            if pre and pre[-1] != lasts[-1]:
+                lasts.append(pre[-1])
+            which[k] = len(lasts) - 1
+        own = []
+        if prefix:
+            fs = np.array(lasts)
+            g, b, rest, wf, ok = self.step(
+                start, g, b, rest, shared, fs, self.gram.rows(fs, start)
+            )
+            own = [wf]
+            bad = ~(g > _SUBSET_GUARD * self.gram.diag[start:])
+        else:
+            g, b, rest, ok = g[None], b[None], np.array([rest]), [True]
+            bad = None if bad is None else bad[None]
+        empty = np.zeros(0, dtype=np.int64)
+        none = (empty, empty), np.zeros(0)
+        out = [none if ok[x] else _unbounded(blk) for x, blk in zip(which, blocks)]
+        # each block's first indices lo .. hi - 1, and its first and last end
+        spans = [(int(f[0]), int(f[-1]) + 1, int(e[0]), int(e[-1])) for _, f, e in blocks]
+        panels = {}  # panel -> the blocks whose rows it holds
+        for k, span in enumerate(spans):
+            panels.setdefault(span[0] - span[0] % _PANEL_ROWS, []).append(k)
 
-        # cells of the grid that are tuples: firsts[t] < seconds[s], which
-        # is s >= t, and seconds[s] < ends[t]
-        cell = s >= t
-        if ends[-1] < ends[0]:
-            cell &= s < (ends - firsts[0] - 1)[t]
-        t, s = t[cell], s[cell]
-        return (t, s), g01[t, s]
+        for p, ks in panels.items():
+            # prefixes a .. z - 1 have rows in this panel, each its own
+            # blocks' rows of i_lo .. i_hi - 1
+            a, z = which[ks[0]], which[ks[-1]] + 1
+            i_lo = min(spans[k][0] for k in ks)
+            i_hi = max(spans[k][1] for k in ks)
+            j_lo, j_hi = i_lo + 1, max(spans[k][2] for k in ks)
+            live = [k for k in ks if ok[which[k]]]
+            owned = sum(spans[k][1] - spans[k][0] for k in live)
+            padded = owned < (z - a) * (i_hi - i_lo)
+            ends = None  # per prefix and row, the end of its second indices
+            if padded or any(spans[k][3] < j_hi for k in live):
+                ends = np.zeros((z - a, i_hi - i_lo), dtype=np.int64)
+                for k in live:
+                    lo, hi = spans[k][:2]
+                    ends[which[k] - a, lo - i_lo : hi - i_lo] = blocks[k][2]
+            # rows of the broadcast that are not a prefix's own mean nothing
+            mine = ends > 0 if padded else None
 
+            at = slice(a, z)
+            i, j = slice(i_lo - start, i_hi - start), slice(j_lo - start, j_hi - start)
+            gram = self.gram.panel(p)[i_lo - p : i_hi - p, j_lo - p : j_hi - p]
+            # the projected entries G - W^T W, with the terms of W summed in
+            # its order (shared rows, then the prefix's own), in one buffer
+            if own:
+                g01 = own[0][at, i, None] * own[0][at, None, j]
+                np.add(sum(v[i, None] * v[None, j] for v in shared), g01, out=g01)
+                np.subtract(gram, g01, out=g01)
+            elif shared:
+                g01 = (gram - sum(v[i, None] * v[None, j] for v in shared))[None]
+            else:
+                g01 = gram[None]
+
+            gi, bi, ri = g[at, i], b[at, i], rest[at, None]
+            gj, bj = g[at, None, j], b[at, None, j]
+
+            screen = gi > 0
+            if padded:
+                screen &= mine
+            inv = np.divide(1.0, gi, out=np.zeros(gi.shape), where=screen)
+            ratio = bi * inv
+            c = ri - bi * ratio - self.limit * self.limit
+            screen &= c > _SCREEN_TAU * ri
+            h_room = gj - _SCREEN_TAU * gj
+            if bad is not None:
+                screen &= ~bad[at, i]
+                h_room[bad[at, None, j]] = 0.0
+            off = ~screen
+            c[off] = inv[off] = ratio[off] = 0.0
+            e_sq = g01 * ratio[:, :, None]
+            np.subtract(bj, e_sq, out=e_sq)
+            e_sq *= e_sq
+            room = g01 * g01
+            room *= inv[:, :, None]
+            np.subtract(h_room, room, out=room)
+            room *= c[:, :, None]
+            keep = np.less(e_sq, room)
+            np.logical_not(keep, out=keep)
+            if padded:
+                keep &= mine[:, :, None]
+            r, s = np.divmod(np.flatnonzero(keep), j_hi - j_lo)
+            x, r = np.divmod(r, i_hi - i_lo)
+
+            # cells that are tuples: first < second (s >= r, as j_lo = i_lo
+            # + 1) < end
+            cell = s >= r
+            if ends is not None:
+                cell &= j_lo + s < ends[x, r]
+            x, r, s = x[cell], r[cell], s[cell]
+            g01 = g01[x, r, s]
+            del e_sq, room, keep  # before the next panel's are made
+            if not len(g01):
+                continue
+            res = _ls2_residual_sq(gi[x, r], gj[x, 0, s], g01, bi[x, r], bj[x, 0, s], ri[x, 0])
+            if bad is not None:
+                res[bad[a + x, r + (i_lo - start)] | bad[a + x, s + (j_lo - start)]] = 0.0
+            if len(ks) == 1:
+                out[ks[0]] = (r, s), res  # the panel's rows are the block's
+                continue
+            # cells come by prefix, then row, as the blocks do
+            width = i_hi - i_lo
+            starts = [(which[k] - a) * width + spans[k][0] - i_lo for k in ks]
+            cuts = np.searchsorted(x * width + r, starts).tolist() + [len(r)]
+            for y, k in enumerate(ks):
+                if cuts[y] < cuts[y + 1]:
+                    # the block's own cells: first - lo, second - lo - 1
+                    run, shift = slice(cuts[y], cuts[y + 1]), spans[k][0] - i_lo
+                    out[k] = (r[run] - shift, s[run] - shift), res[run]
+        return out
 
 # ---------------------------------------------------------------------------
 # the search itself
@@ -1135,17 +1336,22 @@ class _Search:
         either.
 
         Only tuples within the incumbent's length are generated, as blocks
-        of _budgeted_blocks. Each block is charged to the node cap before
-        bound(block) returns the rows that pass its prunes. Only those are
-        priced and sorted, once for the whole level, so memory is a few
-        blocks plus the survivors, and offer(row, dl) gets them in that
-        order. The order is one of integers: a bound whose arithmetic
-        changes moves it only where it keeps other strata."""
+        of _budgeted_blocks. Each block is charged to the node cap as it is
+        generated, in generation order, and bound(batch) returns the rows
+        that pass its prunes of a batch of consecutive blocks (_batches),
+        after all of them are charged. Only those rows are priced and
+        sorted, once for the whole level, so memory is a batch plus the
+        survivors, and offer(row, dl) gets them in that order. The order is
+        one of integers: a bound whose arithmetic changes moves it only
+        where it keeps other strata."""
         budget_left = int(min(self.incumbent.dl - base, costs.sum(initial=0)))
-        rows = []
-        for block in _budgeted_blocks(costs, size, budget_left):
-            self.budget.add_strata(_block_size(block))
-            rows.append(bound(block))
+
+        def charged():
+            for block in _budgeted_blocks(costs, size, budget_left):
+                self.budget.add_strata(_block_size(block))
+                yield block
+
+        rows = [bound(batch) for batch in _batches(charged())]
         if not rows:
             return False
         rows = np.concatenate(rows)
@@ -1243,12 +1449,12 @@ class _Search:
         residual that walk_stratum skips a stratum on; their samples are
         floored, so the prune carries pp_slack."""
         if n_deg == 0:
-            # built when a block is first bounded, not for a degree whose
+            # built when a batch is first bounded, not for a degree whose
             # levels are all out of budget
-            return lambda block: self.pattern_bound(block)
+            return lambda blocks: self.pattern_bound(blocks)
 
-        def bound(block):
-            rows = _block_rows(block)
+        def bound(blocks):
+            rows = np.concatenate([_block_rows(block) for block in blocks])
             res_sq = self.pp_residual_sq(n_deg, rows, m_prime)
             return rows[np.sqrt(res_sq) <= self.eta + self.pp_slack + _LS_MARGIN]
 
@@ -1293,7 +1499,9 @@ class _Search:
             rows = _coeff_rows(u, width)
             return _encode_pp_numerators(breaks, rows, n_deg, self.n, self.m)
 
-        blocks = [(s, s + width) for s in range(0, cols.shape[1], width)]
+        # a one-coefficient piece's sum is its value, which the box keeps
+        # below 2^m_prime already
+        blocks = [(s, s + width) for s in range(0, cols.shape[1], width)] if n_deg else None
         decode = self.pp_decoder(breaks, n_deg, m_prime)
         self.walk_stratum(
             cols, dl, 0, m_prime, decode, code, floored=n_deg > 0, blocks=blocks

@@ -36,6 +36,7 @@ from mcpursuit.solver import (
     ProbeStats,
     SolverConfig,
     SolverResourceError,
+    _batches,
     _block_rows,
     _block_size,
     _budgeted_blocks,
@@ -457,8 +458,8 @@ def test_only_strata_that_pass_the_bound_are_sorted(monkeypatch):
     passed, sorted_rows = [], []
     subset_bound, argsort = _SubsetBound.__call__, np.argsort
 
-    def counting_bound(self, block):
-        rows = subset_bound(self, block)
+    def counting_bound(self, blocks):
+        rows = subset_bound(self, blocks)
         passed.append(len(rows))
         return rows
 
@@ -682,18 +683,21 @@ def _record_offers(monkeypatch):
 
 def _bound_level(b, y, costs, k, limit, forced=False, box=None):
     """Every k-tuple of indices into costs within their total cost, bounded
-    block by block over the columns b (plus the last one if forced), with
-    the positivity cut if box is given: the rows that pass limit, as the
-    bound returns them, and their least-squares residual^2."""
+    batch by batch, as run_level does, over the columns b (plus the last
+    one if forced), with the positivity cut if box is given: the rows that
+    pass limit, as the bound returns them, and their least-squares
+    residual^2."""
     bound = _SubsetBound(b, b.T @ y, float(y @ y), limit, forced, box)
     rows, res = [], []
-    for block in _budgeted_blocks(costs, k, int(np.sum(costs))):
-        cells, res_sq = bound.bounded(block)
-        keep = np.sqrt(res_sq) <= limit
-        rows.append(bound(block))
-        np.testing.assert_array_equal(
-            rows[-1], _block_rows(block, tuple(c[keep] for c in cells)))
-        res.append(res_sq[keep])
+    for batch in _batches(_budgeted_blocks(costs, k, int(np.sum(costs)))):
+        got = bound(batch)
+        want = []
+        for block, (cells, res_sq) in zip(batch, bound.bounded(batch)):
+            keep = np.sqrt(res_sq) <= limit
+            want.append(_block_rows(block, tuple(c[keep] for c in cells)))
+            res.append(res_sq[keep])
+        np.testing.assert_array_equal(got, np.concatenate(want))
+        rows.append(got)
     return np.concatenate(rows), np.concatenate(res)
 
 
@@ -933,13 +937,45 @@ def _spanning_case():
     return rng.normal(size=(2, 3)), rng.normal(size=2), True, 2, 0, 0.0, 1, 1
 
 
+def _straddling_case(n, k, forced):
+    # Every tuple is in budget, so a batch of prefixes (i,) with i < 63
+    # screens rows in both Gram panels, and the columns are the prefix
+    # table's rows, as for breakpoint patterns.
+    rng = np.random.default_rng(n + k)
+    b = np.cumsum(rng.normal(size=(n, 6)), axis=0).T
+    y = b[:, [n // 3, n - 1]] @ [1.0, -0.5] + 0.02 * rng.normal(size=6)
+    return b, y, forced, k, 10**4, 0.3 * float(np.linalg.norm(y)), 64, 8
+
+
+def _guarded_prefix_case(k):
+    # Column 5 is the forced last column and column 9 is column 3, so the
+    # batched step guards prefix (5,) next to live ones, and prefix (3, 9)
+    # after the shared step of (3,); prefixes (5, j) share a guarded part.
+    rng = np.random.default_rng(k)
+    n = 70
+    b = rng.normal(size=(8, n))
+    b[:, 5], b[:, 9] = b[:, n - 1], b[:, 3]
+    y = rng.normal(size=8)
+    return b, y, True, k, 10**4, 0.8 * float(np.linalg.norm(y)), 64, 8
+
+
 @given(_screen_cases())
 @example(_spanning_case())
+@example(_straddling_case(90, 3, False))
+@example(_straddling_case(90, 3, True))
+@example(_straddling_case(70, 4, True))
+@example(_guarded_prefix_case(3))
+@example(_guarded_prefix_case(4))
 @settings(max_examples=60, deadline=None)
 def test_screened_bound_matches_full_grid(case):
-    # Every block's rows and residual^2 must be those of the full-grid
-    # reference, bit for bit: the screen may only drop cells that the
-    # exact formula also puts above the limit.
+    # The blocks are bounded in batches, as run_level hands them to the
+    # bound: prefixes that share all but their last index, one batched
+    # Cholesky step for their last ones, and one screen per Gram panel for
+    # all of them. Every block's rows and residual^2 must still be those of
+    # the full-grid reference, which projects each block's own prefix, bit
+    # for bit: the screen may only drop cells that the exact formula also
+    # puts above the limit, and a guarded pivot keeps its blocks' cells at
+    # bound 0.
     b, y, forced, k, slack, limit, block_rows, cache = case
     n = b.shape[1]
     yy = float(y @ y)
@@ -950,15 +986,50 @@ def test_screened_bound_matches_full_grid(case):
     with mock.patch.object(solver, "_BLOCK_ROWS", block_rows), \
             mock.patch.object(solver, "_PANEL_CACHE", cache):
         bound = _SubsetBound(b, corr, yy, limit, forced)
-        for block in _budgeted_blocks(costs, k, budget):
-            cells, res = bound.bounded(block)
-            keep = np.sqrt(res) <= limit
-            rows, res = _block_rows(block, tuple(c[keep] for c in cells)), res[keep]
-            np.testing.assert_array_equal(bound(block), rows)
-            want_rows, want_res = reference_bound(
-                gram, corr, yy, block, limit, (n - 1,) if forced else ())
-            np.testing.assert_array_equal(rows, want_rows)
-            assert res.tobytes() == want_res.tobytes()
+        for batch in _batches(_budgeted_blocks(costs, k, budget)):
+            assert len({blk[0][:-1] for blk in batch}) == 1
+            assert len(batch) <= cache
+            got, want = bound(batch), []
+            for block, (cells, res) in zip(batch, bound.bounded(batch)):
+                keep = np.sqrt(res) <= limit
+                rows, res = _block_rows(block, tuple(c[keep] for c in cells)), res[keep]
+                want_rows, want_res = reference_bound(
+                    gram, corr, yy, block, limit, (n - 1,) if forced else ())
+                np.testing.assert_array_equal(rows, want_rows)
+                assert res.tobytes() == want_res.tobytes()
+                want.append(rows)
+            np.testing.assert_array_equal(got, np.concatenate(want))
+
+
+@pytest.mark.parametrize("n", [128, 512])
+def test_three_break_level_memory_is_a_few_batches(n):
+    # The whole three-break level of degree-0 patterns, C(n - 1, 3)
+    # strata (22 million at n = 512), none of which passes. A batch holds
+    # at most _PANEL_CACHE blocks, so one panel's broadcast has at most
+    # _PANEL_CACHE x _PANEL_ROWS x n cells, as many floats as the panel
+    # cache; scratch memory is the kept panels plus three float arrays and
+    # a boolean one of one broadcast, not proportional to the strata (it
+    # peaks at 1.9 times the cache at n = 128 and 1.3 times at n = 512).
+    # Unbatched prefixes (all of a level's in one broadcast per panel)
+    # would take about 7.5 times the cache for each array at n = 128.
+    d, m = 30, 8
+    ens = sample_ensemble(n, d, derive_seed(917, "pattern-mem", n))
+    y = make_generator(917, "pattern-mem-draw", n).normal(size=d)
+    search = _Search(ens, y, m, 1e-6, SolverConfig(node_cap=1 << 26), None)
+    search.prefix_table(0)
+    bound = search.pp_bound(0, coeff_resolution(0, m))
+    offers = []
+    cache_bytes = solver._PANEL_CACHE * solver._PANEL_ROWS * n * 8
+    tracemalloc.start()
+    try:
+        search.run_level(search.pos_costs[:-1], 3, 0, bound,
+                         lambda row, dl: offers.append(row))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert search.budget.strata == math.comb(n - 1, 3)
+    assert offers == []
+    assert peak <= (1 + 3 + 1 / 8) * cache_bytes, peak / cache_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -1176,7 +1247,7 @@ def test_pp_bound_matches_lstsq():
         m_prime = coeff_resolution(n_deg, m)
         bound = search.pp_bound(n_deg, m_prime)
         for q in range(3):
-            rows = np.concatenate([bound(block) for block in _budgeted_blocks(costs, q, 0)])
+            rows = np.concatenate([bound(b) for b in _batches(_budgeted_blocks(costs, q, 0))])
             np.testing.assert_array_equal(rows, _lexicographic_rows(range(n - 1), q))
             got = search.pp_residual_sq(n_deg, rows, m_prime)
             breaks = (rows + 1).tolist()
@@ -1201,7 +1272,7 @@ def test_pp_bound_keeps_floored_grid_signal():
     y = np.asarray(ens.matrix) @ (np.array(nums) * 2.0 ** -m)
     eta = 1e-6
     search = _Search(ens, y, m, eta, PP_SCOPE, None)
-    rows = search.pp_bound(n_deg, m_prime)(((), np.array([brk - 1]), None))
+    rows = search.pp_bound(n_deg, m_prime)([((), np.array([brk - 1]), None)])
     assert rows.tolist() == [[brk - 1]]
     res_sq = search.pp_residual_sq(n_deg, rows, m_prime)
     assert math.sqrt(res_sq[0]) > eta + _LS_MARGIN
