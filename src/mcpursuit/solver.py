@@ -72,7 +72,9 @@ Wilson's leaps and bounds (1974). It is shared across prefixes too: the
 bound takes a batch of up to _PANEL_CACHE consecutive blocks whose
 prefixes share all but their last index (_batches), projects the shared
 part once and the last indices in one batched step, as the rows of
-(P, N) arrays.
+(P, N) arrays. A projected state keeps every index, so a stratum's
+entries are read at its own indices. The bound returns the rows of the
+batch's strata that pass in no particular order.
 
 Sparse supports first pass a positivity cut, which reads no Gram entry.
 Their values lie in [lo, hi] = [2^-m, 1 - 2^-m], so with w = y / |y| a
@@ -100,9 +102,10 @@ block's grid in the same order, so batching moves no bit either.
 Gram entries come from aligned panels cols[:, p:p+64].T @ cols[:, p:],
 built when first needed, which at one BLAS thread match the full product
 cols.T @ cols bit for bit (a slice that starts off a panel boundary can
-differ in the last bit): the diagonal from their 64 x 64 diagonal blocks,
-the prefixes' rows, and a batch's pair grids, from the panel that holds
-them, T[n]'s from the last column of each. No N x N array is built. A
+differ in the last bit): the prefixes' rows, and a batch's pair grids,
+from the panel that holds them, T[n]'s from the last column of each. The
+diagonal is the squared column norms, from one einsum over cols. No N x N
+array is built. A
 batch holds at most _PANEL_CACHE blocks of at most _BLOCK_ROWS first
 indices, so one panel's broadcast has at most _PANEL_CACHE x _PANEL_ROWS
 x N cells, as many floats as the panel cache. Scratch memory is the
@@ -118,15 +121,18 @@ only lower the bound.
 One method, _Search.run_level, serves every level: it charges each block
 to the node cap as it is generated, bounds the blocks a batch at a time,
 keeps the strata that pass, and prices (sums the code lengths of) and
-sorts only those, once for the whole level, by length, then generation
-order. Charging stays per block and in generation order, so the node at
-which the cap fires does not depend on the batches. That order is one of
-integers: it depends on neither the block size, the batches, the chunk
-size nor the float bits of a bound, which move it only where they keep
-other strata, and it fixes the counters a solve reports. It is also the only test of
-whether a level fits: each family of strata (sparse supports, each
-degree's breakpoint patterns) ends at its first level with no stratum in
-budget, since lengths only grow with the size.
+sorts only those, once for the whole level, by length, then index tuple
+(one lexsort), which is generation order. It is the only code that
+orders strata: no bound need return them in any order. Charging stays
+per block and in generation order, so the node at which the cap fires
+does not depend on the batches. The offer order is one of integers: it
+depends on neither the block size, the batches, the chunk size, the
+order in which a bound returns its strata nor the float bits of a bound,
+which move it only where they keep other strata, and it fixes the
+counters a solve reports. It is also the only test of whether a level
+fits: each family of strata (sparse supports, each degree's breakpoint
+patterns) ends at its first level with no stratum in budget, since
+lengths only grow with the size.
 """
 
 from __future__ import annotations
@@ -754,11 +760,10 @@ def _block_rows(block, picked=None) -> np.ndarray:
     return rows
 
 
-def _unbounded(block, cells=None):
-    """(cells, res_sq) of cells of a block whose prefix has a singular
-    pivot: they keep bound 0. All of them unless cells are given."""
-    cells = _block_cells(block) if cells is None else cells
-    return cells, np.zeros(len(cells[0]))
+def _unbounded(rows):
+    """(rows, res_sq) of strata whose prefix has a singular pivot: they
+    keep bound 0."""
+    return rows, np.zeros(len(rows))
 
 
 def _ls2_residual_sq(g00, g11, g01, b0, b1, yy: float) -> np.ndarray:
@@ -785,7 +790,9 @@ class _GramPanels:
     can differ from it in the last bit. The pair grids of a batch's blocks
     in one panel are one slice of it, since _budgeted_blocks keeps a
     block's first indices inside one panel. Panels are built when first
-    needed, and at most _PANEL_CACHE of them are kept."""
+    needed, and at most _PANEL_CACHE of them are kept. The diagonal the
+    bounds read is diag, the squared column norms, which can differ from a
+    panel's diagonal in the last bit."""
 
     def __init__(self, cols: np.ndarray) -> None:
         self.cols = cols
@@ -804,22 +811,20 @@ class _GramPanels:
 
     @cached_property
     def diag(self) -> np.ndarray:
-        """G[i, i] for every i, from the R x R diagonal blocks alone."""
-        starts = range(0, self.size, _PANEL_ROWS)
-        blocks = (self.cols[:, p : p + _PANEL_ROWS] for p in starts)
-        return np.concatenate([np.diagonal(x.T @ x) for x in blocks])
+        """G[i, i] for every i: the squared column norms, from one pass
+        over cols."""
+        return np.einsum("ij,ij->j", self.cols, self.cols)
 
-    def rows(self, idx: np.ndarray, lo: int) -> np.ndarray:
-        """G[i, lo:] for each i of the ascending idx, as the rows of a
-        (len(idx), N - lo) array: from the panel that holds i, which has the
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """G[i] for each i of the ascending idx, as the rows of a
+        (len(idx), N) array: from the panel that holds i, which has the
         entries j >= i, and 0 left of that panel's first row."""
-        out = np.zeros((len(idx), self.size - lo))
+        out = np.zeros((len(idx), self.size))
         first, last = int(idx[0]), int(idx[-1])
         for p in range(first - first % _PANEL_ROWS, last + 1, _PANEL_ROWS):
             t0, t1 = np.searchsorted(idx, (p, p + _PANEL_ROWS)).tolist()
             if t0 < t1:
-                c = max(p, lo)
-                out[t0:t1, c - lo :] = self.panel(p)[idx[t0:t1] - p, c - p :]
+                out[t0:t1, p:] = self.panel(p)[idx[t0:t1] - p]
         return out
 
     def last_column(self) -> np.ndarray:
@@ -832,7 +837,7 @@ class _GramPanels:
 class _SubsetBound:
     """The prune of one family of strata, for run_level: a batch of blocks
     of _budgeted_blocks (_batches) to the rows of the strata that pass, in
-    generation order. A stratum is the columns of cols (d, N) at its index
+    no particular order. A stratum is the columns of cols (d, N) at its index
     tuple, plus the last column if last_forced; no block holds that one.
     corr = cols.T @ y and yy = |y|^2.
 
@@ -845,14 +850,17 @@ class _SubsetBound:
     W^T c and |y|^2 - |c|^2. The forced column's step is taken once for the
     family, and each prefix's steps once for its blocks: in a batch of pair
     grids, once for the part all its prefixes share, and one batched step
-    (step) for their last indices. The one-column formula or
-    _ls2_residual_sq then runs on the projected entries of the block's
-    firsts, or of the cells of its grid of firsts x seconds that pass the
-    cut (below), one block at a time, or without one a cheap screen, a
-    whole batch at once (screened). With no forced column and no prefix the
-    arithmetic is that of the two formulas alone. Each entry takes the
-    same operations, in the same order, however the blocks are batched, so
-    the bounds do not depend on the batches.
+    (step) for their last indices. A projected state keeps all N indices;
+    only those after the prefix mean something, and a stratum reads them
+    at its own indices. The one-column formula or _ls2_residual_sq then
+    runs on the projected entries of the block's firsts, or of the cells
+    of its grid of firsts x seconds that pass the cut (below), one block
+    at a time, or without one a cheap screen, a whole batch at once
+    (screened). With no forced column and no prefix the arithmetic is that
+    of the two formulas alone. Each entry takes the same operations, in
+    the same order, however the blocks are batched, so the bounds do not
+    depend on the batches; the order of the rows does, and run_level sorts
+    them.
 
     Strata with (nearly) dependent columns get bound 0, so the least-squares
     bound never prunes them: when a projected diagonal entry, a pivot of F
@@ -904,19 +912,18 @@ class _SubsetBound:
         cf = self.corr[f] / root
         return diag - wf * wf, self.corr - cf * wf, self.yy - cf * cf, [wf]
 
-    def step(self, start, g, b, rest, w, fs, rows):
-        """One Cholesky step for each index f of fs, each on its own, from
-        the state (g, b, rest, w) over the indices start .. N - 1, with
-        rows[p] = G[fs[p], start:] at the indices >= fs[p]: per f (leading
-        axis), the projected g, b and rest, f's row wf of W, and whether f's
-        pivot is above the guard. Entries at indices below f, and every
-        entry of a guarded f, mean nothing."""
-        k = fs - start
-        pivot = g[k]
+    def step(self, g, b, rest, w, fs):
+        """One Cholesky step for each index f of the ascending fs, each on
+        its own, from the state (g, b, rest, w) over every index: per f
+        (leading axis), the projected g, b and rest, f's row wf of W, and
+        whether f's pivot is above the guard. f's Gram row is read from
+        the panel that holds it. Entries at f and the indices below it,
+        and every entry of a guarded f, mean nothing."""
+        pivot = g[fs]
         ok = pivot > _SUBSET_GUARD * self.gram.diag[fs]
         root = np.sqrt(np.where(ok, pivot, 1.0))
-        wf = (rows - sum(v[k, None] * v for v in w)) / root[:, None]
-        cf = b[k] / root
+        wf = (self.gram.rows(fs) - sum(v[fs, None] * v for v in w)) / root[:, None]
+        cf = b[fs] / root
         return g - wf * wf, b - cf[:, None] * wf, rest - cf * cf, wf, ok
 
     def state(self, prefix):
@@ -926,81 +933,62 @@ class _SubsetBound:
         return self.last_prefix[1]
 
     def project(self, prefix):
-        """(start, g, b, rest, w, bad) over the indices start .. N - 1 after
-        the steps of F; bad marks the guarded ones (None with F empty).
-        None if a pivot of F is singular."""
+        """(g, b, rest, w, bad) over every index after the steps of F, of
+        which only the entries after the prefix mean something; bad marks
+        the guarded ones (None with F empty). None if a pivot of F is
+        singular."""
         if self.base is None:
             return None
         g, b, rest, w = self.base
-        start = 0
         for f in prefix:
-            fs = np.array([f])
-            g, b, rest, wf, ok = self.step(
-                start, g, b, rest, w, fs, self.gram.rows(fs, start)
-            )
+            g, b, rest, wf, ok = self.step(g, b, rest, w, np.array([f]))
             if not ok[0]:
                 return None
-            # the indices up to f are dropped
-            k = f + 1 - start
-            g, b, rest = g[0, k:], b[0, k:], rest[0]
-            w = [v[k:] for v in w] + [wf[0, k:]]
-            start = f + 1
-        bad = ~(g > _SUBSET_GUARD * self.gram.diag[start:]) if w else None
-        return start, g, b, rest, w, bad
+            g, b, rest, w = g[0], b[0], rest[0], w + [wf[0]]
+        bad = ~(g > _SUBSET_GUARD * self.gram.diag) if w else None
+        return g, b, rest, w, bad
 
     def __call__(self, blocks) -> np.ndarray:
-        """The rows of the strata of a batch of blocks that pass, in
-        generation order."""
-        rows = []
-        for block, (cells, res_sq) in zip(blocks, self.bounded(blocks)):
-            if len(res_sq):
-                keep = np.sqrt(res_sq) <= self.limit
-                if keep.any():
-                    rows.append(_block_rows(block, tuple(c[keep] for c in cells)))
-        if rows:
-            return np.concatenate(rows)
-        prefix, firsts, ends = blocks[0]
-        width = len(prefix) + (firsts is not None) + (ends is not None)
-        return np.zeros((0, width), dtype=np.int64)
+        """The rows of the strata of a batch of blocks that pass, in no
+        order."""
+        rows, res_sq = self.bounded(blocks)
+        return rows[np.sqrt(res_sq) <= self.limit]
 
     def bounded(self, blocks):
-        """(cells, res_sq) of each block of a batch: the cells that reach
-        the least-squares bound, selected as _block_rows takes them, and
-        their least-squares residual^2 (0 where guarded). Those are the
-        cells that pass the cut, one block at a time, or without one every
-        cell of a block of size <= 1, and the cells of the pair grids that
-        pass the screen, for the whole batch at once (screened)."""
+        """(rows, res_sq) of a batch: the strata that reach the
+        least-squares bound, as rows of index tuples in no order, and their
+        least-squares residual^2 (0 where guarded). Those are the strata
+        that pass the cut, one block at a time, or without one every
+        stratum of a block of size <= 1, and the cells of the pair grids
+        that pass the screen, for the whole batch at once (screened)."""
         if self.scores is None and blocks[0][2] is not None:
             return self.screened(blocks)
-        return [self.one(block) for block in blocks]
+        rows, res = zip(*map(self.one, blocks))
+        return np.concatenate(rows), np.concatenate(res)
 
     def one(self, block):
-        """(cells, res_sq) of one block of size <= 1, or of a pair grid
+        """(rows, res_sq) of one block of size <= 1, or of a pair grid
         after the cut, for bounded."""
         prefix, firsts, ends = block
-        cells = None if self.scores is None else self.cut(block)
-        if cells is not None and not len(cells[0]):
-            return cells, np.zeros(0)
-        state = self.state(prefix)
+        rows = _block_rows(block, None if self.scores is None else self.cut(block))
+        state = self.state(prefix) if len(rows) else None
         if state is None:
-            return _unbounded(block, cells)
-        start, g, b, rest, w, bad = state
+            return _unbounded(rows)
+        g, b, rest, w, bad = state
         if firsts is None:
-            return _block_cells(block), np.full(1, max(rest, 0.0))
+            return rows, np.full(1, max(rest, 0.0))
         if ends is None:
-            t = np.arange(len(firsts)) if cells is None else cells[0]
-            i = firsts[t] - start
+            i = rows[:, -1]
             gi, bi = g[i], b[i]
             res = rest - np.divide(bi**2, gi, out=np.zeros(len(gi)), where=gi > 1e-300)
             if bad is not None:
                 res[bad[i]] = 0.0
-            return (t,), np.maximum(res, 0.0, out=res)
-        i = firsts[cells[0]] - start
-        j = firsts[0] + 1 + cells[1] - start
-        res = _ls2_residual_sq(g[i], g[j], self.gathered(block, cells, state), b[i], b[j], rest)
+            return rows, np.maximum(res, 0.0, out=res)
+        i, j = rows[:, -2], rows[:, -1]
+        res = _ls2_residual_sq(g[i], g[j], self.gathered(i, j, w), b[i], b[j], rest)
         if bad is not None:
             res[bad[i] | bad[j]] = 0.0
-        return cells, res
+        return rows, res
 
     def need(self, prefix, size: int) -> float:
         """The least sum of scores that the indices after prefix of a
@@ -1041,24 +1029,22 @@ class _SubsetBound:
         at, sec = np.nonzero(ok)
         return rows[at], cand[sec]
 
-    def gathered(self, block, cells, state):
-        """The projected Gram entries of the given cells of a pair grid,
-        from one product of the columns of their firsts and seconds."""
-        _, firsts, _ = block
-        start, w = state[0], state[4]
-        ts, at = np.unique(cells[0], return_inverse=True)
-        ss, sec = np.unique(cells[1], return_inverse=True)
+    def gathered(self, i, j, w):
+        """The projected Gram entries G[i, j] - sum_f w_f[i] w_f[j] of the
+        pairs (i, j), from one product of the columns of their firsts and
+        seconds."""
+        ts, at = np.unique(i, return_inverse=True)
+        ss, sec = np.unique(j, return_inverse=True)
         cols = self.gram.cols
-        g01 = (cols[:, firsts[ts]].T @ cols[:, firsts[0] + 1 + ss])[at, sec]
+        g01 = (cols[:, ts].T @ cols[:, ss])[at, sec]
         if w:
-            i, j = firsts[cells[0]] - start, firsts[0] + 1 + cells[1] - start
             g01 -= sum(v[i] * v[j] for v in w)
         return g01
 
     def screened(self, blocks):
-        """(cells, res_sq) of each block of a batch of pair grids whose
-        prefixes share all but their last index: the cells that pass a
-        cheap screen, and their least-squares residual^2.
+        """(rows, res_sq) of a batch of pair grids whose prefixes share all
+        but their last index: the strata that pass a cheap screen, in no
+        order, and their least-squares residual^2.
 
         The shared part of the prefixes is projected once (state), and
         their last indices take one batched step, as the rows of (P, N)
@@ -1073,33 +1059,27 @@ class _SubsetBound:
         rest and of a guarded row or column is kept. Each element takes
         the operations, in the order, of one block's grid on its own, and
         the Gram entries come from the panel that holds the row, so the
-        exact formula gives the bits of the whole grid's."""
-        prefix = blocks[0][0]
-        state = self.state(prefix[:-1])
+        exact formula gives the bits of the whole grid's. A kept cell's
+        row is its prefix, first and second index."""
+        state = self.state(blocks[0][0][:-1])
         if state is None:
-            return [_unbounded(block) for block in blocks]
-        start, g, b, rest, shared, bad = state
+            return _unbounded(np.concatenate([_block_rows(blk) for blk in blocks]))
+        g, b, rest, shared, bad = state
         # the batch's prefixes in order, and each block's among them
-        which = [0] * len(blocks)
-        lasts = [prefix[-1] if prefix else None]
-        for k, (pre, _, _) in enumerate(blocks):
-            if pre and pre[-1] != lasts[-1]:
-                lasts.append(pre[-1])
-            which[k] = len(lasts) - 1
+        index = {}
+        which = [index.setdefault(blk[0], len(index)) for blk in blocks]
+        prefixes = np.array(list(index), dtype=np.int64)
+        width = prefixes.shape[1] + 2
         own = []
-        if prefix:
-            fs = np.array(lasts)
-            g, b, rest, wf, ok = self.step(
-                start, g, b, rest, shared, fs, self.gram.rows(fs, start)
-            )
+        if width > 2:
+            g, b, rest, wf, ok = self.step(g, b, rest, shared, prefixes[:, -1])
             own = [wf]
-            bad = ~(g > _SUBSET_GUARD * self.gram.diag[start:])
+            bad = ~(g > _SUBSET_GUARD * self.gram.diag)
         else:
             g, b, rest, ok = g[None], b[None], np.array([rest]), [True]
             bad = None if bad is None else bad[None]
-        empty = np.zeros(0, dtype=np.int64)
-        none = (empty, empty), np.zeros(0)
-        out = [none if ok[x] else _unbounded(blk) for x, blk in zip(which, blocks)]
+        parts = [_unbounded(_block_rows(blk)) for x, blk in zip(which, blocks) if not ok[x]]
+        parts.append((np.zeros((0, width), dtype=np.int64), np.zeros(0)))
         # each block's first indices lo .. hi - 1, and its first and last end
         spans = [(int(f[0]), int(f[-1]) + 1, int(e[0]), int(e[-1])) for _, f, e in blocks]
         panels = {}  # panel -> the blocks whose rows it holds
@@ -1125,8 +1105,7 @@ class _SubsetBound:
             # rows of the broadcast that are not a prefix's own mean nothing
             mine = ends > 0 if padded else None
 
-            at = slice(a, z)
-            i, j = slice(i_lo - start, i_hi - start), slice(j_lo - start, j_hi - start)
+            at, i, j = slice(a, z), slice(i_lo, i_hi), slice(j_lo, j_hi)
             gram = self.gram.panel(p)[i_lo - p : i_hi - p, j_lo - p : j_hi - p]
             # the projected entries G - W^T W, with the terms of W summed in
             # its order (shared rows, then the prefix's own), in one buffer
@@ -1180,21 +1159,12 @@ class _SubsetBound:
             if not len(g01):
                 continue
             res = _ls2_residual_sq(gi[x, r], gj[x, 0, s], g01, bi[x, r], bj[x, 0, s], ri[x, 0])
+            x, r, s = a + x, i_lo + r, j_lo + s
             if bad is not None:
-                res[bad[a + x, r + (i_lo - start)] | bad[a + x, s + (j_lo - start)]] = 0.0
-            if len(ks) == 1:
-                out[ks[0]] = (r, s), res  # the panel's rows are the block's
-                continue
-            # cells come by prefix, then row, as the blocks do
-            width = i_hi - i_lo
-            starts = [(which[k] - a) * width + spans[k][0] - i_lo for k in ks]
-            cuts = np.searchsorted(x * width + r, starts).tolist() + [len(r)]
-            for y, k in enumerate(ks):
-                if cuts[y] < cuts[y + 1]:
-                    # the block's own cells: first - lo, second - lo - 1
-                    run, shift = slice(cuts[y], cuts[y + 1]), spans[k][0] - i_lo
-                    out[k] = (r[run] - shift, s[run] - shift), res[run]
-        return out
+                res[bad[x, r] | bad[x, s]] = 0.0
+            parts.append((np.column_stack((prefixes[x], r, s)), res))
+        rows, res = zip(*parts)
+        return np.concatenate(rows), np.concatenate(res)
 
 # ---------------------------------------------------------------------------
 # the search itself
@@ -1330,8 +1300,8 @@ class _Search:
     def run_level(self, costs, size, base, bound, offer) -> bool:
         """Offer the strata of one level: the ascending tuples of `size`
         indices, whose code length is base plus their costs, in order of
-        length, then generation order, up to the first one longer than the
-        incumbent. Returns whether any stratum was within the incumbent's
+        length, then of the tuples (generation order), up to the first one
+        longer than the incumbent. Returns whether any stratum was within the incumbent's
         length: when none is, no larger size of the same family can be
         either.
 
@@ -1339,11 +1309,12 @@ class _Search:
         of _budgeted_blocks. Each block is charged to the node cap as it is
         generated, in generation order, and bound(batch) returns the rows
         that pass its prunes of a batch of consecutive blocks (_batches),
-        after all of them are charged. Only those rows are priced and
-        sorted, once for the whole level, so memory is a batch plus the
-        survivors, and offer(row, dl) gets them in that order. The order is
-        one of integers: a bound whose arithmetic changes moves it only
-        where it keeps other strata."""
+        in any order, after all of them are charged. Only those rows are
+        priced and sorted, once for the whole level, by one lexsort of
+        (length, tuple), so memory is a batch plus the survivors, and
+        offer(row, dl) gets them in that order. The order is one of
+        integers: a bound whose arithmetic changes moves it only where it
+        keeps other strata."""
         budget_left = int(min(self.incumbent.dl - base, costs.sum(initial=0)))
 
         def charged():
@@ -1356,7 +1327,7 @@ class _Search:
             return False
         rows = np.concatenate(rows)
         dls = base + costs[rows].sum(axis=1)
-        order = np.argsort(dls, kind="stable")
+        order = np.lexsort((*rows.T[::-1], dls))
         for i, dl in zip(order.tolist(), dls[order].tolist()):
             # the incumbent only shrinks, so every later stratum is too long
             if dl > self.incumbent.dl:
@@ -1586,7 +1557,7 @@ def mcp_exact(
 ) -> RecoveryResult:
     """Minimize code length subject to |Ax - y| <= eta.
 
-    The default eta is sigma_max * sqrt(n * 2^(1-2m)), large enough that
+    y must be finite and eta a number >= 0. The default eta is sigma_max * sqrt(n * 2^(1-2m)), large enough that
     the m-bit truncation of any signal in [0,1]^n consistent with y stays
     feasible, so the program always has the truncated truth to fall back
     on when y = A x_o exactly.
@@ -1596,10 +1567,12 @@ def mcp_exact(
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (ens.d,):
         raise ValueError(f"y must have shape ({ens.d},)")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
     if eta is None:
         eta = ens.sigma_max * quantization_gap_bound(ens.n, m)
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
+    if not eta >= 0:
+        raise ValueError("eta must be a number >= 0")
     return _Search(ens, y, m, float(eta), config, probe_ref).run()
 
 

@@ -1,11 +1,11 @@
 """A least-squares bound of subset strata that evaluates every cell.
 
 It bounds the same strata as solver._SubsetBound and returns the same rows
-and residual^2 values, but it reads a whole N x N Gram matrix, takes every
-Cholesky step for every block, and runs the closed-form pair formula on
-every cell of a block's grid, with no screen. The Gram matrix comes from
-the same aligned panels the solver reads, so the two must agree bit for
-bit.
+and residual^2 values, one block at a time and in lexicographic order, but
+it reads a whole N x N Gram matrix, takes every Cholesky step for every
+block, and runs the closed-form pair formula on every cell of a block's
+grid, with no screen. The Gram matrix comes from the same aligned panels
+and column norms the solver reads, so the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -14,19 +14,28 @@ import math
 
 import numpy as np
 
-from mcpursuit.solver import _PANEL_ROWS, _SUBSET_GUARD, _block_rows, _ls2_residual_sq
+from mcpursuit.solver import (
+    _PANEL_ROWS,
+    _SUBSET_GUARD,
+    _block_rows,
+    _GramPanels,
+    _ls2_residual_sq,
+)
 
 
 def panel_gram(cols: np.ndarray) -> np.ndarray:
-    """cols.T @ cols, with every entry i <= j from the panel
-    cols[:, p:p + _PANEL_ROWS].T @ cols[:, p:] that holds row i, and the
-    entries below the diagonal mirrored from above it."""
+    """cols.T @ cols, with every entry i < j from the panel
+    cols[:, p:p + _PANEL_ROWS].T @ cols[:, p:] that holds row i, the
+    entries below the diagonal mirrored from above it, and the diagonal
+    the squared column norms the solver reads (_GramPanels.diag)."""
     n = cols.shape[1]
     gram = np.zeros((n, n))
     for p in range(0, n, _PANEL_ROWS):
         gram[p : p + _PANEL_ROWS, p:] = cols[:, p : p + _PANEL_ROWS].T @ cols[:, p:]
-    upper = np.triu(gram)
-    return upper + np.triu(upper, 1).T
+    upper = np.triu(gram, 1)
+    gram = upper + upper.T
+    np.fill_diagonal(gram, _GramPanels(cols).diag)
+    return gram
 
 
 def reference_bound(gram, corr, yy, block, limit, forced=()):

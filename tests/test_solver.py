@@ -394,7 +394,7 @@ def test_offer_sequence_is_pinned(instance, pinned, monkeypatch):
     # priced and sorted; the three-break one since strata are sorted once
     # per level; the loose-sparse one since supports pass the positivity
     # cut too (the least-squares bound alone offered 58). Strata of one
-    # length are offered in generation order.
+    # length are offered in lexicographic order of their index tuples.
     res, offers = _offer_sequence(instance, monkeypatch)
     assert res.status == "ok"
     assert offers == pinned
@@ -436,6 +436,30 @@ def test_offer_order_does_not_depend_on_block_or_chunk_size(instance, monkeypatc
             assert run(patch) == want
 
 
+@pytest.mark.parametrize("shuffle", [False, True], ids=["reversed", "shuffled"])
+def test_offer_order_does_not_depend_on_the_bound_order(shuffle, monkeypatch):
+    # A bound returns the strata that pass in no order; run_level alone
+    # orders a level, by length and then index tuple. So the bound's rows
+    # reversed, or shuffled, change neither the offers nor the counters,
+    # though each of these solves offers strata that tie in length.
+    bound, rng = _SubsetBound.__call__, np.random.default_rng(918)
+
+    def permuted(self, blocks):
+        rows = bound(self, blocks)[::-1]
+        return rows[rng.permutation(len(rows))] if shuffle else rows
+
+    for instance in (_three_break_instance, _loose_sparse_instance, _tied_pairs_instance):
+        got = []
+        for patched in (False, True):
+            with monkeypatch.context() as patch:
+                if patched:
+                    patch.setattr(_SubsetBound, "__call__", permuted)
+                res, offers = _offer_sequence(instance, patch)
+            got.append(((res.dl_bits, res.stream, res.strata_examined, res.points_tested),
+                        offers))
+        assert got[1] == got[0]
+
+
 def test_pp_columns_are_built_at_most_one_chunk_at_a_time(monkeypatch):
     # The one-break degree-1 level of this solve is one block of 7
     # patterns; with 3-pattern chunks its columns are built in three parts.
@@ -456,19 +480,19 @@ def test_only_strata_that_pass_the_bound_are_sorted(monkeypatch):
     # Of the 18,521 strata of the three-break solve, a handful pass the
     # bound; no sort may see the rest.
     passed, sorted_rows = [], []
-    subset_bound, argsort = _SubsetBound.__call__, np.argsort
+    subset_bound, lexsort = _SubsetBound.__call__, np.lexsort
 
     def counting_bound(self, blocks):
         rows = subset_bound(self, blocks)
         passed.append(len(rows))
         return rows
 
-    def counting_argsort(keys, *args, **kwargs):
-        sorted_rows.append(len(keys))
-        return argsort(keys, *args, **kwargs)
+    def counting_lexsort(keys, *args, **kwargs):
+        sorted_rows.append(len(keys[-1]))
+        return lexsort(keys, *args, **kwargs)
 
     monkeypatch.setattr(_SubsetBound, "__call__", counting_bound)
-    monkeypatch.setattr(np, "argsort", counting_argsort)
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
     res = _solve(_three_break_instance)
     assert res.strata_examined == 18521
     assert 0 < sum(sorted_rows) <= sum(passed) < 100
@@ -681,24 +705,46 @@ def _record_offers(monkeypatch):
     return offers
 
 
+def _lex_order(rows):
+    """The permutation that puts rows of index tuples in lexicographic
+    order."""
+    return np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+
+
+def _checked_batch(bound, batch, gram, fixed, cut=False):
+    """The strata of a batch within the bound's limit, as rows in
+    lexicographic order, and their residual^2. bounded(batch) returns them
+    in no order, and the bound itself must keep the same rows. Without the
+    cut they must be the concatenated reference_bound rows of the batch's
+    blocks, residual^2 bit for bit; the cut keeps some of those rows."""
+    rows, res = bound.bounded(batch)
+    keep = np.sqrt(res) <= bound.limit
+    rows, res = rows[keep], res[keep]
+    np.testing.assert_array_equal(bound(batch), rows)
+    order = _lex_order(rows)
+    rows, res = rows[order], res[order]
+    want = [reference_bound(gram, bound.corr, bound.yy, block, bound.limit, fixed)
+            for block in batch]
+    want_rows = np.concatenate([r for r, _ in want])
+    if cut:
+        assert {tuple(r) for r in rows.tolist()} <= {tuple(r) for r in want_rows.tolist()}
+    else:
+        np.testing.assert_array_equal(rows, want_rows)
+        assert res.tobytes() == np.concatenate([x for _, x in want]).tobytes()
+    return rows, res
+
+
 def _bound_level(b, y, costs, k, limit, forced=False, box=None):
     """Every k-tuple of indices into costs within their total cost, bounded
     batch by batch, as run_level does, over the columns b (plus the last
     one if forced), with the positivity cut if box is given: the rows that
-    pass limit, as the bound returns them, and their least-squares
-    residual^2."""
+    pass limit, in lexicographic order, and their least-squares
+    residual^2, each batch checked by _checked_batch."""
     bound = _SubsetBound(b, b.T @ y, float(y @ y), limit, forced, box)
-    rows, res = [], []
-    for batch in _batches(_budgeted_blocks(costs, k, int(np.sum(costs)))):
-        got = bound(batch)
-        want = []
-        for block, (cells, res_sq) in zip(batch, bound.bounded(batch)):
-            keep = np.sqrt(res_sq) <= limit
-            want.append(_block_rows(block, tuple(c[keep] for c in cells)))
-            res.append(res_sq[keep])
-        np.testing.assert_array_equal(got, np.concatenate(want))
-        rows.append(got)
-    return np.concatenate(rows), np.concatenate(res)
+    gram, fixed = panel_gram(b), (b.shape[1] - 1,) if forced else ()
+    got = [_checked_batch(bound, batch, gram, fixed, box is not None)
+           for batch in _batches(_budgeted_blocks(costs, k, int(np.sum(costs))))]
+    return tuple(np.concatenate(x) for x in zip(*got))
 
 
 def _search_on(b, y, m, eta, config):
@@ -753,7 +799,7 @@ def test_pair_scan_matches_gathered_reference(rows, monkeypatch):
         assert np.all(np.array([p in kept for p in listed]) == (gap >= 0) | (abs(gap) < 1e-9))
         assert 0 < len(kept) < len(listed)
 
-        # the search offers them by length, then in generation order
+        # the search offers them by length, then in lexicographic order
         offers.clear()
         search.run_sparse(2, 2)
         assert search.budget.strata == n * (n - 1) // 2
@@ -762,7 +808,8 @@ def test_pair_scan_matches_gathered_reference(rows, monkeypatch):
         assert offers == [
             (tuple(p), dl) for p, dl in zip(cut[order].tolist(), dls[order].tolist())
         ]
-    # the tie is feasible at the larger eta, and stays in generation order
+    # the tie is feasible at the larger eta, and stays in lexicographic
+    # order
     offered = [p for p, _ in offers]
     assert offered.index((9, 30)) < offered.index((12, 30))
 
@@ -784,8 +831,10 @@ def test_pair_scan_memory_is_a_few_row_blocks():
     # every pair is charged, none passes, so none is walked
     assert search.budget.strata == n * (n - 1) // 2
     assert search.budget.points == 0
-    # the kept panels, one grid's screen and a little more
-    assert peak <= (solver._PANEL_CACHE + 4) * panel_bytes
+    # the positivity cut leaves a few pairs, whose Gram entries come from
+    # gathered products, so the level builds no 64 x n panel; the cut's
+    # grids and the level's bookkeeping peak at about a tenth of one
+    assert peak <= 2 * panel_bytes, peak / panel_bytes
 
 
 def test_position_costs_match_uint_code_len():
@@ -839,7 +888,7 @@ def test_subset_bound_matches_lstsq(forced, monkeypatch):
         np.testing.assert_array_equal(rows, _lexicographic_rows(range(len(costs)), k))
         want = [_lstsq_residual_sq(b, y, [*fixed, *r]) for r in rows.tolist()]
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * yy)
-        # a limit keeps exactly the strata within it, in generation order
+        # a limit keeps exactly the strata within it
         limit = float(np.sqrt(np.median(got)))
         kept = np.sqrt(got) <= limit
         passed = _bound_level(b, y, costs, k, limit, forced)
@@ -971,34 +1020,23 @@ def test_screened_bound_matches_full_grid(case):
     # The blocks are bounded in batches, as run_level hands them to the
     # bound: prefixes that share all but their last index, one batched
     # Cholesky step for their last ones, and one screen per Gram panel for
-    # all of them. Every block's rows and residual^2 must still be those of
-    # the full-grid reference, which projects each block's own prefix, bit
-    # for bit: the screen may only drop cells that the exact formula also
-    # puts above the limit, and a guarded pivot keeps its blocks' cells at
-    # bound 0.
+    # all of them. The batch's rows, in lexicographic order, and their
+    # residual^2 must still be those of the full-grid reference, which
+    # projects each block's own prefix, bit for bit: the screen may only
+    # drop cells that the exact formula also puts above the limit, and a
+    # guarded pivot keeps its blocks' cells at bound 0.
     b, y, forced, k, slack, limit, block_rows, cache = case
     n = b.shape[1]
-    yy = float(y @ y)
-    corr = b.T @ y
     gram = panel_gram(b)
     costs = solver._position_costs(n - forced)
     budget = int(costs[:k].sum()) + slack
     with mock.patch.object(solver, "_BLOCK_ROWS", block_rows), \
             mock.patch.object(solver, "_PANEL_CACHE", cache):
-        bound = _SubsetBound(b, corr, yy, limit, forced)
+        bound = _SubsetBound(b, b.T @ y, float(y @ y), limit, forced)
         for batch in _batches(_budgeted_blocks(costs, k, budget)):
             assert len({blk[0][:-1] for blk in batch}) == 1
             assert len(batch) <= cache
-            got, want = bound(batch), []
-            for block, (cells, res) in zip(batch, bound.bounded(batch)):
-                keep = np.sqrt(res) <= limit
-                rows, res = _block_rows(block, tuple(c[keep] for c in cells)), res[keep]
-                want_rows, want_res = reference_bound(
-                    gram, corr, yy, block, limit, (n - 1,) if forced else ())
-                np.testing.assert_array_equal(rows, want_rows)
-                assert res.tobytes() == want_res.tobytes()
-                want.append(rows)
-            np.testing.assert_array_equal(got, np.concatenate(want))
+            _checked_batch(bound, batch, gram, (n - 1,) if forced else ())
 
 
 @pytest.mark.parametrize("n", [128, 512])
@@ -1467,6 +1505,15 @@ def test_input_validation():
         mcp_exact(ens, np.zeros(4), 3, eta=-1.0)
     with pytest.raises(ValueError):
         mcp_tolerant(ens, np.zeros(4), 3, -0.1)
+    # a NaN tolerance, or a non-finite measurement, is not a problem the
+    # search can answer: without the check the solve reports infeasible
+    for y in ([0.0, math.nan, 0.0, 0.0], [0.0, 0.0, math.inf, 0.0], [-math.inf] * 4):
+        with pytest.raises(ValueError):
+            mcp_exact(ens, np.array(y), 3)
+    with pytest.raises(ValueError):
+        mcp_exact(ens, np.zeros(4), 3, eta=math.nan)
+    with pytest.raises(ValueError):
+        mcp_tolerant(ens, np.zeros(4), 3, math.nan)
 
 
 # ---------------------------------------------------------------------------
