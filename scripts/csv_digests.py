@@ -3,7 +3,9 @@
     python3 scripts/csv_digests.py --out digests.txt
 
 Each run gives a line with its exit status, then one line per CSV with
-the sha1 its manifest records. The runs are `scan --config
+the sha1 its manifest records, each followed by one line per column with
+the sha1 of that column's values, one a line, so a changed digest names
+its column. The runs are `scan --config
 configs/scan-quick.cfg`, `corollary --trials 20`, `lemmas` and `mismatch
 --config configs/mismatch-default.cfg`, each in its own temporary
 directory, with one BLAS thread as the benchmark uses. The script imports
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import hashlib
 import io
 import json
 import os
@@ -51,9 +55,22 @@ def csv_digests() -> list[str]:
             lines.append(f"{run[0]} exit {status}")
             for manifest in sorted(Path(out).glob("*_manifest.json")):
                 outputs = json.loads(manifest.read_text())["outputs"]
-                lines += [f"{run[0]} {name} {outputs[name]['sha1']}"
-                          for name in sorted(outputs)]
+                for name in sorted(outputs):
+                    lines.append(f"{run[0]} {name} {outputs[name]['sha1']}")
+                    lines += column_digests(f"{run[0]} {name}", Path(out) / name)
     return lines
+
+
+def column_digests(label: str, path: Path) -> list[str]:
+    """One line per column of a CSV: label:column and the sha1 of the
+    column's values, one a line."""
+    with open(path, newline="") as f:
+        header, *rows = csv.reader(f)
+    return [
+        f"{label}:{column} "
+        + hashlib.sha1("\n".join(row[i] for row in rows).encode()).hexdigest()
+        for i, column in enumerate(header)
+    ]
 
 
 def main(argv=None) -> int:

@@ -3,9 +3,9 @@
 The program solved here is: among all codewords of the structured codecs
 (sparse, piecewise-polynomial, optionally literal), find one whose decoded
 vector x satisfies |Ax - y| <= eta, minimizing code length; ties broken by
-smaller residual, then deterministically (bitstream order across strata;
-within one stratum the walk keeps the first point it reaches at the
-minimal residual).
+smaller residual, then by bitstream order. The residual of a point is one
+float, np.linalg.norm(A @ x - y) on its decoded samples, so ties and
+feasibility are decided on the values a brute-force enumeration computes.
 
 Code length is constant on a stratum (a support set, or a breakpoint and
 degree pattern), because value payloads are fixed width. The search walks
@@ -25,8 +25,12 @@ value box, and one leaf handler that tests the residual, offers the point
 and tightens the radius. Sparse supports, breakpoint patterns and the
 literal block pass only what differs: columns, value box, piece blocks,
 the map to sample numerators and the encoder. Degree >= 1 pieces floor
-their samples, so their radius carries a slack and their residual is
-recomputed from the samples.
+their samples, so their radius carries a slack. The walk radius, every
+tightening of it and the three prunes allow one squared residual,
+_allowed_sq: (r + slack)^2 + _LS_MARGIN for a residual r, with r = eta
+for feasibility and r = the incumbent's residual once a point is taken,
+so a point that ties the incumbent stays inside the radius and the
+stream order decides the tie.
 
 The walk's two innermost levels are one numpy batch per visit of level 1:
 every (level-1 value, level-0 value) leaf in walk order, laid out from
@@ -55,8 +59,8 @@ costs uint_code_len(p + 1)) and breakpoint patterns (break b costs
 uint_code_len(b)). Both costs never decrease with the index, so each
 index range is one searchsorted cut on running cost sums, and only
 (size - 2)-index prefixes are walked in Python. The generator writes no
-rows: a block is one prefix with up to _BLOCK_ROWS first indices inside
-one Gram panel (below), each with its range of last indices; a level of
+rows: a block is one prefix with the run of its first indices inside one
+Gram panel (below), each with its range of last indices; a level of
 single indices is one block.
 
 The least-squares bound of a sparse support or a degree-0 breakpoint
@@ -106,7 +110,7 @@ differ in the last bit): the prefixes' rows, and a batch's pair grids,
 from the panel that holds them, T[n]'s from the last column of each. The
 diagonal is the squared column norms, from one einsum over cols. No N x N
 array is built. A
-batch holds at most _PANEL_CACHE blocks of at most _BLOCK_ROWS first
+batch holds at most _PANEL_CACHE blocks of at most _PANEL_ROWS first
 indices, so one panel's broadcast has at most _PANEL_CACHE x _PANEL_ROWS
 x N cells, as many floats as the panel cache. Scratch memory is the
 cache plus three float arrays and a boolean one of one broadcast, not
@@ -169,10 +173,9 @@ __all__ = [
     "dl_budget_bits",
 ]
 
-_LS_MARGIN = 1e-9  # float slack on the continuous feasibility prune
+_LS_MARGIN = 1e-9  # float room on squared residuals, walk and prunes alike (_allowed_sq)
 _SUBSET_GUARD = 1e-10  # projected/unprojected diagonal not above this: bound 0
-_BLOCK_ROWS = 64  # first indices per block of _budgeted_blocks
-_PANEL_ROWS = 64  # columns whose Gram rows one panel holds
+_PANEL_ROWS = 64  # columns whose Gram rows one panel holds, and first indices per block
 _PANEL_CACHE = 8  # Gram panels a bound keeps, least recently used dropped first
 # The pair screen drops a cell only when e^2 < c_i (h - _SCREEN_TAU g_j), so
 # the cell's exact residual^2, r_i - e^2 / h, exceeds limit^2 by at least
@@ -261,6 +264,15 @@ def dl_budget_bits(kappa: float, delta: float, m: int) -> int:
     """Code-length budget 2(kappa + delta)m plus the measured pair
     overhead; differences of two in-class codewords stay below it."""
     return math.ceil(2.0 * (kappa + delta) * m) + PAIR_OVERHEAD_BITS
+
+
+def _allowed_sq(r: float, slack: float = 0.0) -> float:
+    """(r + slack)^2 + _LS_MARGIN: the squared distance from y, in a
+    stratum's continuous span, that a point of residual at most r can
+    have, with slack for floored samples. The walk radius, its tightenings
+    and the prunes all read it. A product, not a power, so a finite r past
+    1e154 gives inf rather than OverflowError."""
+    return (r + slack) * (r + slack) + _LS_MARGIN
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +412,13 @@ def _sphere_walk(
     most _LEAF_SLICE leaves. score(us, dist_sq) estimates the residual of
     each live leaf of a slice (one row of us per leaf), and accept(u,
     dist_sq) gets, in walk order, each live leaf whose estimate is at
-    most cut. accept returns upper bounds on radius_sq and cut; they apply
-    strictly from the next leaf on, so later points must beat a tightened
-    radius, not merely tie it. After each accept the rest of the batch is
-    filtered again: level-1 values whose own distance no longer fits are
-    skipped, and later level-0 ranges shrink to the tightened radius. When
+    most cut. accept returns upper bounds on radius_sq and cut, which apply
+    from the next leaf on. A leaf must lie strictly inside the radius, so a
+    caller that keeps leaves that tie the one it took returns a radius with
+    room above theirs, as walk_stratum's _allowed_sq does. After each
+    accept the rest of the batch is filtered again: level-1 values whose
+    own distance no longer fits are skipped, and later level-0 ranges
+    shrink to the tightened radius. When
     neither level is free, the first leaf is tried alone before the batch
     is laid out, and a visit left with nothing inside the radius after
     accepting it ends there. Points, and walk steps at free levels, are
@@ -651,11 +665,10 @@ def _budgeted_blocks(costs: np.ndarray, size: int, budget: int):
     ends).
 
     A block stands for the tuples prefix + (firsts[t], j) with
-    firsts[t] < j < ends[t]: firsts is a run of at most _BLOCK_ROWS
-    consecutive indices that stops before the next multiple of
-    _PANEL_ROWS, so the block's pair grid lies in one Gram panel, and
-    ends never increases along it, so every second index of the block
-    lies below ends[0]. Size 1 gives the one block ((), firsts, None) of
+    firsts[t] < j < ends[t]: firsts is a run of consecutive indices that
+    stops before the next multiple of _PANEL_ROWS, so the block's pair
+    grid lies in one Gram panel, and ends never increases along it, so
+    every second index of the block lies below ends[0]. Size 1 gives the one block ((), firsts, None) of
     all tuples (i,) that fit, and size 0 the one block ((), None, None)
     of the empty tuple; either only when the budget allows a tuple.
 
@@ -696,7 +709,7 @@ def _budgeted_blocks(costs: np.ndarray, size: int, budget: int):
         lo = picked[-1] + 1 if picked else 0
         stop = np.searchsorted(windows[2], left, side="right")
         while lo < stop:
-            hi = min(lo + _BLOCK_ROWS, lo - lo % _PANEL_ROWS + _PANEL_ROWS, stop)
+            hi = min(lo - lo % _PANEL_ROWS + _PANEL_ROWS, stop)
             firsts = np.arange(lo, hi, dtype=np.int64)
             ends = np.searchsorted(costs, left - costs[firsts], side="right")
             yield tuple(picked), firsts, ends
@@ -1202,7 +1215,7 @@ class _Search:
         bound and the positivity cut, since values lie in [2^-m, 1 - 2^-m]."""
         box = 2.0 ** -self.m, 1.0 - 2.0 ** -self.m
         return _SubsetBound(
-            self.a, self.a.T @ self.y, self.yy, self.eta + _LS_MARGIN, box=box
+            self.a, self.a.T @ self.y, self.yy, math.sqrt(_allowed_sq(self.eta)), box=box
         )
 
     @cached_property
@@ -1223,7 +1236,7 @@ class _Search:
     # -- one stratum walker -----------------------------------------------
 
     def walk_stratum(
-        self, cols, dl, lo, bits, samples, code, floored=False, blocks=None
+        self, cols, dl, lo, bits, samples, code, slack=0.0, blocks=None
     ) -> None:
         """Offer the grid points of one stratum that satisfy the constraint
         and can still beat or tie the incumbent.
@@ -1236,43 +1249,41 @@ class _Search:
         (start, end) coordinate slices of a piecewise stratum's pieces,
         whose coefficient numerators sum to less than 2^bits.
 
-        Unless floored, the samples are the coordinates themselves and the
-        walk distance gives the exact residual. Floored samples (piecewise
-        degree >= 1) can be pp_slack further from y than the walk distance
-        says, so the radius is widened by that much and the residual is
-        recomputed from the samples.
+        A point's residual is |A x - y| of its decoded samples x, for
+        every stratum. The walk distance, plus this stratum's base_sq, is
+        the squared distance of cols u from y; floored samples (piecewise
+        degree >= 1, slack = pp_slack) can be up to slack further from y
+        than that. So the walk radius is _allowed_sq(eta, slack) - base_sq,
+        and once a point is offered _allowed_sq(r, slack) - base_sq for the
+        incumbent's residual r: a point that ties the incumbent stays
+        inside it, and offer decides the tie by stream.
 
         The walk scores its two innermost levels in batches and hands
         accept only the leaves that can change the search: while a probe is
         attached, every feasible leaf; otherwise every feasible leaf up
-        to this stratum's first one, which tightens the radius against
-        this stratum's base_sq even when it loses to the incumbent, and
-        after it only leaves that can beat or tie the incumbent residual.
-        Batch residuals can differ from accept's in the last bits, so they
-        are compared with res_margin to spare, and accept decides on the
-        exact residual. A stratum with no columns has the one point u = (),
-        which accept gets without a walk; like any stratum, it was charged
-        to the node cap by its level, and the point is not charged."""
+        to this stratum's first one, which tightens the radius even when it
+        loses to the incumbent, and after it only leaves that can beat or
+        tie the incumbent residual. Batch residuals can differ from
+        accept's in the last bits, so they are compared with res_margin to
+        spare, and accept decides on its own residual, the one a
+        brute-force enumeration computes. A stratum with no columns has
+        the one point u = (), which accept gets without a walk; like any
+        stratum, it was charged to the node cap by its level, and the
+        point is not charged."""
         r_mat, qty, base_sq = _qr_rows(cols, self.y)
-        slack = self.pp_slack if floored else 0.0
-        radius_sq = (self.eta + slack) ** 2 + _LS_MARGIN - base_sq
+        radius_sq = _allowed_sq(self.eta, slack) - base_sq
         if radius_sq < 0:
             return
         margin = self.res_margin
 
         def score(us, dist_sq):
-            if not floored:
-                return np.sqrt(base_sq + dist_sq)
             x = np.ldexp(samples(us).astype(np.float64), -self.m)
             return np.linalg.norm(x @ self.a.T - self.y, axis=1)
 
         def accept(u, dist_sq):
             nums = samples(u[None])[0]
-            if floored:
-                x = np.ldexp(nums.astype(np.float64), -self.m)
-                res = float(np.linalg.norm(self.a @ x - self.y))
-            else:
-                res = math.sqrt(base_sq + dist_sq)
+            x = np.ldexp(nums.astype(np.float64), -self.m)
+            res = float(np.linalg.norm(self.a @ x - self.y))
             if res > self.eta:
                 return math.inf, math.inf
             vec = QuantizedVector(tuple(nums.tolist()), self.m)
@@ -1281,7 +1292,7 @@ class _Search:
             self.incumbent.offer(dl, res, lambda: code(u, vec), vec)
             # this stratum now holds the incumbent length, so only points
             # that can still beat or tie its residual matter
-            radius_bound = max((self.incumbent.residual + slack) ** 2 - base_sq, 0.0)
+            radius_bound = _allowed_sq(self.incumbent.residual, slack) - base_sq
             if self.probe is not None:
                 return radius_bound, math.inf
             return radius_bound, self.incumbent.residual + margin
@@ -1388,7 +1399,8 @@ class _Search:
         with breaks b_1 .. b_q spans the same space as T[b_1], .., T[b_q]
         and T[n], so this bounds it without building its columns."""
         tab = self.prefix_table(0)[1:]
-        return _SubsetBound(tab.T, tab @ self.y, self.yy, self.eta + _LS_MARGIN, True)
+        limit = math.sqrt(_allowed_sq(self.eta))
+        return _SubsetBound(tab.T, tab @ self.y, self.yy, limit, True)
 
     def run_pp(self) -> None:
         if not self.config.include_pp or self.n < 1:
@@ -1417,8 +1429,9 @@ class _Search:
         run_level: a block of break indices (break b is index b - 1) to the
         patterns that pass. Degree 0 takes the bound from pattern_bound,
         with T[n] forced in. Higher degrees take pp_residual_sq, the
-        residual that walk_stratum skips a stratum on; their samples are
-        floored, so the prune carries pp_slack."""
+        residual that walk_stratum skips a stratum on, and keep a pattern
+        on walk_stratum's test, res_sq <= _allowed_sq(eta, pp_slack): their
+        samples are floored, so the prune carries pp_slack."""
         if n_deg == 0:
             # built when a batch is first bounded, not for a degree whose
             # levels are all out of budget
@@ -1427,7 +1440,7 @@ class _Search:
         def bound(blocks):
             rows = np.concatenate([_block_rows(block) for block in blocks])
             res_sq = self.pp_residual_sq(n_deg, rows, m_prime)
-            return rows[np.sqrt(res_sq) <= self.eta + self.pp_slack + _LS_MARGIN]
+            return rows[res_sq <= _allowed_sq(self.eta, self.pp_slack)]
 
         return bound
 
@@ -1474,9 +1487,8 @@ class _Search:
         # below 2^m_prime already
         blocks = [(s, s + width) for s in range(0, cols.shape[1], width)] if n_deg else None
         decode = self.pp_decoder(breaks, n_deg, m_prime)
-        self.walk_stratum(
-            cols, dl, 0, m_prime, decode, code, floored=n_deg > 0, blocks=blocks
-        )
+        slack = self.pp_slack if n_deg else 0.0
+        self.walk_stratum(cols, dl, 0, m_prime, decode, code, slack, blocks)
 
     def pp_decoder(self, breaks, n_deg, m_prime):
         """Sample-numerator evaluator for one stratum: an (L, D) batch of

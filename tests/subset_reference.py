@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
+from mcpursuit import solver
 from mcpursuit.solver import (
-    _PANEL_ROWS,
     _SUBSET_GUARD,
     _block_rows,
     _GramPanels,
@@ -25,13 +25,15 @@ from mcpursuit.solver import (
 
 def panel_gram(cols: np.ndarray) -> np.ndarray:
     """cols.T @ cols, with every entry i < j from the panel
-    cols[:, p:p + _PANEL_ROWS].T @ cols[:, p:] that holds row i, the
-    entries below the diagonal mirrored from above it, and the diagonal
-    the squared column norms the solver reads (_GramPanels.diag)."""
-    n = cols.shape[1]
+    cols[:, p:p + R].T @ cols[:, p:] that holds row i, the entries below
+    the diagonal mirrored from above it, and the diagonal the squared
+    column norms the solver reads (_GramPanels.diag). R is
+    solver._PANEL_ROWS when called, so a test that shrinks the panels
+    gets their bits."""
+    n, rows = cols.shape[1], solver._PANEL_ROWS
     gram = np.zeros((n, n))
-    for p in range(0, n, _PANEL_ROWS):
-        gram[p : p + _PANEL_ROWS, p:] = cols[:, p : p + _PANEL_ROWS].T @ cols[:, p:]
+    for p in range(0, n, rows):
+        gram[p : p + rows, p:] = cols[:, p : p + rows].T @ cols[:, p:]
     upper = np.triu(gram, 1)
     gram = upper + upper.T
     np.fill_diagonal(gram, _GramPanels(cols).diag)

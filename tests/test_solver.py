@@ -32,7 +32,6 @@ from mcpursuit.rng import derive_seed, make_generator
 from mcpursuit.signals import gen_sparse
 from mcpursuit import solver
 from mcpursuit.solver import (
-    _LS_MARGIN,
     ProbeStats,
     SolverConfig,
     SolverResourceError,
@@ -43,6 +42,7 @@ from mcpursuit.solver import (
     _ls2_residual_sq,
     _Search,
     _SubsetBound,
+    _allowed_sq,
     corollary_error_bound,
     corollary_failure_prob,
     dl_budget_bits,
@@ -104,7 +104,7 @@ def test_matches_brute_force_sparse_scope(idx, n, m):
         y, eta = _draw_y(kind, ens, m, rng)
         got = mcp_exact(ens, y, m, eta, SPARSE_SCOPE)
         want = brute_force_argmin(ens, y, m, eta, SPARSE_SCOPE)
-        assert_matches_oracle(got, want, ens, y, eta)
+        assert_matches_oracle(got, want)
 
 
 @pytest.mark.parametrize("idx,n", [(0, 6), (1, 8), (2, 10)])
@@ -116,7 +116,7 @@ def test_matches_brute_force_pp_scope(idx, n):
         y, eta = _draw_y(kind, ens, m, rng)
         got = mcp_exact(ens, y, m, eta, PP_SCOPE)
         want = brute_force_argmin(ens, y, m, eta, PP_SCOPE)
-        assert_matches_oracle(got, want, ens, y, eta)
+        assert_matches_oracle(got, want)
 
 
 def _three_break_signal(n, m, rng):
@@ -168,7 +168,7 @@ def test_matches_brute_force_projected_bound(scope, signal, n):
         want = brute_force_argmin(ens, y, m, eta, scope)
         if kind == "exact":
             np.testing.assert_array_equal(want.vector.to_floats(), x)
-        assert_matches_oracle(got, want, ens, y, eta)
+        assert_matches_oracle(got, want)
 
 
 def test_matches_brute_force_with_literal():
@@ -180,7 +180,7 @@ def test_matches_brute_force_with_literal():
         y, eta = _draw_y(kind, ens, m, rng)
         got = mcp_exact(ens, y, m, eta, cfg)
         want = brute_force_argmin(ens, y, m, eta, cfg)
-        assert_matches_oracle(got, want, ens, y, eta)
+        assert_matches_oracle(got, want)
 
 
 def test_matches_brute_force_degenerate_sizes():
@@ -193,7 +193,7 @@ def test_matches_brute_force_degenerate_sizes():
             y, eta = _draw_y(kind, ens, m, rng)
             got = mcp_exact(ens, y, m, eta, cfg)
             want = brute_force_argmin(ens, y, m, eta, cfg)
-            assert_matches_oracle(got, want, ens, y, eta)
+            assert_matches_oracle(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +205,18 @@ def _budgeted_cases(draw):
     costs = sorted(draw(st.lists(st.integers(0, 12), max_size=8)))
     total = sum(costs)
     budget = draw(st.sampled_from([-1, 0, total + 1]) | st.integers(0, total))
-    size, block_rows = draw(st.integers(0, 4)), draw(st.integers(1, 6))
-    return costs, size, budget, block_rows, draw(st.integers(1, 3))
+    return costs, draw(st.integers(0, 4)), budget, draw(st.integers(1, 6))
 
 
 @given(case=_budgeted_cases())
 @settings(max_examples=300, deadline=None)
 def test_budgeted_tuples_match_filtered_combinations(case):
-    costs, size, budget, block_rows, panel_rows = case
+    costs, size, budget, panel_rows = case
     want = [
         t for t in itertools.combinations(range(len(costs)), size)
         if sum(costs[i] for i in t) <= budget
     ]
-    with mock.patch.object(solver, "_BLOCK_ROWS", block_rows), \
-            mock.patch.object(solver, "_PANEL_ROWS", panel_rows):
+    with mock.patch.object(solver, "_PANEL_ROWS", panel_rows):
         blocks = list(_budgeted_blocks(np.array(costs, dtype=np.int64), size, budget))
     rows = [_block_rows(b) for b in blocks]
     if size < 2:
@@ -227,7 +225,7 @@ def test_budgeted_tuples_match_filtered_combinations(case):
     for (prefix, firsts, _), r in zip(blocks, rows):
         assert len(prefix) == max(size - 2, 0)
         assert firsts is None or 0 < len(firsts)
-        assert size < 2 or len(firsts) <= block_rows
+        assert size < 2 or len(firsts) <= panel_rows
         # a block's pair grid is read from the one Gram panel of its firsts
         assert size < 2 or firsts[0] // panel_rows == firsts[-1] // panel_rows
         assert r.dtype == np.int64 and r.shape[1] == size
@@ -315,6 +313,17 @@ def _unmeasured_first_instance():
     xq = quantize_vector(make_generator(932, "zero-column-draw").uniform(0, 1, size=n), m)
     cfg = SolverConfig(max_sparse_k=0, include_pp=False, include_literal=True)
     return MeasurementEnsemble(a, base.key), np.array(xq.to_floats()), m, 0.2, cfg
+
+
+def test_free_innermost_walk_matches_brute_force():
+    # |A x - y| is blind to the first coordinate, so four literal points,
+    # one per first value, tie at residual 0.0: the earliest stream wins,
+    # as in the oracle.
+    ens, x, m, eta, cfg = _unmeasured_first_instance()
+    y = np.asarray(ens.matrix) @ x
+    got = mcp_exact(ens, y, m, eta, cfg)
+    assert got.residual == 0.0
+    assert_matches_oracle(got, brute_force_argmin(ens, y, m, eta, cfg))
 
 
 def _solve(instance, probe=False, **config):
@@ -419,20 +428,20 @@ def _tied_pairs_instance():
 ], ids=["three-break", "loose-sparse", "degree1", "tied-pairs"])
 def test_offer_order_does_not_depend_on_block_or_chunk_size(instance, monkeypatch):
     # Strata are sorted once per level, so neither the first indices per
-    # block, nor the degree >= 1 patterns whose columns are built at once,
-    # nor the Gram panels kept may change what is offered, in what order,
-    # or the counters.
+    # block and Gram panel, nor the degree >= 1 patterns whose columns are
+    # built at once, nor the Gram panels kept may change what is offered,
+    # in what order, or the counters.
     def run(patch):
         res, offers = _offer_sequence(instance, patch)
         return (res.dl_bits, res.stream, res.strata_examined, res.points_tested), offers
 
     with monkeypatch.context() as patch:
         want = run(patch)
-    for block_rows, pp_chunk in itertools.product((1, 5, 64), (1, 7, 2048)):
+    for panel_rows, pp_chunk in itertools.product((1, 5, 64), (1, 7, 2048)):
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_BLOCK_ROWS", block_rows)
+            patch.setattr(solver, "_PANEL_ROWS", panel_rows)
             patch.setattr(solver, "_PP_CHUNK", pp_chunk)
-            patch.setattr(solver, "_PANEL_CACHE", 1 + block_rows % 2)
+            patch.setattr(solver, "_PANEL_CACHE", 1 + panel_rows % 2)
             assert run(patch) == want
 
 
@@ -518,20 +527,22 @@ def test_floored_walk_with_probe_is_pinned(instance, pinned, probe):
     (_ramp_instance, 395),
     (_literal_instance, 136),
     (_one_sample_piece_instance, 8417),
-    (_unmeasured_first_instance, 302),
+    (_unmeasured_first_instance, 314),
     (_three_break_instance, 18522),
 ], ids=["degree1", "literal", "free-level", "free-innermost", "three-break"])
 @pytest.mark.parametrize("leaf_slice", [2, solver._LEAF_SLICE])
 def test_node_cap_fires_at_the_same_node(instance, nodes, leaf_slice, monkeypatch):
     # Values recorded before the innermost walk level was batched: the
     # strata, points and walk steps each solve charges (ramp 154 + 241 + 0,
-    # literal 46 + 18 + 72, one-sample piece 53 + 6,380 + 1,984, unmeasured
-    # first coordinate 2 + 12 + 288; three-break, recorded once strata were
-    # sorted per level, 18,521 + 1 + 0). The solve completes under exactly
-    # that cap and runs out one node below it, so a walk that charges a
-    # batch of leaves or walk steps differently, or a level that charges
-    # strata it does not generate, fails here. 2-value slices split the
-    # innermost visits of these walks.
+    # literal 46 + 18 + 72, one-sample piece 53 + 6,380 + 1,984; three-break,
+    # recorded once strata were sorted per level, 18,521 + 1 + 0; unmeasured
+    # first coordinate 2 + 24 + 288, recorded once the tightened radius
+    # kept room for the points that tie the incumbent, which charged 12
+    # points more). The solve completes under exactly that cap and runs
+    # out one node below it, so a walk that charges a batch of leaves or
+    # walk steps differently, or a level that charges strata it does not
+    # generate, fails here. 2-value slices split the innermost visits of
+    # these walks.
     monkeypatch.setattr(solver, "_LEAF_SLICE", leaf_slice)
     assert _solve(instance, node_cap=nodes).status == "ok"
     with pytest.raises(SolverResourceError):
@@ -618,11 +629,11 @@ def _walk_record(walk, case, node_cap):
         if res > eta:
             return math.inf, math.inf
         best[0] = min(best[0], res)
-        return (best[0] + slack) ** 2, math.inf if probe else best[0] + margin
+        return _allowed_sq(best[0], slack), math.inf if probe else best[0] + margin
 
     budget = solver._Budget(node_cap)
     try:
-        walk(r_mat, qty, (eta + slack) ** 2, eta + margin, lo, hi, budget,
+        walk(r_mat, qty, _allowed_sq(eta, slack), eta + margin, lo, hi, budget,
              residual, accept, blocks, block_cap)
     except SolverResourceError:
         return calls, None, True
@@ -764,10 +775,10 @@ def _cut_sums(b, y, m, rows):
     return np.maximum(lo * c, hi * c)[rows].sum(axis=1)
 
 
-@pytest.mark.parametrize("rows", [5, solver._BLOCK_ROWS])
+@pytest.mark.parametrize("rows", [5, solver._PANEL_ROWS])
 def test_pair_scan_matches_gathered_reference(rows, monkeypatch):
-    # 5-row blocks put the tied pairs below in different blocks
-    monkeypatch.setattr(solver, "_BLOCK_ROWS", rows)
+    # 5-row panels put the tied pairs below in different blocks
+    monkeypatch.setattr(solver, "_PANEL_ROWS", rows)
     n, d, m = 40, 12, 4
     rng = make_generator(915, "pairs-draw")
     b = rng.normal(size=(d, n))
@@ -779,7 +790,7 @@ def test_pair_scan_matches_gathered_reference(rows, monkeypatch):
     all_pairs, all_res = _gathered_pairs(panel_gram(b), b.T @ y, yy)
     offers = _record_offers(monkeypatch)
     for eta in (0.0, math.sqrt(np.quantile(all_res, 0.3))):
-        limit = eta + _LS_MARGIN
+        limit = math.sqrt(_allowed_sq(eta))
         keep = np.sqrt(all_res) <= limit
         search = _search_on(b, y, m, eta, PAIR_SCOPE)
         # without the positivity cut the bound keeps the bits of the whole
@@ -894,10 +905,12 @@ def test_subset_bound_matches_lstsq(forced, monkeypatch):
         passed = _bound_level(b, y, costs, k, limit, forced)
         np.testing.assert_array_equal(passed[0], rows[kept])
         np.testing.assert_array_equal(passed[1], got[kept])
-        # blocks cut anywhere give the same bits: each stratum depends only
-        # on its own prefix
+        # blocks cut every two first indices give the same bits: each
+        # stratum depends only on its own prefix, and two-row panels hold
+        # the bits of the whole product (a one-row panel's product can
+        # round differently)
         with monkeypatch.context() as patch:
-            patch.setattr(solver, "_BLOCK_ROWS", 1)
+            patch.setattr(solver, "_PANEL_ROWS", 2)
             one = _bound_level(b, y, costs, k, math.inf, forced)
         np.testing.assert_array_equal(one[0], rows)
         np.testing.assert_array_equal(one[1], got)
@@ -934,7 +947,8 @@ def test_subset_bound_is_zero_on_dependent_columns(monkeypatch):
     # eta = 0; the sparse scan offers those that also pass the positivity
     # cut
     costs = np.zeros(n, dtype=np.int64)
-    rows, _ = _bound_level(b, y, costs, 3, _LS_MARGIN)
+    limit = math.sqrt(_allowed_sq(0.0))
+    rows, _ = _bound_level(b, y, costs, 3, limit)
     kept = {tuple(r) for r in rows.tolist()}
     dep = [tuple(r) for r in _lexicographic_rows(range(n), 3).tolist() if dependent(r)]
     assert set(dep) <= kept
@@ -942,7 +956,7 @@ def test_subset_bound_is_zero_on_dependent_columns(monkeypatch):
     offers = _record_offers(monkeypatch)
     search.run_sparse(3, 3)
     offered = {support for support, _ in offers}
-    cut, _ = _bound_level(b, y, costs, 3, _LS_MARGIN, box=_box(3))
+    cut, _ = _bound_level(b, y, costs, 3, limit, box=_box(3))
     assert offered == {tuple(r) for r in cut.tolist()} <= kept
 
 
@@ -970,11 +984,11 @@ def _screen_cases(draw):
         picked = rng.choice(n, size=1 if target == "one" else 2, replace=False)
         y = b[:, picked] @ rng.normal(size=len(picked)) + 1e-9 * rng.normal(size=d)
     forced = draw(st.booleans())
-    block_rows = draw(st.sampled_from([1, 5, 64]))
+    panel_rows = draw(st.sampled_from([1, 5, 64]))
     cache = draw(st.sampled_from([1, 2, 8]))
     slack = draw(st.integers(0, 6))
     scale = draw(st.sampled_from([0.0, 1e-8, 1e-3, 0.05, 0.3, 1.0]))
-    return b, y, forced, k, slack, scale * float(np.linalg.norm(y)), block_rows, cache
+    return b, y, forced, k, slack, scale * float(np.linalg.norm(y)), panel_rows, cache
 
 
 def _spanning_case():
@@ -1025,13 +1039,13 @@ def test_screened_bound_matches_full_grid(case):
     # projects each block's own prefix, bit for bit: the screen may only
     # drop cells that the exact formula also puts above the limit, and a
     # guarded pivot keeps its blocks' cells at bound 0.
-    b, y, forced, k, slack, limit, block_rows, cache = case
+    b, y, forced, k, slack, limit, panel_rows, cache = case
     n = b.shape[1]
-    gram = panel_gram(b)
     costs = solver._position_costs(n - forced)
     budget = int(costs[:k].sum()) + slack
-    with mock.patch.object(solver, "_BLOCK_ROWS", block_rows), \
+    with mock.patch.object(solver, "_PANEL_ROWS", panel_rows), \
             mock.patch.object(solver, "_PANEL_CACHE", cache):
+        gram = panel_gram(b)
         bound = _SubsetBound(b, b.T @ y, float(y @ y), limit, forced)
         for batch in _batches(_budgeted_blocks(costs, k, budget)):
             assert len({blk[0][:-1] for blk in batch}) == 1
@@ -1135,9 +1149,9 @@ def test_matches_brute_force_where_only_the_cut_prunes(idx, n):
         got = mcp_exact(ens, y, m, eta, CUT_SCOPE)
         want = brute_force_argmin(ens, y, m, eta, CUT_SCOPE)
         assert got.status == "ok" or kind == "barely"
-        assert_matches_oracle(got, want, ens, y, eta)
+        assert_matches_oracle(got, want)
         for k in range(4):
-            for support in _cut_only(a, y, m, eta + _LS_MARGIN, k):
+            for support in _cut_only(a, y, m, math.sqrt(_allowed_sq(eta)), k):
                 assert _best_residual(a, y, m, support) > eta
                 dropped += 1
     assert dropped > 0
@@ -1313,8 +1327,8 @@ def test_pp_bound_keeps_floored_grid_signal():
     rows = search.pp_bound(n_deg, m_prime)([((), np.array([brk - 1]), None)])
     assert rows.tolist() == [[brk - 1]]
     res_sq = search.pp_residual_sq(n_deg, rows, m_prime)
-    assert math.sqrt(res_sq[0]) > eta + _LS_MARGIN
-    assert math.sqrt(res_sq[0]) <= eta + search.pp_slack + _LS_MARGIN
+    assert res_sq[0] > _allowed_sq(eta)
+    assert res_sq[0] <= _allowed_sq(eta, search.pp_slack)
 
 
 # ---------------------------------------------------------------------------
@@ -1402,6 +1416,18 @@ def test_exact_sparse_recovery_and_probe():
     assert res.probe.zero_diffs >= 1
     if res.probe.min_gain is not None:
         assert res.probe.min_gain > 0
+
+
+def test_exact_sparse_recovery_at_eta_zero():
+    # y = A x for a 2-sparse grid x: x's residual is the float |A x - y|,
+    # 0.0 exactly, so it is feasible at eta = 0, whatever rounding a
+    # stratum's QR carries.
+    n, m, d = 64, 6, 30
+    ens = sample_ensemble(n, d, derive_seed(905, "eta-zero"))
+    xq = quantize_vector(gen_sparse(n, 2, make_generator(905, "eta-zero-draw")), m)
+    y = np.asarray(ens.matrix) @ np.array(xq.to_floats())
+    res = mcp_exact(ens, y, m, 0.0, PAIR_SCOPE)
+    assert (res.status, res.x_hat, res.residual) == ("ok", xq, 0.0)
 
 
 def test_piecewise_constant_recovery():
@@ -1514,6 +1540,22 @@ def test_input_validation():
         mcp_exact(ens, np.zeros(4), 3, eta=math.nan)
     with pytest.raises(ValueError):
         mcp_tolerant(ens, np.zeros(4), 3, math.nan)
+
+
+def test_huge_finite_eta_answers_as_infinite():
+    # The walk radius and the prunes square eta: a finite eta past 1e154
+    # squares to inf, as eta = inf does, and must not overflow.
+    ens = sample_ensemble(8, 4, derive_seed(913, "val"))
+    y, cfg = np.ones(4), SolverConfig(max_sparse_k=2)
+
+    def answer(eta):
+        res = mcp_exact(ens, y, 3, eta, cfg)
+        return res.status, res.dl_bits, res.stream, res.residual, res.points_tested
+
+    want = answer(math.inf)
+    assert want[0] == "ok"
+    for eta in (1e160, 1e300, 1.7e308):
+        assert answer(eta) == want
 
 
 # ---------------------------------------------------------------------------
