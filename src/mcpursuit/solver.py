@@ -87,11 +87,20 @@ max(lo c_j, hi c_j), c_j = w . A_j, reaches |y| - limit - delta, where
 delta bounds the rounding of the scores, |y| and the sum, from d, the
 column norms, |y| and the support size (a Farkas-type certificate;
 Slawski & Hein 2013 on nonnegative sparse recovery). The scores cost one
-pass over n. On a pair grid the cut narrows the second indices, then the
-first ones, then tests each cell, and the survivors take their Gram
-entries from one gathered product of their columns: at the shape of
-corollary_n1024 at most 1,056 of 523,776 pairs survive (0.02-0.20%, 8
-instances), and no panel is built. Breakpoint patterns keep the screen
+pass over n. Pair grids are cut once per prefix of a batch, on its blocks
+joined into one grid (_merged), with one need. A cell that passes holds
+a hub, an index h with 2 s_h >= need: doubling is exact and rounding to
+nearest is monotone, so the float sum s_i + s_j is at most 2 max(s_i,
+s_j). So the cut lists the grid's cells from its hubs, a boolean pass
+over the grid's indices per hub as first index and per hub as second,
+and applies the float test s_i + s_j >= need to those alone: it keeps
+bit for bit the cells that the test on every cell keeps. A kept cell
+takes its Gram entry from a product of its hub's column (its index with
+the higher score) with the run of columns the hub pairs with. At the
+shape of corollary_n1024 at most 1,056 of 523,776 pairs survive
+(0.02-0.20%, 8 instances), a whole row and column of the answer's first
+index among them, a few hubs hold them all, and no panel is built.
+Breakpoint patterns keep the screen
 instead: their cut is a sum of positive parts over the pieces, which
 kept every one- and two-break pattern of the eight pp_const_n128
 instances at the bench seed. On their pair grids a cheap screen (about
@@ -105,8 +114,10 @@ second indices after them, whose elements take the operations of one
 block's grid in the same order, so batching moves no bit either.
 Gram entries come from aligned panels cols[:, p:p+64].T @ cols[:, p:],
 built when first needed, which at one BLAS thread match the full product
-cols.T @ cols bit for bit (a slice that starts off a panel boundary can
-differ in the last bit): the prefixes' rows, and a batch's pair grids,
+cols.T @ cols bit for bit when they hold at least two rows (a one-row
+panel, the last one when N = 64q + 1, and a slice that starts off a
+panel boundary can differ in the last bit): the prefixes' rows, and a
+batch's pair grids,
 from the panel that holds them, T[n]'s from the last column of each. The
 diagonal is the squared column norms, from one einsum over cols. No N x N
 array is built. A
@@ -144,7 +155,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
 
 import numpy as np
 
@@ -729,6 +740,16 @@ def _batches(blocks):
         yield batch
 
 
+def _merged(blocks):
+    """The pair grids of a batch joined into one block per prefix. A
+    prefix's blocks come one after another, with firsts that continue
+    each other, so they join into a block of the same form whose firsts
+    may span several panels."""
+    for prefix, run in groupby(blocks, key=lambda blk: blk[0]):
+        _, firsts, ends = zip(*run)
+        yield prefix, np.concatenate(firsts), np.concatenate(ends)
+
+
 def _block_size(block) -> int:
     """Number of index tuples a block stands for."""
     _, firsts, ends = block
@@ -798,9 +819,11 @@ class _GramPanels:
 
     Entries with i <= j are read from aligned panels cols[:, p:p + R].T @
     cols[:, p:], with R = _PANEL_ROWS and p a multiple of R, and an entry
-    with i > j is G[j, i]. At one BLAS thread these give the bits of the
-    full product cols.T @ cols; a slice that starts off a panel boundary
-    can differ from it in the last bit. The pair grids of a batch's blocks
+    with i > j is G[j, i]. At one BLAS thread a panel of at least two rows
+    gives the bits of the full product cols.T @ cols. A one-row panel, the
+    last one when N = 64q + 1, can differ from it in the last bit (numpy
+    may take a matrix-vector path for it), and so can a slice that starts
+    off a panel boundary. The pair grids of a batch's blocks
     in one panel are one slice of it, since _budgeted_blocks keeps a
     block's first indices inside one panel. Panels are built when first
     needed, and at most _PANEL_CACHE of them are kept. The diagonal the
@@ -840,6 +863,16 @@ class _GramPanels:
                 out[t0:t1, p:] = self.panel(p)[idx[t0:t1] - p]
         return out
 
+    def entries(self, hubs: np.ndarray, others: np.ndarray) -> np.ndarray:
+        """G[h, o] for each pair of hubs and others, from one product of
+        the columns of the distinct hubs with the run of columns from the
+        least other to the greatest, a view of cols; no panel."""
+        if not len(hubs):
+            return np.zeros(0)
+        hs = np.unique(hubs)
+        lo, hi = int(others.min()), int(others.max()) + 1
+        return (self.cols[:, hs].T @ self.cols[:, lo:hi])[np.searchsorted(hs, hubs), others - lo]
+
     def last_column(self) -> np.ndarray:
         """G[:, N - 1]: the last column of every panel."""
         return np.concatenate(
@@ -867,13 +900,16 @@ class _SubsetBound:
     only those after the prefix mean something, and a stratum reads them
     at its own indices. The one-column formula or _ls2_residual_sq then
     runs on the projected entries of the block's firsts, or of the cells
-    of its grid of firsts x seconds that pass the cut (below), one block
-    at a time, or without one a cheap screen, a whole batch at once
+    of a batch's pair grids that pass the cut (below), one prefix at a
+    time (anchored), or without one a cheap screen, a whole batch at once
     (screened). With no forced column and no prefix the arithmetic is that
-    of the two formulas alone. Each entry takes the same operations, in
-    the same order, however the blocks are batched, so the bounds do not
-    depend on the batches; the order of the rows does, and run_level sorts
-    them.
+    of the two formulas alone. The screen and blocks of size <= 1 take the
+    same operations per entry, in the same order, however the blocks are
+    batched, so their bounds do not depend on the batches; the cut keeps
+    the same cells in any batch too, but its Gram products take their
+    shape from a prefix's kept cells, which BLAS can round differently in
+    the last bit. The order of the rows depends on the batches, and
+    run_level sorts them.
 
     Strata with (nearly) dependent columns get bound 0, so the least-squares
     bound never prunes them: when a projected diagonal entry, a pivot of F
@@ -889,10 +925,14 @@ class _SubsetBound:
     safe screening, El Ghaoui, Viallon & Rabbani 2012, for nonnegative
     recovery, Slawski & Hein 2013). It reads no Gram entry, so it runs
     first, and the least-squares bound sees only the cells it keeps: a
-    block whose cells all fail reads nothing, and a pair grid's
-    survivors take their Gram entries from one gathered product, not from
-    a panel. The threshold is lowered by delta (need), a bound on the
-    rounding of the scores, |y| and any float evaluation of the sum. With
+    prefix whose cells all fail reads nothing. On pair grids it runs once
+    per prefix of a batch, on the prefix's blocks joined (_merged). Every
+    cell it keeps holds a hub h, 2 s_h >= need, so it lists the cells
+    from the hubs and tests those alone (cut), and a kept cell takes its
+    Gram entry from a product of its hub's column with the columns the
+    hub pairs with, not from a panel (anchored). The threshold is lowered
+    by delta (need), once per prefix, a bound on the rounding of the
+    scores, |y| and any float evaluation of the sum. With
     y = 0 nothing is cut. Breakpoint patterns keep the screen alone: a
     pattern's cut is a sum of positive parts over its pieces, which kept
     every one- and two-break pattern of the instances it was measured
@@ -970,19 +1010,24 @@ class _SubsetBound:
     def bounded(self, blocks):
         """(rows, res_sq) of a batch: the strata that reach the
         least-squares bound, as rows of index tuples in no order, and their
-        least-squares residual^2 (0 where guarded). Those are the strata
-        that pass the cut, one block at a time, or without one every
-        stratum of a block of size <= 1, and the cells of the pair grids
-        that pass the screen, for the whole batch at once (screened)."""
-        if self.scores is None and blocks[0][2] is not None:
+        least-squares residual^2 (0 where guarded). Those are every stratum
+        of a block of size <= 1 that passes the cut, if any; the cells of
+        the batch's pair grids that pass the cut, one prefix at a time
+        (anchored); or without one the cells that pass the screen, for the
+        whole batch at once (screened)."""
+        if blocks[0][2] is None:
+            parts = map(self.one, blocks)
+        elif self.scores is None:
             return self.screened(blocks)
-        rows, res = zip(*map(self.one, blocks))
+        else:
+            parts = map(self.anchored, _merged(blocks))
+        rows, res = zip(*parts)
         return np.concatenate(rows), np.concatenate(res)
 
     def one(self, block):
-        """(rows, res_sq) of one block of size <= 1, or of a pair grid
-        after the cut, for bounded."""
-        prefix, firsts, ends = block
+        """(rows, res_sq) of one block of size <= 1, after the cut if any,
+        for bounded."""
+        prefix, firsts, _ = block
         rows = _block_rows(block, None if self.scores is None else self.cut(block))
         state = self.state(prefix) if len(rows) else None
         if state is None:
@@ -990,15 +1035,34 @@ class _SubsetBound:
         g, b, rest, w, bad = state
         if firsts is None:
             return rows, np.full(1, max(rest, 0.0))
-        if ends is None:
-            i = rows[:, -1]
-            gi, bi = g[i], b[i]
-            res = rest - np.divide(bi**2, gi, out=np.zeros(len(gi)), where=gi > 1e-300)
-            if bad is not None:
-                res[bad[i]] = 0.0
-            return rows, np.maximum(res, 0.0, out=res)
+        i = rows[:, -1]
+        gi, bi = g[i], b[i]
+        res = rest - np.divide(bi**2, gi, out=np.zeros(len(gi)), where=gi > 1e-300)
+        if bad is not None:
+            res[bad[i]] = 0.0
+        return rows, np.maximum(res, 0.0, out=res)
+
+    def anchored(self, block):
+        """(rows, res_sq) of the cells of one prefix's pair grids in a
+        batch (_merged) that pass the cut, for bounded. A kept cell's
+        higher score is a hub's (cut), so its Gram entry is read from a
+        product of hub columns and the columns they pair with: one for
+        the cells anchored at their first index, one for those anchored
+        at their second."""
+        prefix, _, _ = block
+        rows = _block_rows(block, self.cut(block))
+        state = self.state(prefix) if len(rows) else None
+        if state is None:
+            return _unbounded(rows)
+        g, b, rest, w, bad = state
         i, j = rows[:, -2], rows[:, -1]
-        res = _ls2_residual_sq(g[i], g[j], self.gathered(i, j, w), b[i], b[j], rest)
+        at_first = self.scores[i] >= self.scores[j]
+        g01 = np.empty(len(rows))
+        g01[at_first] = self.gram.entries(i[at_first], j[at_first])
+        g01[~at_first] = self.gram.entries(j[~at_first], i[~at_first])
+        if w:
+            g01 -= sum(v[i] * v[j] for v in w)
+        res = _ls2_residual_sq(g[i], g[j], g01, b[i], b[j], rest)
         if bad is not None:
             res[bad[i] | bad[j]] = 0.0
         return rows, res
@@ -1020,39 +1084,46 @@ class _SubsetBound:
 
     def cut(self, block):
         """The cells of a block, selected as _block_rows takes them, whose
-        scores reach need. On a pair grid the seconds that cannot reach it
-        with the best first go first, then the firsts that cannot with the
-        best second left, and only then each cell of what is left."""
+        scores reach need: on a pair grid, the cells (i, j) with
+        s_i + s_j >= need in float arithmetic.
+
+        Such a cell holds a hub, an index h with 2 s_h >= need: doubling
+        is exact, and rounding to nearest is monotone, so the float sum is
+        at most 2 max(s_i, s_j). The grid's cells are listed from its hubs,
+        with one boolean pass per hub: each hub that is a first index over
+        its seconds, then each hub over the first indices before it that
+        are not hubs. The same float test decides each listed cell, so the
+        kept cells are exactly those of the test on every cell, each listed
+        once."""
         prefix, firsts, ends = block
         size = len(prefix) + (0 if firsts is None else 1 if ends is None else 2)
         need = self.need(prefix, size)
         if firsts is None:
             return (np.flatnonzero([need <= 0.0]),)
-        s_i = self.scores[firsts]
         if ends is None:
-            return (np.flatnonzero(s_i >= need),)
-        s_j = self.scores[firsts[0] + 1 : ends[0]]
-        cand = np.flatnonzero(s_j >= need - s_i.max())
-        rows = np.flatnonzero(s_i >= need - s_j[cand].max(initial=-np.inf))
-        # cells that are tuples: firsts[t] < seconds[s], which is s >= t,
-        # and seconds[s] < ends[t]
-        ok = s_i[rows, None] + s_j[cand] >= need
-        ok &= cand >= rows[:, None]
-        ok &= cand < (ends - firsts[0] - 1)[rows, None]
-        at, sec = np.nonzero(ok)
-        return rows[at], cand[sec]
-
-    def gathered(self, i, j, w):
-        """The projected Gram entries G[i, j] - sum_f w_f[i] w_f[j] of the
-        pairs (i, j), from one product of the columns of their firsts and
-        seconds."""
-        ts, at = np.unique(i, return_inverse=True)
-        ss, sec = np.unique(j, return_inverse=True)
-        cols = self.gram.cols
-        g01 = (cols[:, ts].T @ cols[:, ss])[at, sec]
-        if w:
-            g01 -= sum(v[i] * v[j] for v in w)
-        return g01
+            return (np.flatnonzero(self.scores[firsts] >= need),)
+        # index firsts[0] + u has score sc[u] and, for u < f, end stop[u]:
+        # the cell (u, v) is the (t, s) = (u, v - 1) of _block_rows
+        lo, f = int(firsts[0]), len(firsts)
+        sc = self.scores[lo : ends[0]]
+        stop = ends - lo
+        u = np.arange(len(sc))
+        hub = 2 * sc >= need
+        hubs = np.flatnonzero(hub)
+        # hubs that are first indices, with their seconds
+        tops = hubs[hubs < f]
+        ok = sc[tops, None] + sc >= need
+        ok &= u > tops[:, None]
+        ok &= u < stop[tops, None]
+        at_top, v = np.nonzero(ok)
+        # hubs as second indices, with the first indices before them that
+        # are not hubs
+        ok = sc[:f] + sc[hubs, None] >= need
+        ok &= ~hub[:f]
+        ok &= u[:f] < hubs[:, None]
+        ok &= stop > hubs[:, None]
+        at_hub, t = np.nonzero(ok)
+        return np.concatenate((tops[at_top], t)), np.concatenate((v, hubs[at_hub])) - 1
 
     def screened(self, blocks):
         """(rows, res_sq) of a batch of pair grids whose prefixes share all

@@ -40,6 +40,7 @@ from mcpursuit.solver import (
     _block_size,
     _budgeted_blocks,
     _ls2_residual_sq,
+    _merged,
     _Search,
     _SubsetBound,
     _allowed_sq,
@@ -843,8 +844,8 @@ def test_pair_scan_memory_is_a_few_row_blocks():
     assert search.budget.strata == n * (n - 1) // 2
     assert search.budget.points == 0
     # the positivity cut leaves a few pairs, whose Gram entries come from
-    # gathered products, so the level builds no 64 x n panel; the cut's
-    # grids and the level's bookkeeping peak at about a tenth of one
+    # products of hub columns, so the level builds no 64 x n panel; the
+    # cut's passes and the level's bookkeeping peak at about a tenth of one
     assert peak <= 2 * panel_bytes, peak / panel_bytes
 
 
@@ -1157,6 +1158,17 @@ def test_matches_brute_force_where_only_the_cut_prunes(idx, n):
     assert dropped > 0
 
 
+def _cut_kept(bound, costs, k, budget):
+    """The supports of k indices within budget that the cut keeps, as
+    bounded cuts them: a level of size <= 1 as its one block, and pair
+    grids a batch at a time, one prefix per pass (_merged)."""
+    kept = set()
+    for batch in _batches(_budgeted_blocks(costs, k, budget)):
+        for block in _merged(batch) if k >= 2 else batch:
+            kept.update(tuple(r) for r in _block_rows(block, bound.cut(block)).tolist())
+    return kept
+
+
 @st.composite
 def _cut_cases(draw):
     """Columns, y, m and eta for the cut alone: y on the span of a grid
@@ -1194,9 +1206,10 @@ def test_cut_drops_only_supports_without_a_feasible_point(case):
     assert (bound.scores is None) == (not y.any())
     costs = np.zeros(a.shape[1], dtype=np.int64)
     scale = float(np.linalg.norm(y)) + float(np.abs(a).sum())
+    if bound.scores is None:
+        return
+    kept = _cut_kept(bound, costs, k, 0)
     for block in _budgeted_blocks(costs, k, 0):
-        cells = None if bound.scores is None else bound.cut(block)
-        kept = {tuple(r) for r in _block_rows(block, cells).tolist()}
         for support in _block_rows(block).tolist():
             if tuple(support) not in kept:
                 assert _best_residual(a, y, m, support) > limit - 1e-13 * scale
@@ -1238,18 +1251,102 @@ def test_cut_keeps_supports_on_its_exact_boundary():
                     if lim < 0:
                         continue
                     bound = _SubsetBound(b, b.T @ y, float(y @ y), lim, box=(lo, hi))
-                    kept = [tuple(r) for blk in _budgeted_blocks(costs, 2, 0)
-                            for r in _block_rows(blk, bound.cut(blk)).tolist()]
-                    assert ((i, j) in kept) == want
+                    assert ((i, j) in _cut_kept(bound, costs, 2, 0)) == want
                 on_edge += 1
     assert on_edge > 40
 
 
+@st.composite
+def _hub_cases(draw):
+    """A bound with the cut, k = 2 or 3, a budget and panel sizes: scores
+    of real columns, with exact copies and negative scores, or scores on a
+    dyadic grid with need on it too, so that many sit exactly at need / 2;
+    need from the bound itself, from the grid (0 and below included) or
+    exactly one cell's float sum."""
+    n = draw(st.integers(2, 24))
+    k = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 5))
+    a = rng.normal(size=(d, n)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    for p, q in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        a[:, q] = a[:, p]
+    y = rng.normal(size=d)
+    limit = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0, 1.5])) * float(np.linalg.norm(y))
+    bound = _SubsetBound(a, a.T @ y, float(y @ y), limit, box=_box(draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        bound.scores = rng.integers(-8, 9, size=n) / 8.0
+    kind = draw(st.sampled_from(["own", "grid", "cell"]))
+    if kind != "own":
+        s = bound.scores
+        if kind == "grid":
+            base = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5]))
+        else:
+            p, q = rng.choice(n, size=2, replace=False)
+            base = float(s[p] + s[q])
+        bound.need = lambda prefix, size: base - float(s[list(prefix)].sum())
+    costs = solver._position_costs(n)
+    budget = int(costs[:k].sum()) + draw(st.integers(0, 12))
+    rows = draw(st.sampled_from([2, 3, 5, 64]))
+    return bound, k, costs, budget, rows, draw(st.sampled_from([1, 2, 8]))
+
+
+@given(_hub_cases())
+@settings(max_examples=300, deadline=None)
+def test_hub_cut_keeps_exactly_the_cells_whose_float_sum_reaches_need(case):
+    # The cut lists a prefix's cells from its hubs (2 s_h >= need) and
+    # tests only those, yet keeps exactly the cells (i, j) with
+    # fl(s_i + s_j) >= need, each once, in every batch of every block
+    # layout: no kept cell lacks a hub.
+    bound, k, costs, budget, rows, cache = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_PANEL_ROWS", rows)
+        mp.setattr(solver, "_PANEL_CACHE", cache)
+        for batch in _batches(_budgeted_blocks(costs, k, budget)):
+            got = [tuple(r) for block in _merged(batch)
+                   for r in _block_rows(block, bound.cut(block)).tolist()]
+            want = set()
+            for block in batch:
+                cells = _block_rows(block)
+                s = bound.scores[cells[:, -2]] + bound.scores[cells[:, -1]]
+                want.update(map(tuple, cells[s >= bound.need(block[0], k)].tolist()))
+            assert len(got) == len(set(got))
+            assert set(got) == want
+
+
+def test_hub_cut_memory_is_the_cache_plus_survivors():
+    # About a quarter of the indices are hubs (unit y, eta = |y| / 2), so
+    # a third of a million of the first batch's two million pairs pass the
+    # cut. Its passes and Gram products are (hubs among the firsts) x n and
+    # (hubs) x (firsts), at most a panel cache each, and the bound's scratch
+    # beyond that scales with its survivors: it peaks at about 1.85 times
+    # the cache, survivors 0.48 of it. Each hub's whole Gram row, about
+    # 930 x 4096 floats, would take it to about 4 times.
+    n, d, m = 4096, 8, 4
+    a = np.asarray(sample_ensemble(n, d, derive_seed(943, "hub-mem")).matrix)
+    y = make_generator(943, "hub-mem-draw").normal(size=d)
+    y /= np.linalg.norm(y)
+    bound = _SubsetBound(a, a.T @ y, float(y @ y), math.sqrt(_allowed_sq(0.5)), box=_box(m))
+    costs = np.zeros(n, dtype=np.int64)
+    batch = next(_batches(_budgeted_blocks(costs, 2, 0)))
+    assert 0.2 < np.mean(2 * bound.scores >= bound.need((), 2)) < 0.3
+    tracemalloc.start()
+    try:
+        rows, res = bound.bounded(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) > 300_000
+    cache_bytes = solver._PANEL_CACHE * solver._PANEL_ROWS * n * 8
+    survivors = rows.nbytes + res.nbytes
+    assert peak <= cache_bytes + 3 * survivors, (peak / cache_bytes, survivors / cache_bytes)
+
+
 def test_sparse_pair_level_builds_no_gram_panel(monkeypatch):
     # At the shape of corollary_n1024 the cut leaves a handful of the
-    # 523,776 pairs, whose Gram entries come from one gathered product per
-    # block, so the k=2 level builds none of the 64 x 1024 panels that the
-    # pair screen reads.
+    # 523,776 pairs, whose Gram entries come from products of their hubs'
+    # columns with the columns they pair with, so the k=2 level builds none
+    # of the 64 x 1024 panels that the pair screen reads.
     n, d, m = 1024, 182, 10
     ens = sample_ensemble(n, d, derive_seed(942, "no-panel"))
     rng = make_generator(942, "no-panel-draw")
