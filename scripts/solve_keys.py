@@ -4,7 +4,9 @@ benchmark at one seed, and the hit count of every lemmas_mc chunk, as JSON.
     python3 scripts/solve_keys.py --seed 20261017 --out keys.json
 
 A key holds the status, code length, stream, numerators and both counters
-of one solve (None for a solve that hit the node cap). A chunk's entry is
+of one solve; a solve that hits the node cap is keyed by its budget
+counters at the cap, the message of its SolverResourceError, so a change
+in the node at which the cap fires shows too. A chunk's entry is
 its family, d, n, parameter (tau or t) and the number of its trials that
 hit the tail event, round(empirical * trials). The script imports
 the package from the src/ directory of its own checkout and the workloads
@@ -31,15 +33,29 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads as W  # noqa: E402
+from mcpursuit.measure import MeasurementEnsemble  # noqa: E402
+from mcpursuit.solver import SolverResourceError, mcp_exact  # noqa: E402
 from spans import NullTracer  # noqa: E402
+
+
+def solve_key(wl, inst):
+    """The key of one solve of a workload's instance: the result's
+    fields, or the budget counters of a solve that hits the node cap."""
+    # a fresh ensemble, as the benchmark solves with
+    ens = MeasurementEnsemble(inst.ens.matrix, inst.ens.key)
+    try:
+        r = mcp_exact(ens, inst.y, wl.m, wl.eta, wl.config)
+    except SolverResourceError as exc:
+        return ["capped", str(exc)]
+    nums = r.x_hat.numerators if r.x_hat is not None else None
+    return [r.status, r.dl_bits, r.stream, nums, r.strata_examined, r.points_tested]
 
 
 def solve_keys(seed: int) -> dict[str, list]:
     tracer = NullTracer()
     keys = {}
     for name, wl in W.SOLVER_WORKLOADS.items():
-        keys[name] = [W.solve(wl, inst, tracer).key()
-                      for inst in W.make_inputs(name, seed, tracer)]
+        keys[name] = [solve_key(wl, inst) for inst in W.make_inputs(name, seed, tracer)]
     keys["lemmas_mc"] = []
     for chunk in W.make_inputs("lemmas_mc", seed, tracer):
         r, c = W.run_chunk(chunk, tracer), chunk.cell

@@ -128,6 +128,18 @@ def _recovery_error(res, x: np.ndarray) -> float:
     return float(np.linalg.norm(res.x_hat.to_floats() - x))
 
 
+def _check_config(cfg, counts=(), lists=()) -> None:
+    """ValueError unless each named count of cfg is at least 1 and each
+    named list is not empty: a run with no trials or no cells has nothing
+    to pass."""
+    for name in counts:
+        if getattr(cfg, name) < 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
+    for name in lists:
+        if not getattr(cfg, name):
+            raise ValueError(f"{name} must not be empty")
+
+
 def _sparse_scale(n: int, k: int, alpha: float) -> tuple[int, float, int]:
     """(m, kappa, d) for k-sparse signals of length n at rate alpha:
     m = ceil(alpha log2 n) bits, kappa = sparse_dl_bound(k, n, m) / m and
@@ -152,6 +164,11 @@ class PhaseScanConfig:
     t: float = 1.0
     master_seed: int = 20240801
     node_cap: int = SolverConfig.node_cap
+
+    def __post_init__(self) -> None:
+        _check_config(self, ("trials",), ("d_values",))
+        if min(self.d_values) < 1:
+            raise ValueError(f"d_values must be at least 1, got {min(self.d_values)}")
 
 
 def run_phase_scan(cfg: PhaseScanConfig, out_dir) -> ExperimentResult:
@@ -236,6 +253,9 @@ class CorollaryConfig:
     master_seed: int = 20240802
     node_cap: int = SolverConfig.node_cap
 
+    def __post_init__(self) -> None:
+        _check_config(self, ("trials",))
+
 
 def run_corollary_check(cfg: CorollaryConfig, out_dir) -> ExperimentResult:
     """Exact recovery of grid-valued k-sparse signals at d measurements.
@@ -302,6 +322,10 @@ class LemmaConfig:
     sigma_trials: int = 10_000
     master_seed: int = 20240803
 
+    def __post_init__(self) -> None:
+        _check_config(self, ("chi_trials", "sigma_trials"),
+                      ("chi_d_values", "chi_tau_values", "sigma_cells"))
+
 
 def run_lemma_suite(cfg: LemmaConfig, out_dir) -> ExperimentResult:
     """Monte Carlo checks of the two concentration bounds the analysis
@@ -348,6 +372,9 @@ class MismatchConfig:
     smooth_r_values: tuple[int, ...] = (1, 2, 4, 8, 16)
     smooth_degree: int = 2
     node_cap: int = SolverConfig.node_cap
+
+    def __post_init__(self) -> None:
+        _check_config(self, ("trials",), ("n_values",))
 
 
 def run_mismatch_scan(cfg: MismatchConfig, out_dir) -> ExperimentResult:

@@ -60,7 +60,8 @@ uint_code_len(b)). Both costs never decrease with the index, so each
 index range is one searchsorted cut on running cost sums, and only
 (size - 2)-index prefixes are walked in Python. The generator writes no
 rows: a block is one prefix with the run of its first indices inside one
-Gram panel (below), each with its range of last indices; a level of
+window of _PANEL_ROWS * _PANEL_CACHE consecutive indices, aligned to
+multiples of that size, each with its range of last indices; a level of
 single indices is one block.
 
 The least-squares bound of a sparse support or a degree-0 breakpoint
@@ -69,7 +70,7 @@ correlations with y: A itself for supports; for patterns, the rows T[e]
 of the degree-0 prefix table as columns, because a pattern with breaks
 b_1 .. b_q spans the same space as T[b_1], .., T[b_q] and T[n]. Cholesky
 steps project out the forced column T[n], once per solve, and each
-block's prefix, once per prefix, and the closed-form one- or two-column
+block's prefix, once per block, and the closed-form one- or two-column
 formula runs on the projected entries over the block's first indices or
 its grid of first and last indices: the shared prefix work of Furnival &
 Wilson's leaps and bounds (1974). It is shared across prefixes too: the
@@ -87,8 +88,8 @@ max(lo c_j, hi c_j), c_j = w . A_j, reaches |y| - limit - delta, where
 delta bounds the rounding of the scores, |y| and the sum, from d, the
 column norms, |y| and the support size (a Farkas-type certificate;
 Slawski & Hein 2013 on nonnegative sparse recovery). The scores cost one
-pass over n. Pair grids are cut once per prefix of a batch, on its blocks
-joined into one grid (_merged), with one need. A cell that passes holds
+pass over n. Pair grids are cut a block at a time, with one need per
+block. A cell that passes holds
 a hub, an index h with 2 s_h >= need: doubling is exact and rounding to
 nearest is monotone, so the float sum s_i + s_j is at most 2 max(s_i,
 s_j). So the cut lists the grid's cells from its hubs, a boolean pass
@@ -108,25 +109,27 @@ eight array passes) first drops the cells whose residual provably
 exceeds the limit by far more than rounding, and the closed form runs on
 the rest, so the kept strata and their bounds are bit for bit those of
 the whole grid (safe screening, El Ghaoui, Viallon & Rabbani 2012). The
-screen runs once per Gram panel for a whole batch: one (P, I, J)
-broadcast over the batch's P prefixes, the panel's I rows and the J
-second indices after them, whose elements take the operations of one
-block's grid in the same order, so batching moves no bit either.
+screen runs once per Gram panel for a whole batch: it cuts each block's
+first indices at panel edges, the one place that maps rows to panels,
+and takes one (P, I, J) broadcast over the batch's P prefixes, the
+panel's I rows and the J second indices after them, whose elements take
+the operations of one block's grid in the same order, so batching moves
+no bit either.
 Gram entries come from aligned panels cols[:, p:p+64].T @ cols[:, p:],
 built when first needed, which at one BLAS thread match the full product
 cols.T @ cols bit for bit when they hold at least two rows (a one-row
 panel, the last one when N = 64q + 1, and a slice that starts off a
 panel boundary can differ in the last bit): the prefixes' rows, and a
-batch's pair grids,
-from the panel that holds them, T[n]'s from the last column of each. The
-diagonal is the squared column norms, from one einsum over cols. No N x N
-array is built. A
-batch holds at most _PANEL_CACHE blocks of at most _PANEL_ROWS first
-indices, so one panel's broadcast has at most _PANEL_CACHE x _PANEL_ROWS
-x N cells, as many floats as the panel cache. Scratch memory is the
-cache plus three float arrays and a boolean one of one broadcast, not
-proportional to the number of strata: a whole three-break level peaks at
-about 1.9 times the cache at N = 127 and 1.3 times at N = 511.
+batch's pair grids, from the panel that holds them, T[n]'s from the last
+column of each. The diagonal is the squared column norms, from one einsum
+over cols. No N x N array is built. A batch holds at most _PANEL_CACHE
+blocks, so at most _PANEL_CACHE prefixes, each with at most _PANEL_ROWS
+first indices in one panel, and one panel's broadcast has at most
+_PANEL_CACHE x _PANEL_ROWS x N cells, as many floats as the panel cache.
+Scratch memory is the cache plus three float arrays and a boolean one of
+one broadcast, not proportional to the number of strata: a whole
+three-break level peaks at about 3.4 times the cache at N = 127 and
+3.8 times at N = 511.
 Degree >= 1 patterns build their columns, at most _PP_CHUNK patterns at
 a time, and take the residual from one batched Householder QR, as the
 walk does for one stratum (Businger & Golub 1965): |y|^2 - |Q^T y|^2.
@@ -155,7 +158,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain
 
 import numpy as np
 
@@ -186,8 +189,11 @@ __all__ = [
 
 _LS_MARGIN = 1e-9  # float room on squared residuals, walk and prunes alike (_allowed_sq)
 _SUBSET_GUARD = 1e-10  # projected/unprojected diagonal not above this: bound 0
-_PANEL_ROWS = 64  # columns whose Gram rows one panel holds, and first indices per block
-_PANEL_CACHE = 8  # Gram panels a bound keeps, least recently used dropped first
+_PANEL_ROWS = 64  # columns whose Gram rows one panel holds
+# Gram panels a bound keeps, least recently used dropped first, and blocks a
+# batch holds; a block's first indices lie in one window of _PANEL_ROWS *
+# _PANEL_CACHE indices
+_PANEL_CACHE = 8
 # The pair screen drops a cell only when e^2 < c_i (h - _SCREEN_TAU g_j), so
 # the cell's exact residual^2, r_i - e^2 / h, exceeds limit^2 by at least
 # c_i _SCREEN_TAU g_j / h; and it screens a row only when c_i > _SCREEN_TAU
@@ -219,6 +225,10 @@ class SolverConfig:
     pp_max_breaks: int = 3
     include_literal: bool = False
     node_cap: int = 1 << 24
+
+    def __post_init__(self) -> None:
+        if self.node_cap < 1:
+            raise ValueError(f"node_cap must be at least 1, got {self.node_cap}")
 
 
 @dataclass(frozen=True)
@@ -254,8 +264,8 @@ def predicted_error_bound(
 ) -> float:
     """Recovery error guarantee under the injectivity and spectral events:
     ((sqrt(n/d) + 1 + t) / tau + 1) * sqrt(n * 2^(1-2m))."""
-    if not 0 < tau <= 1:
-        raise ValueError("need 0 < tau <= 1")
+    if d < 1 or not 0 < tau <= 1:
+        raise ValueError("need d >= 1 and 0 < tau <= 1")
     return ((math.sqrt(n / d) + 1.0 + t) / tau + 1.0) * quantization_gap_bound(n, m)
 
 
@@ -676,18 +686,20 @@ def _budgeted_blocks(costs: np.ndarray, size: int, budget: int):
     ends).
 
     A block stands for the tuples prefix + (firsts[t], j) with
-    firsts[t] < j < ends[t]: firsts is a run of consecutive indices that
-    stops before the next multiple of _PANEL_ROWS, so the block's pair
-    grid lies in one Gram panel, and ends never increases along it, so
-    every second index of the block lies below ends[0]. Size 1 gives the one block ((), firsts, None) of
-    all tuples (i,) that fit, and size 0 the one block ((), None, None)
-    of the empty tuple; either only when the budget allows a tuple.
+    firsts[t] < j < ends[t]: firsts is a run of consecutive indices
+    inside one window of _PANEL_ROWS * _PANEL_CACHE indices, aligned to
+    multiples of that size, so a prefix comes as one block per window its
+    first indices touch, and ends never increases along it, so every
+    second index of the block lies below ends[0]. Size 1 gives the one
+    block ((), firsts, None) of all tuples (i,) that fit, and size 0 the
+    one block ((), None, None) of the empty tuple; either only when the
+    budget allows a tuple.
 
     Costs must not decrease with the index. Then the cheapest way to pick
-    r more indices from i on is the window costs[i:i+r], whose sum does
-    not decrease with i, so each index range is one searchsorted cut on
-    the window sums and the scan stops at the first index that cannot
-    fit. Prefixes of size - 2 indices are walked one at a time."""
+    r more indices from i on is the run costs[i:i+r], whose sum does not
+    decrease with i, so each index range is one searchsorted cut on the
+    run sums and the scan stops at the first index that cannot fit.
+    Prefixes of size - 2 indices are walked one at a time."""
     costs = np.asarray(costs, dtype=np.int64)
     if np.any(np.diff(costs) < 0):
         raise ValueError("costs must not decrease with the index")
@@ -704,23 +716,24 @@ def _budgeted_blocks(costs: np.ndarray, size: int, budget: int):
     if size > n:
         return
     cum = np.concatenate(([0], np.cumsum(costs)))
-    # windows[r][i]: cost of indices i..i+r-1, for i in 0..n-r
-    windows = {r: cum[r:] - cum[: n - r + 1] for r in range(2, size + 1)}
+    # runs[r][i]: cost of indices i..i+r-1, for i in 0..n-r
+    runs = {r: cum[r:] - cum[: n - r + 1] for r in range(2, size + 1)}
+    window = _PANEL_ROWS * _PANEL_CACHE
 
     def prefixes(picked: list[int], start: int, left: int):
         """Prefixes of size - 2 indices, with the budget left after them."""
         if len(picked) == size - 2:
             yield picked, left
             return
-        stop = np.searchsorted(windows[size - len(picked)], left, side="right")
+        stop = np.searchsorted(runs[size - len(picked)], left, side="right")
         for i in range(start, stop):
             yield from prefixes(picked + [i], i + 1, left - int(costs[i]))
 
     for picked, left in prefixes([], 0, budget):
         lo = picked[-1] + 1 if picked else 0
-        stop = np.searchsorted(windows[2], left, side="right")
+        stop = np.searchsorted(runs[2], left, side="right")
         while lo < stop:
-            hi = min(lo - lo % _PANEL_ROWS + _PANEL_ROWS, stop)
+            hi = min(lo - lo % window + window, stop)
             firsts = np.arange(lo, hi, dtype=np.int64)
             ends = np.searchsorted(costs, left - costs[firsts], side="right")
             yield tuple(picked), firsts, ends
@@ -738,16 +751,6 @@ def _batches(blocks):
         batch.append(block)
     if batch:
         yield batch
-
-
-def _merged(blocks):
-    """The pair grids of a batch joined into one block per prefix. A
-    prefix's blocks come one after another, with firsts that continue
-    each other, so they join into a block of the same form whose firsts
-    may span several panels."""
-    for prefix, run in groupby(blocks, key=lambda blk: blk[0]):
-        _, firsts, ends = zip(*run)
-        yield prefix, np.concatenate(firsts), np.concatenate(ends)
 
 
 def _block_size(block) -> int:
@@ -823,10 +826,10 @@ class _GramPanels:
     gives the bits of the full product cols.T @ cols. A one-row panel, the
     last one when N = 64q + 1, can differ from it in the last bit (numpy
     may take a matrix-vector path for it), and so can a slice that starts
-    off a panel boundary. The pair grids of a batch's blocks
-    in one panel are one slice of it, since _budgeted_blocks keeps a
-    block's first indices inside one panel. Panels are built when first
-    needed, and at most _PANEL_CACHE of them are kept. The diagonal the
+    off a panel boundary. The screen reads the pair grid rows of a batch
+    that one panel holds as one slice of it, having cut each block's
+    first indices at panel edges. Panels are built when first needed, and
+    at most _PANEL_CACHE of them are kept. The diagonal the
     bounds read is diag, the squared column norms, which can differ from a
     panel's diagonal in the last bit."""
 
@@ -894,22 +897,21 @@ class _SubsetBound:
     pivot, c_f its projected correlation over the same) leaves the last one
     or two indices with the Gram matrix G - W^T W, the correlations corr -
     W^T c and |y|^2 - |c|^2. The forced column's step is taken once for the
-    family, and each prefix's steps once for its blocks: in a batch of pair
-    grids, once for the part all its prefixes share, and one batched step
-    (step) for their last indices. A projected state keeps all N indices;
-    only those after the prefix mean something, and a stratum reads them
-    at its own indices. The one-column formula or _ls2_residual_sq then
-    runs on the projected entries of the block's firsts, or of the cells
-    of a batch's pair grids that pass the cut (below), one prefix at a
-    time (anchored), or without one a cheap screen, a whole batch at once
-    (screened). With no forced column and no prefix the arithmetic is that
-    of the two formulas alone. The screen and blocks of size <= 1 take the
-    same operations per entry, in the same order, however the blocks are
-    batched, so their bounds do not depend on the batches; the cut keeps
-    the same cells in any batch too, but its Gram products take their
-    shape from a prefix's kept cells, which BLAS can round differently in
-    the last bit. The order of the rows depends on the batches, and
-    run_level sorts them.
+    family, and each prefix's steps once per block, which holds all of the
+    prefix's first indices in one window: in a batch of pair grids, once
+    for the part all its prefixes share, and one batched step (step) for
+    their last indices. A projected state keeps all N indices; only those
+    after the prefix mean something, and a stratum reads them at its own
+    indices. The one-column formula or _ls2_residual_sq then runs on the
+    projected entries of the block's firsts, or of the cells of a block's
+    pair grid that pass the cut (below), one block at a time (anchored),
+    or without one a cheap screen, a whole batch at once (screened). With
+    no forced column and no prefix the arithmetic is that of the two
+    formulas alone. The screen and blocks of size <= 1 take the same
+    operations per entry, in the same order, however the blocks are
+    batched, and the cut and its Gram products see one block, so no bound
+    depends on the batches. The order of the rows does, and run_level
+    sorts them.
 
     Strata with (nearly) dependent columns get bound 0, so the least-squares
     bound never prunes them: when a projected diagonal entry, a pivot of F
@@ -925,18 +927,16 @@ class _SubsetBound:
     safe screening, El Ghaoui, Viallon & Rabbani 2012, for nonnegative
     recovery, Slawski & Hein 2013). It reads no Gram entry, so it runs
     first, and the least-squares bound sees only the cells it keeps: a
-    prefix whose cells all fail reads nothing. On pair grids it runs once
-    per prefix of a batch, on the prefix's blocks joined (_merged). Every
-    cell it keeps holds a hub h, 2 s_h >= need, so it lists the cells
-    from the hubs and tests those alone (cut), and a kept cell takes its
-    Gram entry from a product of its hub's column with the columns the
-    hub pairs with, not from a panel (anchored). The threshold is lowered
-    by delta (need), once per prefix, a bound on the rounding of the
-    scores, |y| and any float evaluation of the sum. With
-    y = 0 nothing is cut. Breakpoint patterns keep the screen alone: a
-    pattern's cut is a sum of positive parts over its pieces, which kept
-    every one- and two-break pattern of the instances it was measured
-    on."""
+    block whose cells all fail reads nothing. Every cell it keeps on a
+    pair grid holds a hub h, 2 s_h >= need, so it lists the cells from the
+    hubs and tests those alone (cut), and a kept cell takes its Gram entry
+    from a product of its hub's column with the columns the hub pairs
+    with, not from a panel (anchored). The threshold is lowered by delta
+    (need), once per block, a bound on the rounding of the scores, |y|
+    and any float evaluation of the sum. With y = 0 nothing is cut.
+    Breakpoint patterns keep the screen alone: a pattern's cut is a sum of
+    positive parts over its pieces, which kept every one- and two-break
+    pattern of the instances it was measured on."""
 
     def __init__(self, cols, corr, yy: float, limit: float, last_forced=False, box=None):
         self.gram = _GramPanels(cols)
@@ -944,7 +944,6 @@ class _SubsetBound:
         self.yy = yy
         self.limit = limit
         self.last_forced = last_forced
-        self.last_prefix = None  # (prefix, its state) of the last block
         self.scores = None
         if box is not None and yy > 0:
             c = corr / math.sqrt(yy)
@@ -979,12 +978,6 @@ class _SubsetBound:
         cf = b[fs] / root
         return g - wf * wf, b - cf[:, None] * wf, rest - cf * cf, wf, ok
 
-    def state(self, prefix):
-        """project(prefix), kept for the blocks that share the prefix."""
-        if self.last_prefix is None or self.last_prefix[0] != prefix:
-            self.last_prefix = prefix, self.project(prefix)
-        return self.last_prefix[1]
-
     def project(self, prefix):
         """(g, b, rest, w, bad) over every index after the steps of F, of
         which only the entries after the prefix mean something; bad marks
@@ -1012,7 +1005,7 @@ class _SubsetBound:
         least-squares bound, as rows of index tuples in no order, and their
         least-squares residual^2 (0 where guarded). Those are every stratum
         of a block of size <= 1 that passes the cut, if any; the cells of
-        the batch's pair grids that pass the cut, one prefix at a time
+        the batch's pair grids that pass the cut, one block at a time
         (anchored); or without one the cells that pass the screen, for the
         whole batch at once (screened)."""
         if blocks[0][2] is None:
@@ -1020,7 +1013,7 @@ class _SubsetBound:
         elif self.scores is None:
             return self.screened(blocks)
         else:
-            parts = map(self.anchored, _merged(blocks))
+            parts = map(self.anchored, blocks)
         rows, res = zip(*parts)
         return np.concatenate(rows), np.concatenate(res)
 
@@ -1029,7 +1022,7 @@ class _SubsetBound:
         for bounded."""
         prefix, firsts, _ = block
         rows = _block_rows(block, None if self.scores is None else self.cut(block))
-        state = self.state(prefix) if len(rows) else None
+        state = self.project(prefix) if len(rows) else None
         if state is None:
             return _unbounded(rows)
         g, b, rest, w, bad = state
@@ -1043,15 +1036,15 @@ class _SubsetBound:
         return rows, np.maximum(res, 0.0, out=res)
 
     def anchored(self, block):
-        """(rows, res_sq) of the cells of one prefix's pair grids in a
-        batch (_merged) that pass the cut, for bounded. A kept cell's
+        """(rows, res_sq) of the cells of one block's pair grid that pass
+        the cut, for bounded. A kept cell's
         higher score is a hub's (cut), so its Gram entry is read from a
         product of hub columns and the columns they pair with: one for
         the cells anchored at their first index, one for those anchored
         at their second."""
         prefix, _, _ = block
         rows = _block_rows(block, self.cut(block))
-        state = self.state(prefix) if len(rows) else None
+        state = self.project(prefix) if len(rows) else None
         if state is None:
             return _unbounded(rows)
         g, b, rest, w, bad = state
@@ -1130,22 +1123,24 @@ class _SubsetBound:
         but their last index: the strata that pass a cheap screen, in no
         order, and their least-squares residual^2.
 
-        The shared part of the prefixes is projected once (state), and
+        The shared part of the prefixes is projected once (project), and
         their last indices take one batched step, as the rows of (P, N)
-        arrays. The batch's grids are then screened a Gram panel at a
-        time, for every prefix at once: one (P, I, J) broadcast over the
-        panel's rows i that are first indices of the batch and the second
-        indices j after them, in which prefix p keeps the cells of its own
-        blocks. With r_i = rest - b_i^2 / g_i, e = b_j - g01 b_i / g_i and
-        h = g_j - g01^2 / g_i, the exact residual^2 is r_i - e^2 / h. A cell
-        with e^2 < c_i (h - _SCREEN_TAU g_j), c_i = r_i - limit^2, is
-        dropped without it; every cell of a row with c_i <= _SCREEN_TAU
-        rest and of a guarded row or column is kept. Each element takes
-        the operations, in the order, of one block's grid on its own, and
-        the Gram entries come from the panel that holds the row, so the
-        exact formula gives the bits of the whole grid's. A kept cell's
-        row is its prefix, first and second index."""
-        state = self.state(blocks[0][0][:-1])
+        arrays. Each block's first indices are cut at panel edges, and the
+        batch's grids are then screened a Gram panel at a time, for every
+        prefix at once: one (P, I, J) broadcast over the panel's rows i
+        that are first indices of the batch and the second indices j after
+        them, in which prefix p keeps the cells of its own blocks, at most
+        one span of rows per prefix, as its blocks lie in distinct windows.
+        With r_i = rest - b_i^2 / g_i, e = b_j - g01 b_i / g_i and h = g_j -
+        g01^2 / g_i, the exact residual^2 is r_i - e^2 / h. A cell with
+        e^2 < c_i (h - _SCREEN_TAU g_j), c_i = r_i - limit^2, is dropped
+        without it; every cell of a row with c_i <= _SCREEN_TAU rest and of
+        a guarded row or column is kept. Each element takes the operations,
+        in the order, of one block's grid on its own, and the Gram entries
+        come from the panel that holds the row, so the exact formula gives
+        the bits of the whole grid's. A kept cell's row is its prefix,
+        first and second index."""
+        state = self.project(blocks[0][0][:-1])
         if state is None:
             return _unbounded(np.concatenate([_block_rows(blk) for blk in blocks]))
         g, b, rest, shared, bad = state
@@ -1164,28 +1159,29 @@ class _SubsetBound:
             bad = None if bad is None else bad[None]
         parts = [_unbounded(_block_rows(blk)) for x, blk in zip(which, blocks) if not ok[x]]
         parts.append((np.zeros((0, width), dtype=np.int64), np.zeros(0)))
-        # each block's first indices lo .. hi - 1, and its first and last end
-        spans = [(int(f[0]), int(f[-1]) + 1, int(e[0]), int(e[-1])) for _, f, e in blocks]
-        panels = {}  # panel -> the blocks whose rows it holds
-        for k, span in enumerate(spans):
-            panels.setdefault(span[0] - span[0] % _PANEL_ROWS, []).append(k)
+        # per panel, a span (prefix, lo, hi, ends) for each block's first
+        # indices lo .. hi - 1 that it holds, with their ends
+        panels = {}
+        for x, (_, f, e) in zip(which, blocks):
+            f0, stop = int(f[0]), int(f[-1]) + 1
+            for p in range(f0 - f0 % _PANEL_ROWS, stop, _PANEL_ROWS):
+                lo, hi = max(p, f0), min(p + _PANEL_ROWS, stop)
+                panels.setdefault(p, []).append((x, lo, hi, e[lo - f0 : hi - f0]))
 
-        for p, ks in panels.items():
+        for p, spans in panels.items():
             # prefixes a .. z - 1 have rows in this panel, each its own
-            # blocks' rows of i_lo .. i_hi - 1
-            a, z = which[ks[0]], which[ks[-1]] + 1
-            i_lo = min(spans[k][0] for k in ks)
-            i_hi = max(spans[k][1] for k in ks)
-            j_lo, j_hi = i_lo + 1, max(spans[k][2] for k in ks)
-            live = [k for k in ks if ok[which[k]]]
-            owned = sum(spans[k][1] - spans[k][0] for k in live)
+            # span's rows of i_lo .. i_hi - 1
+            xs, los, his, es = zip(*spans)
+            a, z, i_lo, i_hi = xs[0], xs[-1] + 1, min(los), max(his)
+            j_lo, j_hi = i_lo + 1, max(int(e[0]) for e in es)
+            live = [span for span in spans if ok[span[0]]]
+            owned = sum(hi - lo for _, lo, hi, _ in live)
             padded = owned < (z - a) * (i_hi - i_lo)
             ends = None  # per prefix and row, the end of its second indices
-            if padded or any(spans[k][3] < j_hi for k in live):
+            if padded or any(e[-1] < j_hi for *_, e in live):
                 ends = np.zeros((z - a, i_hi - i_lo), dtype=np.int64)
-                for k in live:
-                    lo, hi = spans[k][:2]
-                    ends[which[k] - a, lo - i_lo : hi - i_lo] = blocks[k][2]
+                for x, lo, hi, e in live:
+                    ends[x - a, lo - i_lo : hi - i_lo] = e
             # rows of the broadcast that are not a prefix's own mean nothing
             mine = ends > 0 if padded else None
 
@@ -1383,20 +1379,21 @@ class _Search:
         """Offer the strata of one level: the ascending tuples of `size`
         indices, whose code length is base plus their costs, in order of
         length, then of the tuples (generation order), up to the first one
-        longer than the incumbent. Returns whether any stratum was within the incumbent's
-        length: when none is, no larger size of the same family can be
-        either.
+        longer than the incumbent. Returns whether any stratum was within
+        the incumbent's length: when none is, no larger size of the same
+        family can be either.
 
         Only tuples within the incumbent's length are generated, as blocks
-        of _budgeted_blocks. Each block is charged to the node cap as it is
-        generated, in generation order, and bound(batch) returns the rows
-        that pass its prunes of a batch of consecutive blocks (_batches),
-        in any order, after all of them are charged. Only those rows are
-        priced and sorted, once for the whole level, by one lexsort of
-        (length, tuple), so memory is a batch plus the survivors, and
-        offer(row, dl) gets them in that order. The order is one of
-        integers: a bound whose arithmetic changes moves it only where it
-        keeps other strata."""
+        of _budgeted_blocks, each one prefix's first indices in one window.
+        Each block is charged to the node cap as it is generated, in
+        generation order, and bound(batch) returns the rows that pass its
+        prunes of a batch of consecutive blocks (_batches), in any order,
+        after all of them are charged; the whole level is charged before
+        any stratum is offered. Only those rows are priced and sorted, once
+        for the whole level, by one lexsort of (length, tuple), so memory
+        is a batch plus the survivors, and offer(row, dl) gets them in that
+        order. The order is one of integers: a bound whose arithmetic
+        changes moves it only where it keeps other strata."""
         budget_left = int(min(self.incumbent.dl - base, costs.sum(initial=0)))
 
         def charged():
@@ -1640,13 +1637,25 @@ def mcp_exact(
 ) -> RecoveryResult:
     """Minimize code length subject to |Ax - y| <= eta.
 
-    y must be finite and eta a number >= 0. The default eta is sigma_max * sqrt(n * 2^(1-2m)), large enough that
-    the m-bit truncation of any signal in [0,1]^n consistent with y stays
-    feasible, so the program always has the truncated truth to fall back
-    on when y = A x_o exactly.
+    y must be finite and eta a number >= 0. The default eta is sigma_max
+    * sqrt(n * 2^(1-2m)), large enough that the m-bit truncation of any
+    signal in [0,1]^n consistent with y stays feasible, so the program
+    always has the truncated truth to fall back on when y = A x_o exactly.
+
+    Every grid the search may walk must fit the walk's int64 arithmetic:
+    a grid of `bits` bits (m for sparse and literal strata, m' =
+    coeff_resolution(N, m) for the breakpoint patterns of each degree N in
+    scope) has values u <= 2^bits - 1, a level's range ends first <=
+    2^bits and last, a piece's coefficient cap 2^bits with the room
+    block_cap - 1 - used below it, and sample numerators below 2^m. So
+    2^bits must be at most 2^63 - 1: bits <= 62. m' grows with N, so the
+    highest degree in scope, or m without breakpoint patterns, decides.
     """
     if m < 1:
         raise ValueError("need m >= 1")
+    deg = max(min(config.pp_max_degree, ens.n - 1), 0) if config.include_pp else 0
+    if 1 << coeff_resolution(deg, m) > np.iinfo(np.int64).max:
+        raise ValueError(f"m = {m} gives grids past the 62 bits the walk holds in int64")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (ens.d,):
         raise ValueError(f"y must have shape ({ens.d},)")

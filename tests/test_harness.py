@@ -183,6 +183,37 @@ def test_cli_bad_inputs_exit_2(tmp_path):
                 "-o", str(tmp_path / "o.bits")).returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--trials", "0"],
+    ["scan", "--d-values", ""],
+    ["scan", "--d-values", "8,0"],
+    ["scan", "--node-cap", "0"],
+    ["corollary", "--trials", "0"],
+    ["corollary", "--node-cap", "0"],
+    ["corollary", "--node-cap", "-1"],
+    ["lemmas", "--chi-trials", "0"],
+    ["lemmas", "--sigma-trials", "0"],
+    ["lemmas", "--chi-d-values", ""],
+    ["lemmas", "--chi-tau-values", ""],
+    ["mismatch", "--trials", "0"],
+    ["mismatch", "--n-values", ""],
+    ["mismatch", "--node-cap", "0"],
+    # grids past the walk's int64 arithmetic: m = 64 bits, and m = 66
+    # from --alpha
+    ["scan", "--n", "8", "--m", "64", "--k", "1", "--trials", "1", "--d-values", "6"],
+    ["corollary", "--n", "64", "--alpha", "11", "--trials", "1"],
+], ids=lambda argv: "_".join(a.lstrip("-") or "empty" for a in argv))
+def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
+    # A run with no trials, no cells or no node budget has nothing to
+    # check, and a grid past int64 cannot be walked: each is a one-line
+    # usage error, with nothing written.
+    code = cli.main([*argv, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == cli.USAGE_ERROR == 2, err
+    assert err.startswith("mcpursuit: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_node_budget_exhausted_exits_3(tmp_path, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise SolverResourceError("node budget 10 exhausted")
@@ -197,8 +228,9 @@ def test_cli_node_budget_exhausted_exits_3(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_cli_small_node_cap_stops_corollary_with_exit_3(tmp_path, capsys, source):
-    # The k=2 pair scan at n=1024 charges 523,776 strata at once, so a
-    # 1000-node cap stops the first solve right after its ensemble is drawn.
+    # The k=1 level at n=1024 is one block of 1024 strata, charged before
+    # any of it is bounded, so a 1000-node cap stops the first solve right
+    # after its ensemble is drawn.
     if source == "flag":
         argv = ["--node-cap", "1000"]
     else:

@@ -40,7 +40,6 @@ from mcpursuit.solver import (
     _block_size,
     _budgeted_blocks,
     _ls2_residual_sq,
-    _merged,
     _Search,
     _SubsetBound,
     _allowed_sq,
@@ -206,31 +205,38 @@ def _budgeted_cases(draw):
     costs = sorted(draw(st.lists(st.integers(0, 12), max_size=8)))
     total = sum(costs)
     budget = draw(st.sampled_from([-1, 0, total + 1]) | st.integers(0, total))
-    return costs, draw(st.integers(0, 4)), budget, draw(st.integers(1, 6))
+    panels = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    return costs, draw(st.integers(0, 4)), budget, panels
 
 
 @given(case=_budgeted_cases())
 @settings(max_examples=300, deadline=None)
 def test_budgeted_tuples_match_filtered_combinations(case):
-    costs, size, budget, panel_rows = case
+    costs, size, budget, (panel_rows, cache) = case
     want = [
         t for t in itertools.combinations(range(len(costs)), size)
         if sum(costs[i] for i in t) <= budget
     ]
-    with mock.patch.object(solver, "_PANEL_ROWS", panel_rows):
+    with mock.patch.object(solver, "_PANEL_ROWS", panel_rows), \
+            mock.patch.object(solver, "_PANEL_CACHE", cache):
         blocks = list(_budgeted_blocks(np.array(costs, dtype=np.int64), size, budget))
     rows = [_block_rows(b) for b in blocks]
+    window = panel_rows * cache
     if size < 2:
         # the empty tuple, or every single index that fits, is one block
         assert len(blocks) <= 1
     for (prefix, firsts, _), r in zip(blocks, rows):
         assert len(prefix) == max(size - 2, 0)
         assert firsts is None or 0 < len(firsts)
-        assert size < 2 or len(firsts) <= panel_rows
-        # a block's pair grid is read from the one Gram panel of its firsts
-        assert size < 2 or firsts[0] // panel_rows == firsts[-1] // panel_rows
+        # a block's first indices lie in one window of panel_rows * cache
+        assert size < 2 or firsts[0] // window == firsts[-1] // window
         assert r.dtype == np.int64 and r.shape[1] == size
         assert 0 < len(r) == _block_size((prefix, firsts, _))
+    # and a prefix's next block starts at the next window: one block per
+    # window its first indices touch
+    for (prefix, firsts, _), (after, nxt, _) in zip(blocks, blocks[1:]):
+        if prefix == after:
+            assert nxt[0] == firsts[-1] + 1 and nxt[0] % window == 0
     assert [tuple(row) for r in rows for row in r.tolist()] == want
 
 
@@ -428,10 +434,10 @@ def _tied_pairs_instance():
     _three_break_instance, _loose_sparse_instance, _ramp_instance, _tied_pairs_instance,
 ], ids=["three-break", "loose-sparse", "degree1", "tied-pairs"])
 def test_offer_order_does_not_depend_on_block_or_chunk_size(instance, monkeypatch):
-    # Strata are sorted once per level, so neither the first indices per
-    # block and Gram panel, nor the degree >= 1 patterns whose columns are
-    # built at once, nor the Gram panels kept may change what is offered,
-    # in what order, or the counters.
+    # Strata are sorted once per level, so neither the rows per Gram panel
+    # and the first indices per block (a window of panels), nor the degree
+    # >= 1 patterns whose columns are built at once, nor the Gram panels
+    # kept may change what is offered, in what order, or the counters.
     def run(patch):
         res, offers = _offer_sequence(instance, patch)
         return (res.dl_bits, res.stream, res.strata_examined, res.points_tested), offers
@@ -778,8 +784,10 @@ def _cut_sums(b, y, m, rows):
 
 @pytest.mark.parametrize("rows", [5, solver._PANEL_ROWS])
 def test_pair_scan_matches_gathered_reference(rows, monkeypatch):
-    # 5-row panels put the tied pairs below in different blocks
+    # 5-row panels in windows of two put the tied pairs below in
+    # different blocks
     monkeypatch.setattr(solver, "_PANEL_ROWS", rows)
+    monkeypatch.setattr(solver, "_PANEL_CACHE", 2)
     n, d, m = 40, 12, 4
     rng = make_generator(915, "pairs-draw")
     b = rng.normal(size=(d, n))
@@ -1023,7 +1031,21 @@ def _guarded_prefix_case(k):
     return b, y, True, k, 10**4, 0.8 * float(np.linalg.norm(y)), 64, 8
 
 
+def _windowed_case(forced):
+    # 5-row panels in windows of two: prefix (i,) of k = 3 comes as one
+    # block per window its first indices touch, so a batch of two holds
+    # two blocks of one prefix, or the last block of one and the first of
+    # the next, and every block spans two panels.
+    rng = np.random.default_rng(31)
+    n = 31
+    b = rng.normal(size=(6, n))
+    y = b[:, [4, 17]] @ [1.0, -0.5] + 0.05 * rng.normal(size=6)
+    return b, y, forced, 3, 10**4, 0.3 * float(np.linalg.norm(y)), 5, 2
+
+
 @given(_screen_cases())
+@example(_windowed_case(False))
+@example(_windowed_case(True))
 @example(_spanning_case())
 @example(_straddling_case(90, 3, False))
 @example(_straddling_case(90, 3, True))
@@ -1058,11 +1080,14 @@ def test_screened_bound_matches_full_grid(case):
 def test_three_break_level_memory_is_a_few_batches(n):
     # The whole three-break level of degree-0 patterns, C(n - 1, 3)
     # strata (22 million at n = 512), none of which passes. A batch holds
-    # at most _PANEL_CACHE blocks, so one panel's broadcast has at most
-    # _PANEL_CACHE x _PANEL_ROWS x n cells, as many floats as the panel
-    # cache; scratch memory is the kept panels plus three float arrays and
-    # a boolean one of one broadcast, not proportional to the strata (it
-    # peaks at 1.9 times the cache at n = 128 and 1.3 times at n = 512).
+    # at most _PANEL_CACHE blocks, so at most _PANEL_CACHE prefixes with at
+    # most _PANEL_ROWS rows each in a panel, and one panel's broadcast has
+    # at most _PANEL_CACHE x _PANEL_ROWS x n cells, as many floats as the
+    # panel cache; scratch memory is the kept panels plus three float
+    # arrays and a boolean one of one broadcast, not proportional to the
+    # strata. A window of 512 first indices holds a whole prefix's here, so
+    # a batch is eight prefixes and its broadcasts are about full: it peaks
+    # at 3.4 times the cache at n = 128 and 3.8 times at n = 512.
     # Unbatched prefixes (all of a level's in one broadcast per panel)
     # would take about 7.5 times the cache for each array at n = 128.
     d, m = 30, 8
@@ -1160,13 +1185,9 @@ def test_matches_brute_force_where_only_the_cut_prunes(idx, n):
 
 def _cut_kept(bound, costs, k, budget):
     """The supports of k indices within budget that the cut keeps, as
-    bounded cuts them: a level of size <= 1 as its one block, and pair
-    grids a batch at a time, one prefix per pass (_merged)."""
-    kept = set()
-    for batch in _batches(_budgeted_blocks(costs, k, budget)):
-        for block in _merged(batch) if k >= 2 else batch:
-            kept.update(tuple(r) for r in _block_rows(block, bound.cut(block)).tolist())
-    return kept
+    bounded cuts them: one block at a time."""
+    return {tuple(r) for block in _budgeted_blocks(costs, k, budget)
+            for r in _block_rows(block, bound.cut(block)).tolist()}
 
 
 @st.composite
@@ -1291,48 +1312,65 @@ def _hub_cases(draw):
     return bound, k, costs, budget, rows, draw(st.sampled_from([1, 2, 8]))
 
 
+def _windowed_hub_case():
+    # 5-row panels in windows of two: prefix () of k = 2 comes as blocks
+    # of first indices 0..9, 10..19 and 20..28, and each later block's
+    # seconds start past its window's edge. Half the scores are hubs.
+    n = 30
+    rng = np.random.default_rng(30)
+    a = rng.normal(size=(3, n))
+    y = rng.normal(size=3)
+    bound = _SubsetBound(a, a.T @ y, float(y @ y), 0.9 * float(np.linalg.norm(y)),
+                         box=_box(2))
+    bound.scores = rng.integers(-8, 9, size=n) / 8.0
+    bound.need = lambda prefix, size: 0.25 - float(bound.scores[list(prefix)].sum())
+    costs = solver._position_costs(n)
+    return bound, 2, costs, int(costs[:2].sum()) + 100, 5, 2
+
+
 @given(_hub_cases())
+@example(_windowed_hub_case())
 @settings(max_examples=300, deadline=None)
 def test_hub_cut_keeps_exactly_the_cells_whose_float_sum_reaches_need(case):
-    # The cut lists a prefix's cells from its hubs (2 s_h >= need) and
+    # The cut lists a block's cells from its hubs (2 s_h >= need) and
     # tests only those, yet keeps exactly the cells (i, j) with
-    # fl(s_i + s_j) >= need, each once, in every batch of every block
+    # fl(s_i + s_j) >= need, each once, in every block of every block
     # layout: no kept cell lacks a hub.
     bound, k, costs, budget, rows, cache = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_PANEL_ROWS", rows)
         mp.setattr(solver, "_PANEL_CACHE", cache)
-        for batch in _batches(_budgeted_blocks(costs, k, budget)):
-            got = [tuple(r) for block in _merged(batch)
-                   for r in _block_rows(block, bound.cut(block)).tolist()]
-            want = set()
-            for block in batch:
-                cells = _block_rows(block)
-                s = bound.scores[cells[:, -2]] + bound.scores[cells[:, -1]]
-                want.update(map(tuple, cells[s >= bound.need(block[0], k)].tolist()))
+        for block in _budgeted_blocks(costs, k, budget):
+            got = [tuple(r) for r in _block_rows(block, bound.cut(block)).tolist()]
+            cells = _block_rows(block)
+            s = bound.scores[cells[:, -2]] + bound.scores[cells[:, -1]]
+            want = set(map(tuple, cells[s >= bound.need(block[0], k)].tolist()))
             assert len(got) == len(set(got))
             assert set(got) == want
 
 
 def test_hub_cut_memory_is_the_cache_plus_survivors():
     # About a quarter of the indices are hubs (unit y, eta = |y| / 2), so
-    # a third of a million of the first batch's two million pairs pass the
-    # cut. Its passes and Gram products are (hubs among the firsts) x n and
-    # (hubs) x (firsts), at most a panel cache each, and the bound's scratch
-    # beyond that scales with its survivors: it peaks at about 1.85 times
-    # the cache, survivors 0.48 of it. Each hub's whole Gram row, about
-    # 930 x 4096 floats, would take it to about 4 times.
+    # a third of a million of the first block's two million pairs pass the
+    # cut. A block holds the first indices of one window, as many as the
+    # panel cache has rows, so its passes and Gram products are (hubs
+    # among the firsts) x n and (hubs) x (firsts), at most a panel cache
+    # each, and the bound's scratch beyond that scales with its survivors:
+    # it peaks at about 1.85 times the cache, survivors 0.48 of it. Each
+    # hub's whole Gram row, about 930 x 4096 floats, would take it to
+    # about 4 times.
     n, d, m = 4096, 8, 4
     a = np.asarray(sample_ensemble(n, d, derive_seed(943, "hub-mem")).matrix)
     y = make_generator(943, "hub-mem-draw").normal(size=d)
     y /= np.linalg.norm(y)
     bound = _SubsetBound(a, a.T @ y, float(y @ y), math.sqrt(_allowed_sq(0.5)), box=_box(m))
     costs = np.zeros(n, dtype=np.int64)
-    batch = next(_batches(_budgeted_blocks(costs, 2, 0)))
+    block = next(_budgeted_blocks(costs, 2, 0))
+    assert len(block[1]) == solver._PANEL_CACHE * solver._PANEL_ROWS
     assert 0.2 < np.mean(2 * bound.scores >= bound.need((), 2)) < 0.3
     tracemalloc.start()
     try:
-        rows, res = bound.bounded(batch)
+        rows, res = bound.bounded([block])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1639,6 +1677,24 @@ def test_input_validation():
         mcp_tolerant(ens, np.zeros(4), 3, math.nan)
 
 
+@pytest.mark.parametrize("scope,top", [
+    (SolverConfig(include_pp=False), 62),
+    (SolverConfig(pp_max_degree=1, pp_max_breaks=1), 61),
+    (SolverConfig(pp_max_degree=3, include_literal=True), 60),
+], ids=["sparse", "degree1", "degree3"])
+def test_grids_past_int64_are_refused(scope, top):
+    # The walk holds a grid's values, its range ends up to 2^bits and a
+    # piece's cap 2^bits in int64, so m bits (sparse, literal) and m' =
+    # coeff_resolution(N, m) bits (degree N patterns) may reach 62. At y = 0
+    # the empty codeword is the answer and nothing else is walked, so the
+    # largest m that fits solves at once.
+    ens = sample_ensemble(8, 4, derive_seed(913, "int64"))
+    res = mcp_exact(ens, np.zeros(4), top, config=scope)
+    assert res.status == "ok" and res.x_hat.numerators == (0,) * 8
+    with pytest.raises(ValueError, match="int64"):
+        mcp_exact(ens, np.zeros(4), top + 1, config=scope)
+
+
 def test_huge_finite_eta_answers_as_infinite():
     # The walk radius and the prunes square eta: a finite eta past 1e154
     # squares to inf, as eta = inf does, and must not overflow.
@@ -1665,6 +1721,9 @@ def test_predicted_error_bound_value():
     # building blocks
     ratio = (math.sqrt(256 / 40) + 1 + 1) / 0.04 + 1
     assert got == pytest.approx(ratio * quantization_gap_bound(256, 8), rel=1e-12)
+    # no measurements give no bound, not a division by zero
+    with pytest.raises(ValueError):
+        predicted_error_bound(256, 0, 8, 0.04, 1.0)
 
 
 def test_corollary_bound_values():
