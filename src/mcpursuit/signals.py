@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .codecs import CodecError, quantize_pp_spec
 
@@ -177,6 +176,10 @@ def piecewise_poly_fit(x: np.ndarray, r: int, degree: int) -> PPFitResult:
     decreasing stretch) fit poorly on purpose, and callers report rather
     than assume the unconstrained approximation rate.
     """
+    # imported here, by its one user, so that importing the package, the
+    # solver and the CLI does not load scipy
+    from scipy.optimize import nnls
+
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
     if not 1 <= r <= n:

@@ -78,8 +78,11 @@ bound takes a batch of up to _PANEL_CACHE consecutive blocks whose
 prefixes share all but their last index (_batches), projects the shared
 part once and the last indices in one batched step, as the rows of
 (P, N) arrays. A projected state keeps every index, so a stratum's
-entries are read at its own indices. The bound returns the rows of the
-batch's strata that pass in no particular order.
+entries are read at its own indices. A stratum is one row of its
+absolute indices (_rows) wherever the bound keeps it: the positivity cut
+returns rows, and the screen and the one method that bounds cut rows and
+single indices (listed) read and emit them. The bound returns the rows
+of the batch's strata that pass in no particular order.
 
 Sparse supports first pass a positivity cut, which reads no Gram entry.
 Their values lie in [lo, hi] = [2^-m, 1 - 2^-m], so with w = y / |y| a
@@ -88,8 +91,8 @@ max(lo c_j, hi c_j), c_j = w . A_j, reaches |y| - limit - delta, where
 delta bounds the rounding of the scores, |y| and the sum, from d, the
 column norms, |y| and the support size (a Farkas-type certificate;
 Slawski & Hein 2013 on nonnegative sparse recovery). The scores cost one
-pass over n. Pair grids are cut a block at a time, with one need per
-block. A cell that passes holds
+pass over n. Each block is cut on its own, with one need per block, to
+the rows of its tuples that pass. A cell of a pair grid that passes holds
 a hub, an index h with 2 s_h >= need: doubling is exact and rounding to
 nearest is monotone, so the float sum s_i + s_j is at most 2 max(s_i,
 s_j). So the cut lists the grid's cells from its hubs, a boolean pass
@@ -763,38 +766,32 @@ def _block_size(block) -> int:
     return int((ends - firsts - 1).sum())
 
 
-def _block_cells(block):
-    """Every tuple of a block, selected as _block_rows takes them."""
-    _, firsts, ends = block
-    if firsts is None:
-        return (np.zeros(1, dtype=np.int64),)
-    if ends is None:
-        return (np.arange(len(firsts)),)
-    # firsts are consecutive, so row t's tuples are s = t .. ends[t] - firsts[0] - 2
-    counts = ends - firsts - 1
-    t = np.repeat(np.arange(len(firsts)), counts)
-    return t, t + np.arange(len(t)) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def _block_rows(block, picked=None) -> np.ndarray:
-    """The index tuples of a block as rows of an int64 array, in
-    lexicographic order. picked, if given, selects some of them, as a
-    tuple of index arrays: (t,) over the one tuple of size 0 or over firsts
-    for size 1, and otherwise (t, s), cells of the block's grid that are
-    tuples, in row-major order: first index firsts[t] and second index
-    firsts[0] + 1 + s."""
-    prefix, firsts, ends = block
-    picked = _block_cells(block) if picked is None else picked
-    if firsts is None:
-        return np.zeros((len(picked[0]), 0), dtype=np.int64)
-    if ends is None:
-        return firsts[picked[0]][:, None]
-    at, sec = picked
-    rows = np.empty((len(at), len(prefix) + 2), dtype=np.int64)
-    rows[:, :-2] = prefix
-    rows[:, -2] = firsts[at]
-    rows[:, -1] = firsts[0] + 1 + sec
+def _rows(prefix, *cells) -> np.ndarray:
+    """Index tuples as the rows of an int64 array: the indices of prefix,
+    then one column per index array of cells. prefix is one tuple for
+    every row, or an array of one prefix row per cell; with no cells,
+    the one row prefix."""
+    width = np.shape(prefix)[-1]
+    rows = np.empty((len(cells[0]) if cells else 1, width + len(cells)), dtype=np.int64)
+    rows[:, :width] = prefix
+    for c, idx in enumerate(cells, width):
+        rows[:, c] = idx
     return rows
+
+
+def _block_rows(block) -> np.ndarray:
+    """Every index tuple of a block, as the rows of an int64 array in
+    lexicographic order."""
+    prefix, firsts, ends = block
+    if firsts is None:
+        return _rows(prefix)
+    if ends is None:
+        return _rows(prefix, firsts)
+    # first index i pairs with the run i + 1 .. its end - 1
+    counts = ends - firsts - 1
+    i = np.repeat(firsts, counts)
+    at = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return _rows(prefix, i, i + 1 + at)
 
 
 def _unbounded(rows):
@@ -902,16 +899,18 @@ class _SubsetBound:
     for the part all its prefixes share, and one batched step (step) for
     their last indices. A projected state keeps all N indices; only those
     after the prefix mean something, and a stratum reads them at its own
-    indices. The one-column formula or _ls2_residual_sq then runs on the
-    projected entries of the block's firsts, or of the cells of a block's
-    pair grid that pass the cut (below), one block at a time (anchored),
-    or without one a cheap screen, a whole batch at once (screened). With
-    no forced column and no prefix the arithmetic is that of the two
-    formulas alone. The screen and blocks of size <= 1 take the same
-    operations per entry, in the same order, however the blocks are
-    batched, and the cut and its Gram products see one block, so no bound
-    depends on the batches. The order of the rows does, and run_level
-    sorts them.
+    indices. A stratum is one row of its absolute indices (_rows), from
+    the cut, the screen and _block_rows alike. The one-column formula or
+    _ls2_residual_sq then runs on the projected entries at each row's last
+    one or two indices: of the rows that pass the cut (below), or with no
+    cut of every tuple of a block of size <= 1, one block at a time
+    (listed); pair grids with no cut take a cheap screen instead, a whole
+    batch at once (screened). With no forced column and no prefix the
+    arithmetic is that of the two formulas alone. The screen and blocks
+    of size <= 1 take the same operations per entry, in the same order,
+    however the blocks are batched, and the cut and its Gram products see
+    one block, so no bound depends on the batches. The order of the rows
+    does, and run_level sorts them.
 
     Strata with (nearly) dependent columns get bound 0, so the least-squares
     bound never prunes them: when a projected diagonal entry, a pivot of F
@@ -926,12 +925,12 @@ class _SubsetBound:
     cols_j (w . A x >= |y| - |A x - y|; a Farkas-type certificate, as in
     safe screening, El Ghaoui, Viallon & Rabbani 2012, for nonnegative
     recovery, Slawski & Hein 2013). It reads no Gram entry, so it runs
-    first, and the least-squares bound sees only the cells it keeps: a
-    block whose cells all fail reads nothing. Every cell it keeps on a
+    first, and the least-squares bound sees only the rows it keeps: a
+    block whose rows all fail reads nothing. Every cell it keeps on a
     pair grid holds a hub h, 2 s_h >= need, so it lists the cells from the
     hubs and tests those alone (cut), and a kept cell takes its Gram entry
     from a product of its hub's column with the columns the hub pairs
-    with, not from a panel (anchored). The threshold is lowered by delta
+    with, not from a panel (listed). The threshold is lowered by delta
     (need), once per block, a bound on the rounding of the scores, |y|
     and any float evaluation of the sum. With y = 0 nothing is cut.
     Breakpoint patterns keep the screen alone: a pattern's cut is a sum of
@@ -1003,59 +1002,43 @@ class _SubsetBound:
     def bounded(self, blocks):
         """(rows, res_sq) of a batch: the strata that reach the
         least-squares bound, as rows of index tuples in no order, and their
-        least-squares residual^2 (0 where guarded). Those are every stratum
-        of a block of size <= 1 that passes the cut, if any; the cells of
-        the batch's pair grids that pass the cut, one block at a time
-        (anchored); or without one the cells that pass the screen, for the
-        whole batch at once (screened)."""
-        if blocks[0][2] is None:
-            parts = map(self.one, blocks)
-        elif self.scores is None:
+        least-squares residual^2 (0 where guarded). Pair grids without the
+        cut go to the screen, the whole batch at once (screened); every
+        other block goes to listed, one block at a time."""
+        if blocks[0][2] is not None and self.scores is None:
             return self.screened(blocks)
-        else:
-            parts = map(self.anchored, blocks)
-        rows, res = zip(*parts)
+        rows, res = zip(*map(self.listed, blocks))
         return np.concatenate(rows), np.concatenate(res)
 
-    def one(self, block):
-        """(rows, res_sq) of one block of size <= 1, after the cut if any,
-        for bounded."""
-        prefix, firsts, _ = block
-        rows = _block_rows(block, None if self.scores is None else self.cut(block))
+    def listed(self, block):
+        """(rows, res_sq) of one block's strata that bounded lists: the
+        rows that pass the cut, or with no cut every tuple of a block of
+        size <= 1. The prefix is projected once if a row is left, and the
+        one-column formula runs on each row's last index, or the
+        two-column one on its last two. A pair's higher score is a hub's
+        (cut), so its Gram entry is read from a product of hub columns and
+        the columns they pair with: one for the pairs whose hub is the
+        first index, one for those whose hub is the second."""
+        prefix, firsts, ends = block
+        rows = _block_rows(block) if self.scores is None else self.cut(block)
         state = self.project(prefix) if len(rows) else None
         if state is None:
             return _unbounded(rows)
         g, b, rest, w, bad = state
         if firsts is None:
             return rows, np.full(1, max(rest, 0.0))
-        i = rows[:, -1]
-        gi, bi = g[i], b[i]
-        res = rest - np.divide(bi**2, gi, out=np.zeros(len(gi)), where=gi > 1e-300)
-        if bad is not None:
-            res[bad[i]] = 0.0
-        return rows, np.maximum(res, 0.0, out=res)
-
-    def anchored(self, block):
-        """(rows, res_sq) of the cells of one block's pair grid that pass
-        the cut, for bounded. A kept cell's
-        higher score is a hub's (cut), so its Gram entry is read from a
-        product of hub columns and the columns they pair with: one for
-        the cells anchored at their first index, one for those anchored
-        at their second."""
-        prefix, _, _ = block
-        rows = _block_rows(block, self.cut(block))
-        state = self.project(prefix) if len(rows) else None
-        if state is None:
-            return _unbounded(rows)
-        g, b, rest, w, bad = state
-        i, j = rows[:, -2], rows[:, -1]
-        at_first = self.scores[i] >= self.scores[j]
-        g01 = np.empty(len(rows))
-        g01[at_first] = self.gram.entries(i[at_first], j[at_first])
-        g01[~at_first] = self.gram.entries(j[~at_first], i[~at_first])
-        if w:
-            g01 -= sum(v[i] * v[j] for v in w)
-        res = _ls2_residual_sq(g[i], g[j], g01, b[i], b[j], rest)
+        i, j = rows[:, len(prefix)], rows[:, -1]
+        if ends is None:
+            res = rest - np.divide(b[i]**2, g[i], out=np.zeros(len(i)), where=g[i] > 1e-300)
+            np.maximum(res, 0.0, out=res)
+        else:
+            at_first = self.scores[i] >= self.scores[j]
+            g01 = np.empty(len(rows))
+            g01[at_first] = self.gram.entries(i[at_first], j[at_first])
+            g01[~at_first] = self.gram.entries(j[~at_first], i[~at_first])
+            if w:
+                g01 -= sum(v[i] * v[j] for v in w)
+            res = _ls2_residual_sq(g[i], g[j], g01, b[i], b[j], rest)
         if bad is not None:
             res[bad[i] | bad[j]] = 0.0
         return rows, res
@@ -1076,9 +1059,10 @@ class _SubsetBound:
         return norm_y - self.limit - delta - float(self.scores[list(prefix)].sum())
 
     def cut(self, block):
-        """The cells of a block, selected as _block_rows takes them, whose
-        scores reach need: on a pair grid, the cells (i, j) with
-        s_i + s_j >= need in float arithmetic.
+        """The rows of a block's tuples whose scores after the prefix reach
+        need: the empty tuple if need <= 0, the single indices i with s_i
+        >= need, and on a pair grid the cells (i, j) with s_i + s_j >= need
+        in float arithmetic.
 
         Such a cell holds a hub, an index h with 2 s_h >= need: doubling
         is exact, and rounding to nearest is monotone, so the float sum is
@@ -1092,11 +1076,10 @@ class _SubsetBound:
         size = len(prefix) + (0 if firsts is None else 1 if ends is None else 2)
         need = self.need(prefix, size)
         if firsts is None:
-            return (np.flatnonzero([need <= 0.0]),)
+            return _rows(prefix)[: int(need <= 0.0)]
         if ends is None:
-            return (np.flatnonzero(self.scores[firsts] >= need),)
-        # index firsts[0] + u has score sc[u] and, for u < f, end stop[u]:
-        # the cell (u, v) is the (t, s) = (u, v - 1) of _block_rows
+            return _rows(prefix, firsts[self.scores[firsts] >= need])
+        # index lo + u has score sc[u] and, for u < f, end lo + stop[u]
         lo, f = int(firsts[0]), len(firsts)
         sc = self.scores[lo : ends[0]]
         stop = ends - lo
@@ -1116,7 +1099,8 @@ class _SubsetBound:
         ok &= u[:f] < hubs[:, None]
         ok &= stop > hubs[:, None]
         at_hub, t = np.nonzero(ok)
-        return np.concatenate((tops[at_top], t)), np.concatenate((v, hubs[at_hub])) - 1
+        return _rows(prefix, lo + np.concatenate((tops[at_top], t)),
+                     lo + np.concatenate((v, hubs[at_hub])))
 
     def screened(self, blocks):
         """(rows, res_sq) of a batch of pair grids whose prefixes share all
@@ -1242,7 +1226,7 @@ class _SubsetBound:
             x, r, s = a + x, i_lo + r, j_lo + s
             if bad is not None:
                 res[bad[x, r] | bad[x, s]] = 0.0
-            parts.append((np.column_stack((prefixes[x], r, s)), res))
+            parts.append((_rows(prefixes[x], r, s), res))
         rows, res = zip(*parts)
         return np.concatenate(rows), np.concatenate(res)
 

@@ -17,7 +17,6 @@ import numpy as np
 from mcpursuit import solver
 from mcpursuit.solver import (
     _SUBSET_GUARD,
-    _block_rows,
     _GramPanels,
     _ls2_residual_sq,
 )
@@ -45,13 +44,33 @@ def reference_bound(gram, corr, yy, block, limit, forced=()):
     limit, as (rows, residual^2). A stratum is the columns forced + its
     index tuple; no forced column is in the block."""
     prefix, firsts, ends = block
+    # the block's grid: its axes (none for size 0, the first indices, or
+    # the first indices by the second indices after firsts[0]) and which
+    # of its cells are tuples: firsts[t] < seconds[s] < ends[t]
+    if firsts is None:
+        axes, tuples = [], np.ones(1, dtype=bool)
+    elif ends is None:
+        axes, tuples = [firsts], np.ones(len(firsts), dtype=bool)
+    else:
+        seconds = np.arange(firsts[0] + 1, ends[0])
+        axes = [firsts, seconds]
+        tuples = (firsts[:, None] < seconds) & (seconds < ends[:, None])
+
+    def rows_of(keep):
+        """The rows of the cells keep marks: the prefix, then the cell's
+        index on each axis."""
+        picked = np.nonzero(keep)
+        count = len(picked[0])
+        head = np.broadcast_to(np.asarray(prefix, dtype=np.int64), (count, len(prefix)))
+        return np.column_stack([head, *(axis[at] for axis, at in zip(axes, picked))]), picked
+
     diag = np.diagonal(gram)
     g, b, rest, w = diag, corr, yy, []
     fixed = [*forced, *prefix]
     for f in fixed:
         pivot = g[f]
         if not pivot > _SUBSET_GUARD * diag[f]:
-            rows = _block_rows(block)  # the whole block keeps bound 0
+            rows, _ = rows_of(tuples)  # the whole block keeps bound 0
             return rows, np.zeros(len(rows))
         root = math.sqrt(pivot)
         wf = (gram[f] - sum(v[f] * v for v in w)) / root
@@ -80,11 +99,5 @@ def reference_bound(gram, corr, yy, block, limit, forced=()):
         res = _ls2_residual_sq(g[i, None], g[None, j], g01, b[i, None], b[None, j], rest)
         if w:
             res[bad[i, None] | bad[None, j]] = 0.0
-    keep = np.sqrt(res) <= limit
-    if ends is not None:
-        # the cells that are tuples: firsts[t] < seconds[s], which is
-        # s >= t, and seconds[s] < ends[t]
-        keep = np.triu(keep)
-        keep &= np.arange(keep.shape[1]) < (ends - firsts[0] - 1)[:, None]
-    picked = np.nonzero(keep)
-    return _block_rows(block, picked), res[picked]
+    rows, picked = rows_of((np.sqrt(res) <= limit) & tuples)
+    return rows, res[picked]

@@ -1187,7 +1187,7 @@ def _cut_kept(bound, costs, k, budget):
     """The supports of k indices within budget that the cut keeps, as
     bounded cuts them: one block at a time."""
     return {tuple(r) for block in _budgeted_blocks(costs, k, budget)
-            for r in _block_rows(block, bound.cut(block)).tolist()}
+            for r in bound.cut(block).tolist()}
 
 
 @st.composite
@@ -1279,13 +1279,14 @@ def test_cut_keeps_supports_on_its_exact_boundary():
 
 @st.composite
 def _hub_cases(draw):
-    """A bound with the cut, k = 2 or 3, a budget and panel sizes: scores
+    """A bound with the cut, k = 0 to 3, a budget and panel sizes: scores
     of real columns, with exact copies and negative scores, or scores on a
     dyadic grid with need on it too, so that many sit exactly at need / 2;
     need from the bound itself, from the grid (0 and below included) or
-    exactly one cell's float sum."""
+    exactly one cell's float sum: 0.0 for k = 0, one score for k = 1 and
+    two for k >= 2."""
     n = draw(st.integers(2, 24))
-    k = draw(st.sampled_from([2, 3]))
+    k = draw(st.sampled_from([0, 1, 2, 3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 5))
     a = rng.normal(size=(d, n)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
@@ -1303,8 +1304,7 @@ def _hub_cases(draw):
         if kind == "grid":
             base = draw(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5]))
         else:
-            p, q = rng.choice(n, size=2, replace=False)
-            base = float(s[p] + s[q])
+            base = float(s[rng.choice(n, size=min(k, 2), replace=False)].sum())
         bound.need = lambda prefix, size: base - float(s[list(prefix)].sum())
     costs = solver._position_costs(n)
     budget = int(costs[:k].sum()) + draw(st.integers(0, 12))
@@ -1328,22 +1328,41 @@ def _windowed_hub_case():
     return bound, 2, costs, int(costs[:2].sum()) + 100, 5, 2
 
 
+def _tied_hub_case(k):
+    # need exactly at a tuple's float score sum on dyadic scores: 0.0 for
+    # the empty tuple (k = 0), index 0's score for k = 1
+    n = 6
+    rng = np.random.default_rng(31)
+    a = rng.normal(size=(3, n))
+    y = rng.normal(size=3)
+    bound = _SubsetBound(a, a.T @ y, float(y @ y), 0.0, box=_box(2))
+    bound.scores = rng.integers(-8, 9, size=n) / 8.0
+    base = float(bound.scores[:k].sum())
+    bound.need = lambda prefix, size: base - float(bound.scores[list(prefix)].sum())
+    costs = solver._position_costs(n)
+    return bound, k, costs, int(costs[:k].sum()) + 12, 64, 8
+
+
 @given(_hub_cases())
 @example(_windowed_hub_case())
+@example(_tied_hub_case(0))
+@example(_tied_hub_case(1))
 @settings(max_examples=300, deadline=None)
 def test_hub_cut_keeps_exactly_the_cells_whose_float_sum_reaches_need(case):
-    # The cut lists a block's cells from its hubs (2 s_h >= need) and
-    # tests only those, yet keeps exactly the cells (i, j) with
-    # fl(s_i + s_j) >= need, each once, in every block of every block
-    # layout: no kept cell lacks a hub.
+    # The cut keeps exactly the tuples whose float score sum after the
+    # prefix reaches need, each once: the empty tuple when need <= 0, the
+    # indices i with s_i >= need, and on a pair grid, which it lists from
+    # its hubs (2 s_h >= need) and tests only those, the cells (i, j) with
+    # fl(s_i + s_j) >= need, in every block of every block layout: no kept
+    # cell lacks a hub.
     bound, k, costs, budget, rows, cache = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_PANEL_ROWS", rows)
         mp.setattr(solver, "_PANEL_CACHE", cache)
         for block in _budgeted_blocks(costs, k, budget):
-            got = [tuple(r) for r in _block_rows(block, bound.cut(block)).tolist()]
+            got = [tuple(r) for r in bound.cut(block).tolist()]
             cells = _block_rows(block)
-            s = bound.scores[cells[:, -2]] + bound.scores[cells[:, -1]]
+            s = bound.scores[cells[:, len(block[0]):]].sum(axis=1)
             want = set(map(tuple, cells[s >= bound.need(block[0], k)].tolist()))
             assert len(got) == len(set(got))
             assert set(got) == want
