@@ -1,12 +1,18 @@
 """Write SolveOutcome.key() of every solver-workload instance of the
-benchmark at one seed, and the hit count of every lemmas_mc chunk, as JSON.
+benchmark at one seed, of a fixed list of off-bench pattern solves drawn
+from the seed, and the hit count of every lemmas_mc chunk, as JSON.
 
     python3 scripts/solve_keys.py --seed 20261017 --out keys.json
 
 A key holds the status, code length, stream, numerators and both counters
 of one solve; a solve that hits the node cap is keyed by its budget
 counters at the cap, the message of its SolverResourceError, so a change
-in the node at which the cap fires shows too. A chunk's entry is
+in the node at which the cap fires shows too. The off-bench solves
+(OFF_BENCH) reach the degree >= 1 multi-break levels of breakpoint
+patterns, which no bench workload does: a y off every pattern's span,
+for which every level in scope is bounded and none passes, and
+piecewise-linear and -quadratic signals whose walks mostly end at the
+node cap. Each is keyed with its name. A chunk's entry is
 its family, d, n, parameter (tau or t) and the number of its trials that
 hit the tail event, round(empirical * trials). The script imports
 the package from the src/ directory of its own checkout and the workloads
@@ -33,29 +39,61 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads as W  # noqa: E402
-from mcpursuit.measure import MeasurementEnsemble  # noqa: E402
-from mcpursuit.solver import SolverResourceError, mcp_exact  # noqa: E402
+from mcpursuit.measure import MeasurementEnsemble, sample_ensemble  # noqa: E402
+from mcpursuit.rng import derive_seed, make_generator  # noqa: E402
+from mcpursuit.signals import gen_piecewise_poly  # noqa: E402
+from mcpursuit.solver import SolverConfig, SolverResourceError, mcp_exact  # noqa: E402
 from spans import NullTracer  # noqa: E402
 
+# name: (n, d, m, eta, degree, breaks); eta None is the solver's default,
+# and breaks None draws y ~ N(0, I) instead of a signal of that degree.
+# The scope is sparse supports of up to two indices and breakpoint
+# patterns of up to the given degree and two breaks, and the node cap
+# keeps the walks of degree >= 1 patterns short.
+OFF_BENCH = {
+    "infeasible_n64": (64, 24, 6, 0.05, 3, None),
+    "linear_1break_n48": (48, 24, 8, None, 1, 1),
+    "linear_2break_n64": (64, 24, 8, None, 1, 2),
+    "quadratic_1break_n64": (64, 24, 8, None, 2, 1),
+    "quadratic_2break_n48": (48, 24, 8, None, 2, 2),
+}
+OFF_BENCH_NODE_CAP = 1 << 15
 
-def solve_key(wl, inst):
-    """The key of one solve of a workload's instance: the result's
-    fields, or the budget counters of a solve that hits the node cap."""
+
+def solve_key(ens, y, m, eta, config):
+    """The key of one solve: the result's fields, or the budget counters
+    of a solve that hits the node cap."""
     # a fresh ensemble, as the benchmark solves with
-    ens = MeasurementEnsemble(inst.ens.matrix, inst.ens.key)
+    ens = MeasurementEnsemble(ens.matrix, ens.key)
     try:
-        r = mcp_exact(ens, inst.y, wl.m, wl.eta, wl.config)
+        r = mcp_exact(ens, y, m, eta, config)
     except SolverResourceError as exc:
         return ["capped", str(exc)]
     nums = r.x_hat.numerators if r.x_hat is not None else None
     return [r.status, r.dl_bits, r.stream, nums, r.strata_examined, r.points_tested]
 
 
+def off_bench_key(seed: int, name: str):
+    """The key of one OFF_BENCH solve, drawn from keys under its name."""
+    n, d, m, eta, degree, breaks = OFF_BENCH[name]
+    ens = sample_ensemble(n, d, derive_seed(seed, "solve_keys", name, "ens"))
+    rng = make_generator(seed, "solve_keys", name, "sig")
+    if breaks is None:
+        y = rng.normal(size=d)
+    else:
+        y = ens.matrix @ gen_piecewise_poly(n, breaks, degree, rng)[0]
+    config = SolverConfig(max_sparse_k=2, pp_max_degree=degree, pp_max_breaks=2,
+                          node_cap=OFF_BENCH_NODE_CAP)
+    return [name, *solve_key(ens, y, m, eta, config)]
+
+
 def solve_keys(seed: int) -> dict[str, list]:
     tracer = NullTracer()
     keys = {}
     for name, wl in W.SOLVER_WORKLOADS.items():
-        keys[name] = [solve_key(wl, inst) for inst in W.make_inputs(name, seed, tracer)]
+        keys[name] = [solve_key(inst.ens, inst.y, wl.m, wl.eta, wl.config)
+                      for inst in W.make_inputs(name, seed, tracer)]
+    keys["off_bench"] = [off_bench_key(seed, name) for name in OFF_BENCH]
     keys["lemmas_mc"] = []
     for chunk in W.make_inputs("lemmas_mc", seed, tracer):
         r, c = W.run_chunk(chunk, tracer), chunk.cell

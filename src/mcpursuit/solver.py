@@ -65,11 +65,13 @@ multiples of that size, each with its range of last indices; a level of
 single indices is one block.
 
 The least-squares bound of a sparse support or a degree-0 breakpoint
-pattern is one class, _SubsetBound, of a (d, N) column matrix and its
-correlations with y: A itself for supports; for patterns, the rows T[e]
-of the degree-0 prefix table as columns, because a pattern with breaks
-b_1 .. b_q spans the same space as T[b_1], .., T[b_q] and T[n]. Cholesky
-steps project out the forced column T[n], once per solve, and each
+pattern is one class, _SubsetBound, of a (d, N) column matrix, y and a
+vector that every stratum holds, if any: for supports the columns are A
+itself and nothing is forced; for patterns they are the rows T[1] ..
+T[n - 1] of the degree-0 prefix table, with T[n] forced, because a
+pattern with breaks b_1 .. b_q spans the same space as T[b_1], ..,
+T[b_q] and T[n]. Cholesky steps project out the forced vector, once per
+solve, from its products with the columns, itself and y, and each
 block's prefix, once per block, and the closed-form one- or two-column
 formula runs on the projected entries over the block's first indices or
 its grid of first and last indices: the shared prefix work of Furnival &
@@ -123,21 +125,23 @@ built when first needed, which at one BLAS thread match the full product
 cols.T @ cols bit for bit when they hold at least two rows (a one-row
 panel, the last one when N = 64q + 1, and a slice that starts off a
 panel boundary can differ in the last bit): the prefixes' rows, and a
-batch's pair grids, from the panel that holds them, T[n]'s from the last
-column of each. The diagonal is the squared column norms, from one einsum
-over cols. No N x N array is built. A batch holds at most _PANEL_CACHE
-blocks, so at most _PANEL_CACHE prefixes, each with at most _PANEL_ROWS
-first indices in one panel, and one panel's broadcast has at most
-_PANEL_CACHE x _PANEL_ROWS x N cells, as many floats as the panel cache.
+batch's pair grids, from the panel that holds them. The diagonal is the
+squared column norms, from one einsum over cols, and T[n]'s row is one
+product T[n] @ cols. No N x N array is built. A batch holds at most
+_PANEL_CACHE blocks, so at most _PANEL_CACHE prefixes, each with at most
+_PANEL_ROWS first indices in one panel, and one panel's broadcast has at
+most _PANEL_CACHE x _PANEL_ROWS x N cells, as many floats as the panel
+cache.
 Scratch memory is the cache plus three float arrays and a boolean one of
 one broadcast, not proportional to the number of strata: a whole
 three-break level peaks at about 3.4 times the cache at N = 127 and
 3.8 times at N = 511.
 Degree >= 1 patterns build their columns, at most _PP_CHUNK patterns at
-a time, and take the residual from one batched Householder QR, as the
-walk does for one stratum (Businger & Golub 1965): |y|^2 - |Q^T y|^2.
-Q spans at least the columns, so dependent columns need no guard and
-only lower the bound.
+a time, and take base_sq of _qr_rows on the stack, |y|^2 - |Q^T y|^2 from
+a Householder QR (Businger & Golub 1965): the residual walk_stratum skips
+a stratum on, bit for bit, so a pattern passes the prune exactly when
+the walk would walk it. Q spans at least the columns, so dependent
+columns need no guard and only lower the bound.
 
 One method, _Search.run_level, serves every level: it charges each block
 to the node cap as it is generated, bounds the blocks a batch at a time,
@@ -654,22 +658,18 @@ def _coeff_rows(u: np.ndarray, width: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _qr_rows(a_cols: np.ndarray, y: np.ndarray):
-    """QR pieces for |a_cols u - y|^2 = |R u - qty|^2 + base_sq.
+    """QR pieces (R, qty, base_sq) for |a_cols u - y|^2 = |R u - qty|^2 +
+    base_sq, of one (d, D) column matrix or of each of a stack (..., d,
+    D): R has min(d, D) rows, qty = Q^T y and base_sq = |y|^2 - |qty|^2,
+    at least 0. A matrix gives the bits of its own row of a stack.
 
-    When the stratum has more coordinates than rows, R is padded square
-    with zero rows; those levels walk the whole box (zero pivot path).
     Pivots may have either sign: negating a row of R and its entry of qty
     (exact in IEEE arithmetic) swaps the ends of that level's interval,
     which the walk orders itself, and leaves its zig-zag centre and the
     squared contributions as they were."""
     q, r = np.linalg.qr(a_cols)
-    qty = q.T @ y
-    base_sq = max(float(y @ y - qty @ qty), 0.0)
-    d, dims = r.shape
-    if d < dims:
-        r = np.vstack((r, np.zeros((dims - d, dims))))
-        qty = np.concatenate((qty, np.zeros(dims - d)))
-    return r, qty, base_sq
+    qty = y @ q
+    return r, qty, np.maximum(y @ y - np.vecdot(qty, qty), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -825,8 +825,9 @@ class _GramPanels:
     may take a matrix-vector path for it), and so can a slice that starts
     off a panel boundary. The screen reads the pair grid rows of a batch
     that one panel holds as one slice of it, having cut each block's
-    first indices at panel edges. Panels are built when first needed, and
-    at most _PANEL_CACHE of them are kept. The diagonal the
+    first indices at panel edges. Panels are built when first needed, by
+    a prefix's step (rows) or the screen alone, and at most _PANEL_CACHE
+    of them are kept; a level with neither builds none. The diagonal the
     bounds read is diag, the squared column norms, which can differ from a
     panel's diagonal in the last bit."""
 
@@ -873,28 +874,23 @@ class _GramPanels:
         lo, hi = int(others.min()), int(others.max()) + 1
         return (self.cols[:, hs].T @ self.cols[:, lo:hi])[np.searchsorted(hs, hubs), others - lo]
 
-    def last_column(self) -> np.ndarray:
-        """G[:, N - 1]: the last column of every panel."""
-        return np.concatenate(
-            [self.panel(p)[:, -1] for p in range(0, self.size, _PANEL_ROWS)]
-        )
-
 
 class _SubsetBound:
     """The prune of one family of strata, for run_level: a batch of blocks
     of _budgeted_blocks (_batches) to the rows of the strata that pass, in
     no particular order. A stratum is the columns of cols (d, N) at its index
-    tuple, plus the last column if last_forced; no block holds that one.
-    corr = cols.T @ y and yy = |y|^2.
+    tuple, plus the vector forced (d,) if given. corr = cols.T @ y and yy =
+    |y|^2.
 
     The least-squares bound keeps a stratum when its least-squares residual,
     an exact lower bound on that of any point of it, is within limit. F is
-    the forced column plus the block's prefix. One Cholesky step per column
+    the forced vector plus the block's prefix. One Cholesky step per column
     f of F (W's row w_f is f's projected Gram row over the root of its
     pivot, c_f its projected correlation over the same) leaves the last one
     or two indices with the Gram matrix G - W^T W, the correlations corr -
-    W^T c and |y|^2 - |c|^2. The forced column's step is taken once for the
-    family, and each prefix's steps once per block, which holds all of the
+    W^T c and |y|^2 - |c|^2. The forced vector t's step is taken once for
+    the family, from the products t @ cols, t @ t and t @ y (base), and
+    each prefix's steps once per block, which holds all of the
     prefix's first indices in one window: in a batch of pair grids, once
     for the part all its prefixes share, and one batched step (step) for
     their last indices. A projected state keeps all N indices; only those
@@ -905,7 +901,7 @@ class _SubsetBound:
     one or two indices: of the rows that pass the cut (below), or with no
     cut of every tuple of a block of size <= 1, one block at a time
     (listed); pair grids with no cut take a cheap screen instead, a whole
-    batch at once (screened). With no forced column and no prefix the
+    batch at once (screened). With no forced vector and no prefix the
     arithmetic is that of the two formulas alone. The screen and blocks
     of size <= 1 take the same operations per entry, in the same order,
     however the blocks are batched, and the cut and its Gram products see
@@ -937,30 +933,31 @@ class _SubsetBound:
     positive parts over its pieces, which kept every one- and two-break
     pattern of the instances it was measured on."""
 
-    def __init__(self, cols, corr, yy: float, limit: float, last_forced=False, box=None):
+    def __init__(self, cols, y, limit: float, forced=None, box=None):
         self.gram = _GramPanels(cols)
-        self.corr = corr
-        self.yy = yy
+        self.y = y
+        self.corr = cols.T @ y
+        self.yy = float(y @ y)
         self.limit = limit
-        self.last_forced = last_forced
+        self.forced = forced
         self.scores = None
-        if box is not None and yy > 0:
-            c = corr / math.sqrt(yy)
+        if box is not None and self.yy > 0:
+            c = self.corr / math.sqrt(self.yy)
             self.scores = np.maximum(box[0] * c, box[1] * c)
 
     @cached_property
     def base(self):
-        """(g, b, rest, w) over every index after the forced column's
-        Cholesky step, if any; None if its pivot is singular."""
-        diag = self.gram.diag
-        if not self.last_forced:
+        """(g, b, rest, w) over every index after the forced vector's
+        Cholesky step, if any; None if its pivot t @ t is singular."""
+        diag, t = self.gram.diag, self.forced
+        if t is None:
             return diag, self.corr, self.yy, []
-        f = len(diag) - 1
-        if not diag[f] > _SUBSET_GUARD * diag[f]:
+        pivot = float(t @ t)
+        if not pivot > _SUBSET_GUARD * pivot:
             return None
-        root = math.sqrt(diag[f])
-        wf = self.gram.last_column() / root
-        cf = self.corr[f] / root
+        root = math.sqrt(pivot)
+        wf = (t @ self.gram.cols) / root
+        cf = float(t @ self.y) / root
         return diag - wf * wf, self.corr - cf * wf, self.yy - cf * cf, [wf]
 
     def step(self, g, b, rest, w, fs):
@@ -1265,9 +1262,7 @@ class _Search:
         """The prune of sparse supports, for every size: the least-squares
         bound and the positivity cut, since values lie in [2^-m, 1 - 2^-m]."""
         box = 2.0 ** -self.m, 1.0 - 2.0 ** -self.m
-        return _SubsetBound(
-            self.a, self.a.T @ self.y, self.yy, math.sqrt(_allowed_sq(self.eta)), box=box
-        )
+        return _SubsetBound(self.a, self.y, math.sqrt(_allowed_sq(self.eta)), box=box)
 
     @cached_property
     def pp_slack(self) -> float:
@@ -1322,10 +1317,17 @@ class _Search:
         stratum, it was charged to the node cap by its level, and the
         point is not charged."""
         r_mat, qty, base_sq = _qr_rows(cols, self.y)
+        base_sq = float(base_sq)
         radius_sq = _allowed_sq(self.eta, slack) - base_sq
         if radius_sq < 0:
             return
         margin = self.res_margin
+        # more coordinates than rows: R is padded square with zero rows,
+        # whose levels walk the whole box (zero pivot path)
+        pad = cols.shape[1] - len(r_mat)
+        if pad > 0:
+            r_mat = np.vstack((r_mat, np.zeros((pad, cols.shape[1]))))
+            qty = np.concatenate((qty, np.zeros(pad)))
 
         def score(us, dist_sq):
             x = np.ldexp(samples(us).astype(np.float64), -self.m)
@@ -1400,9 +1402,9 @@ class _Search:
 
     # -- sparse strata --------------------------------------------------
 
-    def sparse_dl(self, k: int, cost_sum: int) -> int:
-        header = CODEC_HEADER_BITS + self.len_n + uint_code_len(k + 1)
-        return header + cost_sum + k * self.m
+    def sparse_dl(self, k: int) -> int:
+        """Code length of a k-sparse codeword without its position costs."""
+        return CODEC_HEADER_BITS + self.len_n + uint_code_len(k + 1) + k * self.m
 
     def run_sparse(self, k_lo: int = 0, k_hi: int | None = None) -> None:
         max_k = self.config.max_sparse_k
@@ -1411,7 +1413,7 @@ class _Search:
             max_k = min(max_k, k_hi)
         for k in range(k_lo, max_k + 1):
             if not self.run_level(
-                self.pos_costs, k, self.sparse_dl(k, 0),
+                self.pos_costs, k, self.sparse_dl(k),
                 self.support_bound, self.offer_sparse,
             ):
                 break
@@ -1446,13 +1448,13 @@ class _Search:
     @cached_property
     def pattern_bound(self) -> _SubsetBound:
         """The least-squares prune of degree-0 breakpoint patterns, for
-        every break count: columns T[1] .. T[n] of T = prefix_table(0), so
-        that break b and the edge n are indices b - 1 and n - 1. A pattern
+        every break count: columns T[1] .. T[n - 1] of T = prefix_table(0),
+        so that break b is index b - 1, and the edge T[n] forced. A pattern
         with breaks b_1 .. b_q spans the same space as T[b_1], .., T[b_q]
         and T[n], so this bounds it without building its columns."""
-        tab = self.prefix_table(0)[1:]
+        tab = self.prefix_table(0)
         limit = math.sqrt(_allowed_sq(self.eta))
-        return _SubsetBound(tab.T, tab @ self.y, self.yy, limit, True)
+        return _SubsetBound(tab[1:-1].T, self.y, limit, tab[-1])
 
     def run_pp(self) -> None:
         if not self.config.include_pp or self.n < 1:
@@ -1478,16 +1480,15 @@ class _Search:
 
     def pp_bound(self, n_deg, m_prime):
         """The least-squares prune of one degree's breakpoint patterns, for
-        run_level: a block of break indices (break b is index b - 1) to the
-        patterns that pass. Degree 0 takes the bound from pattern_bound,
-        with T[n] forced in. Higher degrees take pp_residual_sq, the
-        residual that walk_stratum skips a stratum on, and keep a pattern
-        on walk_stratum's test, res_sq <= _allowed_sq(eta, pp_slack): their
-        samples are floored, so the prune carries pp_slack."""
+        run_level: a batch of blocks of break indices (break b is index
+        b - 1) to the patterns that pass. Degree 0 is pattern_bound, with
+        T[n] forced. Higher degrees take pp_residual_sq, the base_sq that
+        walk_stratum skips a stratum on, and keep a pattern exactly when
+        walk_stratum's radius _allowed_sq(eta, pp_slack) - base_sq is at
+        least 0: their samples are floored, so the prune carries
+        pp_slack."""
         if n_deg == 0:
-            # built when a batch is first bounded, not for a degree whose
-            # levels are all out of budget
-            return lambda blocks: self.pattern_bound(blocks)
+            return self.pattern_bound
 
         def bound(blocks):
             rows = np.concatenate([_block_rows(block) for block in blocks])
@@ -1497,15 +1498,15 @@ class _Search:
         return bound
 
     def pp_residual_sq(self, n_deg, rows, m_prime) -> np.ndarray:
-        """|y|^2 - |Q^T y|^2 of each breakpoint pattern of one degree >= 1
-        (rows of break indices), from a stacked QR of the columns of at
-        most _PP_CHUNK patterns at a time."""
+        """base_sq of _qr_rows for each breakpoint pattern of one degree >=
+        1 (rows of break indices), on the stacked columns of at most
+        _PP_CHUNK patterns at a time: the bits walk_stratum reads from the
+        pattern's own columns."""
         res_sq = np.empty(len(rows))
         for lo in range(0, len(rows), _PP_CHUNK):
             cols = self.pp_columns(n_deg, rows[lo : lo + _PP_CHUNK] + 1, m_prime)
-            qty = self.y @ np.linalg.qr(cols)[0]
-            res_sq[lo : lo + _PP_CHUNK] = self.yy - np.einsum("bi,bi->b", qty, qty)
-        return np.maximum(res_sq, 0.0, out=res_sq)
+            res_sq[lo : lo + _PP_CHUNK] = _qr_rows(cols, self.y)[2]
+        return res_sq
 
     def pp_columns(self, n_deg, breaks, m_prime) -> np.ndarray:
         """(batch, d, dims) columns of a batch of breakpoint patterns (rows

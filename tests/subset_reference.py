@@ -5,7 +5,8 @@ and residual^2 values, one block at a time and in lexicographic order, but
 it reads a whole N x N Gram matrix, takes every Cholesky step for every
 block, and runs the closed-form pair formula on every cell of a block's
 grid, with no screen. The Gram matrix comes from the same aligned panels
-and column norms the solver reads, so the two must agree bit for bit.
+and column norms the solver reads, and a forced vector's row, pivot and
+correlation from the same products, so the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +38,22 @@ def panel_gram(cols: np.ndarray) -> np.ndarray:
     gram = upper + upper.T
     np.fill_diagonal(gram, _GramPanels(cols).diag)
     return gram
+
+
+def reference_inputs(cols, y, t=None):
+    """(gram, corr, forced) of reference_bound for the columns cols and,
+    if given, the forced vector t: panel_gram(cols) and cols.T @ y, with t
+    laid after the columns as index N = forced[0], its row t @ cols, pivot
+    t @ t and correlation t @ y, the products _SubsetBound.base takes t's
+    step from."""
+    gram, corr = panel_gram(cols), cols.T @ y
+    if t is None:
+        return gram, corr, ()
+    n = cols.shape[1]
+    gram = np.pad(gram, ((0, 1), (0, 1)))
+    gram[n, :n] = gram[:n, n] = t @ cols
+    gram[n, n] = t @ t
+    return gram, np.append(corr, t @ y), (n,)
 
 
 def reference_bound(gram, corr, yy, block, limit, forced=()):

@@ -40,6 +40,7 @@ from mcpursuit.solver import (
     _block_size,
     _budgeted_blocks,
     _ls2_residual_sq,
+    _qr_rows,
     _Search,
     _SubsetBound,
     _allowed_sq,
@@ -52,7 +53,7 @@ from mcpursuit.solver import (
 )
 
 from oracle_enum import assert_matches_oracle, brute_force_argmin
-from subset_reference import panel_gram, reference_bound
+from subset_reference import panel_gram, reference_bound, reference_inputs
 from walk_reference import reference_walk, zigzag
 
 
@@ -729,19 +730,21 @@ def _lex_order(rows):
     return np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
 
 
-def _checked_batch(bound, batch, gram, fixed, cut=False):
+def _checked_batch(bound, batch, ref, cut=False):
     """The strata of a batch within the bound's limit, as rows in
     lexicographic order, and their residual^2. bounded(batch) returns them
     in no order, and the bound itself must keep the same rows. Without the
     cut they must be the concatenated reference_bound rows of the batch's
-    blocks, residual^2 bit for bit; the cut keeps some of those rows."""
+    blocks on ref = (gram, corr, forced) of reference_inputs, residual^2
+    bit for bit; the cut keeps some of those rows."""
     rows, res = bound.bounded(batch)
     keep = np.sqrt(res) <= bound.limit
     rows, res = rows[keep], res[keep]
     np.testing.assert_array_equal(bound(batch), rows)
     order = _lex_order(rows)
     rows, res = rows[order], res[order]
-    want = [reference_bound(gram, bound.corr, bound.yy, block, bound.limit, fixed)
+    gram, corr, fixed = ref
+    want = [reference_bound(gram, corr, bound.yy, block, bound.limit, fixed)
             for block in batch]
     want_rows = np.concatenate([r for r, _ in want])
     if cut:
@@ -754,13 +757,14 @@ def _checked_batch(bound, batch, gram, fixed, cut=False):
 
 def _bound_level(b, y, costs, k, limit, forced=False, box=None):
     """Every k-tuple of indices into costs within their total cost, bounded
-    batch by batch, as run_level does, over the columns b (plus the last
-    one if forced), with the positivity cut if box is given: the rows that
-    pass limit, in lexicographic order, and their least-squares
-    residual^2, each batch checked by _checked_batch."""
-    bound = _SubsetBound(b, b.T @ y, float(y @ y), limit, forced, box)
-    gram, fixed = panel_gram(b), (b.shape[1] - 1,) if forced else ()
-    got = [_checked_batch(bound, batch, gram, fixed, box is not None)
+    batch by batch, as run_level does, over the columns b (all but the
+    last, which is the forced vector, if forced), with the positivity cut
+    if box is given: the rows that pass limit, in lexicographic order, and
+    their least-squares residual^2, each batch checked by _checked_batch."""
+    cols, t = (b[:, :-1], b[:, -1]) if forced else (b, None)
+    bound = _SubsetBound(cols, y, limit, t, box)
+    ref = reference_inputs(cols, y, t)
+    got = [_checked_batch(bound, batch, ref, box is not None)
            for batch in _batches(_budgeted_blocks(costs, k, int(np.sum(costs))))]
     return tuple(np.concatenate(x) for x in zip(*got))
 
@@ -823,7 +827,7 @@ def test_pair_scan_matches_gathered_reference(rows, monkeypatch):
         offers.clear()
         search.run_sparse(2, 2)
         assert search.budget.strata == n * (n - 1) // 2
-        dls = search.sparse_dl(2, 0) + search.pos_costs[cut].sum(axis=1)
+        dls = search.sparse_dl(2) + search.pos_costs[cut].sum(axis=1)
         order = np.argsort(dls, kind="stable")
         assert offers == [
             (tuple(p), dl) for p, dl in zip(cut[order].tolist(), dls[order].tolist())
@@ -1068,12 +1072,13 @@ def test_screened_bound_matches_full_grid(case):
     budget = int(costs[:k].sum()) + slack
     with mock.patch.object(solver, "_PANEL_ROWS", panel_rows), \
             mock.patch.object(solver, "_PANEL_CACHE", cache):
-        gram = panel_gram(b)
-        bound = _SubsetBound(b, b.T @ y, float(y @ y), limit, forced)
+        cols, t = (b[:, :-1], b[:, -1]) if forced else (b, None)
+        bound = _SubsetBound(cols, y, limit, t)
+        ref = reference_inputs(cols, y, t)
         for batch in _batches(_budgeted_blocks(costs, k, budget)):
             assert len({blk[0][:-1] for blk in batch}) == 1
             assert len(batch) <= cache
-            _checked_batch(bound, batch, gram, (n - 1,) if forced else ())
+            _checked_batch(bound, batch, ref)
 
 
 @pytest.mark.parametrize("n", [128, 512])
@@ -1108,6 +1113,36 @@ def test_three_break_level_memory_is_a_few_batches(n):
     assert search.budget.strata == math.comb(n - 1, 3)
     assert offers == []
     assert peak <= (1 + 3 + 1 / 8) * cache_bytes, peak / cache_bytes
+
+
+def test_pattern_levels_build_each_panel_once(monkeypatch):
+    # T[n] is a forced vector whose row is one product T[n] @ cols, so the
+    # 0- and 1-break levels of degree-0 patterns, which take no prefix
+    # step and no screen, build no Gram panel. The two-break level at
+    # n = 1024 (522,753 strata, none of which passes) screens its one batch
+    # a panel at a time, so each of its 16 panels is built once, though
+    # the cache keeps 8. Each level runs on a fresh search, so the bound's
+    # forced step is taken within it.
+    n, d, m = 1024, 30, 8
+    ens = sample_ensemble(n, d, derive_seed(944, "pattern-panels"))
+    y = make_generator(944, "pattern-panels-draw").normal(size=d)
+    built, panel = [], solver._GramPanels.panel
+
+    def counting(self, p):
+        if p not in self.panels:
+            built.append(p)
+        return panel(self, p)
+
+    monkeypatch.setattr(solver._GramPanels, "panel", counting)
+    offers = []
+    for q, want in ((0, []), (1, []), (2, list(range(0, n - 1, solver._PANEL_ROWS)))):
+        built.clear()
+        search = _Search(ens, y, m, 1e-6, SolverConfig(), None)
+        search.run_level(search.pos_costs[:-1], q, 0, search.pp_bound(0, coeff_resolution(0, m)),
+                         lambda row, dl: offers.append(row))
+        assert search.budget.strata == math.comb(n - 1, q)
+        assert built == want, q
+    assert offers == []
 
 
 # ---------------------------------------------------------------------------
@@ -1223,7 +1258,7 @@ def test_cut_drops_only_supports_without_a_feasible_point(case):
     # The cut alone, with no least-squares bound after it: every support it
     # drops has no grid point within limit of y. With y = 0 it cuts nothing.
     a, y, m, limit, k = case
-    bound = _SubsetBound(a, a.T @ y, float(y @ y), limit, box=_box(m))
+    bound = _SubsetBound(a, y, limit, box=_box(m))
     assert (bound.scores is None) == (not y.any())
     costs = np.zeros(a.shape[1], dtype=np.int64)
     scale = float(np.linalg.norm(y)) + float(np.abs(a).sum())
@@ -1271,7 +1306,7 @@ def test_cut_keeps_supports_on_its_exact_boundary():
                 for lim, want in ((limit, True), (tighter, False)):
                     if lim < 0:
                         continue
-                    bound = _SubsetBound(b, b.T @ y, float(y @ y), lim, box=(lo, hi))
+                    bound = _SubsetBound(b, y, lim, box=(lo, hi))
                     assert ((i, j) in _cut_kept(bound, costs, 2, 0)) == want
                 on_edge += 1
     assert on_edge > 40
@@ -1295,7 +1330,7 @@ def _hub_cases(draw):
         a[:, q] = a[:, p]
     y = rng.normal(size=d)
     limit = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0, 1.5])) * float(np.linalg.norm(y))
-    bound = _SubsetBound(a, a.T @ y, float(y @ y), limit, box=_box(draw(st.integers(1, 3))))
+    bound = _SubsetBound(a, y, limit, box=_box(draw(st.integers(1, 3))))
     if draw(st.booleans()):
         bound.scores = rng.integers(-8, 9, size=n) / 8.0
     kind = draw(st.sampled_from(["own", "grid", "cell"]))
@@ -1320,8 +1355,7 @@ def _windowed_hub_case():
     rng = np.random.default_rng(30)
     a = rng.normal(size=(3, n))
     y = rng.normal(size=3)
-    bound = _SubsetBound(a, a.T @ y, float(y @ y), 0.9 * float(np.linalg.norm(y)),
-                         box=_box(2))
+    bound = _SubsetBound(a, y, 0.9 * float(np.linalg.norm(y)), box=_box(2))
     bound.scores = rng.integers(-8, 9, size=n) / 8.0
     bound.need = lambda prefix, size: 0.25 - float(bound.scores[list(prefix)].sum())
     costs = solver._position_costs(n)
@@ -1335,7 +1369,7 @@ def _tied_hub_case(k):
     rng = np.random.default_rng(31)
     a = rng.normal(size=(3, n))
     y = rng.normal(size=3)
-    bound = _SubsetBound(a, a.T @ y, float(y @ y), 0.0, box=_box(2))
+    bound = _SubsetBound(a, y, 0.0, box=_box(2))
     bound.scores = rng.integers(-8, 9, size=n) / 8.0
     base = float(bound.scores[:k].sum())
     bound.need = lambda prefix, size: base - float(bound.scores[list(prefix)].sum())
@@ -1382,7 +1416,7 @@ def test_hub_cut_memory_is_the_cache_plus_survivors():
     a = np.asarray(sample_ensemble(n, d, derive_seed(943, "hub-mem")).matrix)
     y = make_generator(943, "hub-mem-draw").normal(size=d)
     y /= np.linalg.norm(y)
-    bound = _SubsetBound(a, a.T @ y, float(y @ y), math.sqrt(_allowed_sq(0.5)), box=_box(m))
+    bound = _SubsetBound(a, y, math.sqrt(_allowed_sq(0.5)), box=_box(m))
     costs = np.zeros(n, dtype=np.int64)
     block = next(_budgeted_blocks(costs, 2, 0))
     assert len(block[1]) == solver._PANEL_CACHE * solver._PANEL_ROWS
@@ -1483,6 +1517,42 @@ def test_pp_bound_keeps_floored_grid_signal():
     res_sq = search.pp_residual_sq(n_deg, rows, m_prime)
     assert res_sq[0] > _allowed_sq(eta)
     assert res_sq[0] <= _allowed_sq(eta, search.pp_slack)
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_pp_prune_is_the_walk_skip_test(n):
+    # The prune of degree >= 1 patterns takes base_sq of _qr_rows on the
+    # stacked columns of many patterns, and walk_stratum on one pattern's
+    # own columns, skipping it when its radius _allowed_sq(eta, pp_slack)
+    # - base_sq is below 0. The two must agree bit for bit, so a pattern
+    # passes the prune exactly when the walk would walk it, at any eta:
+    # here the etas that put the allowed residual^2 at quantiles of
+    # base_sq, where rounding decides.
+    d, m = 16, 6
+    ens = sample_ensemble(n, d, derive_seed(945, "pp-skip", n))
+    y = make_generator(945, "pp-skip-draw", n).normal(size=d)
+    costs = np.zeros(n - 1, dtype=np.int64)
+    for n_deg in (1, 2, 3):
+        m_prime = coeff_resolution(n_deg, m)
+        for q in (1, 2):
+            blocks = list(_budgeted_blocks(costs, q, 0))
+            rows = np.concatenate([_block_rows(b) for b in blocks])
+            search = _Search(ens, y, m, 0.0, PP_SCOPE, None)
+            res_sq = search.pp_residual_sq(n_deg, rows, m_prime)
+            walk = np.array([
+                _qr_rows(search.pp_columns(n_deg, r[None] + 1, m_prime)[0], y)[2]
+                for r in rows
+            ])
+            assert res_sq.tobytes() == walk.tobytes(), (n_deg, q)
+            slack = search.pp_slack
+            for at in np.quantile(walk, [0.1, 0.5, 0.9], method="nearest"):
+                eta = max(math.sqrt(max(at - solver._LS_MARGIN, 0.0)) - slack, 0.0)
+                search = _Search(ens, y, m, eta, PP_SCOPE, None)
+                bound = search.pp_bound(n_deg, m_prime)
+                kept = np.concatenate([bound(batch) for batch in _batches(blocks)])
+                walked = rows[_allowed_sq(eta, slack) - walk >= 0]
+                np.testing.assert_array_equal(kept[_lex_order(kept)], walked)
+                assert 0 < len(walked) < len(rows)
 
 
 # ---------------------------------------------------------------------------
