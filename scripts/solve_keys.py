@@ -12,7 +12,11 @@ in the node at which the cap fires shows too. The off-bench solves
 patterns, which no bench workload does: a y off every pattern's span,
 for which every level in scope is bounded and none passes, and
 piecewise-linear and -quadratic signals whose walks mostly end at the
-node cap. Each is keyed with its name. A chunk's entry is
+node cap. Two more (LITERAL) put the literal block in scope, which no
+bench workload does: a dense grid signal at eta 1e-9, whose answer is the
+literal codeword, and the same instance at the default eta, where a
+shorter codeword wins and the literal level is never charged. Each is
+keyed with its name. A chunk's entry is
 its family, d, n, parameter (tau or t) and the number of its trials that
 hit the tail event, round(empirical * trials). The script imports
 the package from the src/ directory of its own checkout and the workloads
@@ -58,6 +62,12 @@ OFF_BENCH = {
     "quadratic_2break_n48": (48, 24, 8, None, 2, 2),
 }
 OFF_BENCH_NODE_CAP = 1 << 15
+# One instance (n, d, m) drawn under LITERAL_DRAW, a dense grid signal,
+# keyed at each eta of LITERAL (None is the solver's default), with the
+# literal block in scope besides sparse supports of up to two indices and
+# degree-0 patterns of up to two breaks.
+LITERAL_DRAW, LITERAL_SHAPE = "literal_n6", (6, 4, 2)
+LITERAL = {"literal_n6_eta1e-9": 1e-9, "literal_n6_default_eta": None}
 
 
 def solve_key(ens, y, m, eta, config):
@@ -87,6 +97,17 @@ def off_bench_key(seed: int, name: str):
     return [name, *solve_key(ens, y, m, eta, config)]
 
 
+def literal_key(seed: int, name: str):
+    """The key of one LITERAL solve."""
+    n, d, m = LITERAL_SHAPE
+    ens = sample_ensemble(n, d, derive_seed(seed, "solve_keys", LITERAL_DRAW, "ens"))
+    nums = make_generator(seed, "solve_keys", LITERAL_DRAW, "sig").integers(0, 1 << m, size=n)
+    y = ens.matrix @ (nums / (1 << m))
+    config = SolverConfig(max_sparse_k=2, pp_max_degree=0, pp_max_breaks=2,
+                          include_literal=True, node_cap=OFF_BENCH_NODE_CAP)
+    return [name, *solve_key(ens, y, m, LITERAL[name], config)]
+
+
 def solve_keys(seed: int) -> dict[str, list]:
     tracer = NullTracer()
     keys = {}
@@ -94,6 +115,7 @@ def solve_keys(seed: int) -> dict[str, list]:
         keys[name] = [solve_key(inst.ens, inst.y, wl.m, wl.eta, wl.config)
                       for inst in W.make_inputs(name, seed, tracer)]
     keys["off_bench"] = [off_bench_key(seed, name) for name in OFF_BENCH]
+    keys["off_bench"] += [literal_key(seed, name) for name in LITERAL]
     keys["lemmas_mc"] = []
     for chunk in W.make_inputs("lemmas_mc", seed, tracer):
         r, c = W.run_chunk(chunk, tracer), chunk.cell

@@ -155,9 +155,12 @@ depends on neither the block size, the batches, the chunk size, the
 order in which a bound returns its strata nor the float bits of a bound,
 which move it only where they keep other strata, and it fixes the
 counters a solve reports. It is also the only test of whether a level
-fits: each family of strata (sparse supports, each degree's breakpoint
-patterns) ends at its first level with no stratum in budget, since
-lengths only grow with the size.
+fits. The search is one table of families of strata, _Search.families,
+in this order: supports of up to two indices, each in-scope degree's
+breakpoint patterns, supports of three or more indices, and the literal
+block, a family of one level of size 0 whose one stratum run_level
+charges, prices and offers like any other. Each family ends at its first
+level with no stratum in budget, since lengths only grow with the size.
 """
 
 from __future__ import annotations
@@ -292,6 +295,12 @@ def dl_budget_bits(kappa: float, delta: float, m: int) -> int:
     """Code-length budget 2(kappa + delta)m plus the measured pair
     overhead; differences of two in-class codewords stay below it."""
     return math.ceil(2.0 * (kappa + delta) * m) + PAIR_OVERHEAD_BITS
+
+
+def _pp_degrees(config: SolverConfig, n: int) -> range:
+    """The piecewise-polynomial degrees in scope of a solve at n samples:
+    up to pp_max_degree and n - 1, none without include_pp."""
+    return range(min(config.pp_max_degree, n - 1) + 1 if config.include_pp else 0)
 
 
 def _allowed_sq(r: float, slack: float = 0.0) -> float:
@@ -1155,16 +1164,14 @@ class _SubsetBound:
             xs, los, his, es = zip(*spans)
             a, z, i_lo, i_hi = xs[0], xs[-1] + 1, min(los), max(his)
             j_lo, j_hi = i_lo + 1, max(int(e[0]) for e in es)
-            live = [span for span in spans if ok[span[0]]]
-            owned = sum(hi - lo for _, lo, hi, _ in live)
-            padded = owned < (z - a) * (i_hi - i_lo)
-            ends = None  # per prefix and row, the end of its second indices
-            if padded or any(e[-1] < j_hi for *_, e in live):
-                ends = np.zeros((z - a, i_hi - i_lo), dtype=np.int64)
-                for x, lo, hi, e in live:
+            # per prefix and row, the end of its second indices; 0 on the
+            # rows of the broadcast that are not a live prefix's own, which
+            # mean nothing
+            ends = np.zeros((z - a, i_hi - i_lo), dtype=np.int64)
+            for x, lo, hi, e in spans:
+                if ok[x]:
                     ends[x - a, lo - i_lo : hi - i_lo] = e
-            # rows of the broadcast that are not a prefix's own mean nothing
-            mine = ends > 0 if padded else None
+            mine = ends > 0
 
             at, i, j = slice(a, z), slice(i_lo, i_hi), slice(j_lo, j_hi)
             gram = self.gram.panel(p)[i_lo - p : i_hi - p, j_lo - p : j_hi - p]
@@ -1174,17 +1181,13 @@ class _SubsetBound:
                 g01 = own[0][at, i, None] * own[0][at, None, j]
                 np.add(sum(v[i, None] * v[None, j] for v in shared), g01, out=g01)
                 np.subtract(gram, g01, out=g01)
-            elif shared:
-                g01 = (gram - sum(v[i, None] * v[None, j] for v in shared))[None]
             else:
-                g01 = gram[None]
+                g01 = (gram - sum(v[i, None] * v[None, j] for v in shared))[None]
 
             gi, bi, ri = g[at, i], b[at, i], rest[at, None]
             gj, bj = g[at, None, j], b[at, None, j]
 
-            screen = gi > 0
-            if padded:
-                screen &= mine
+            screen = (gi > 0) & mine
             inv = np.divide(1.0, gi, out=np.zeros(gi.shape), where=screen)
             ratio = bi * inv
             c = ri - bi * ratio - self.limit * self.limit
@@ -1204,16 +1207,13 @@ class _SubsetBound:
             room *= c[:, :, None]
             keep = np.less(e_sq, room)
             np.logical_not(keep, out=keep)
-            if padded:
-                keep &= mine[:, :, None]
+            keep &= mine[:, :, None]
             r, s = np.divmod(np.flatnonzero(keep), j_hi - j_lo)
             x, r = np.divmod(r, i_hi - i_lo)
 
             # cells that are tuples: first < second (s >= r, as j_lo = i_lo
             # + 1) < end
-            cell = s >= r
-            if ends is not None:
-                cell &= j_lo + s < ends[x, r]
+            cell = (s >= r) & (j_lo + s < ends[x, r])
             x, r, s = x[cell], r[cell], s[cell]
             g01 = g01[x, r, s]
             del e_sq, room, keep  # before the next panel's are made
@@ -1254,7 +1254,6 @@ class _Search:
         self.incumbent = _Incumbent()
         self.probe = _Probe(self.a, probe_ref) if probe_ref is not None else None
         self.pos_costs = _position_costs(self.n)
-        self.len_n = uint_code_len(self.n)
         self.ens = ens
 
     @cached_property
@@ -1400,23 +1399,43 @@ class _Search:
             offer(rows[i], dl)
         return True
 
+    # -- the search table ------------------------------------------------
+
+    def families(self):
+        """The families of strata, in search order, each as (costs, dl,
+        sizes, bound, offer): its level of `size` indices, for each size
+        in order, is run_level(costs, size, dl(size), bound, offer), and
+        the family ends at its first level with no stratum in budget,
+        since lengths only grow with the size.
+
+        Supports of up to two indices come first, then each in-scope
+        degree's breakpoint patterns, then supports of three or more
+        indices, then the literal block: structured dense signals set an
+        incumbent before the k-combo space grows combinatorial. Order
+        never changes the winner; any stratum skipped has length strictly
+        above the final incumbent. The literal block is a family with no
+        indices: one level of size 0, whose one row the bound keeps.
+
+        A row is made when the search reaches it, and no bound reads
+        sigma_max before it runs, so a sparse-only solve never computes
+        it."""
+        max_k = self.config.max_sparse_k
+        max_k = self.n if max_k is None else min(max_k, self.n)
+        sparse = self.pos_costs, self.sparse_dl
+        yield *sparse, range(min(max_k, 2) + 1), self.support_bound, self.offer_sparse
+        for n_deg in _pp_degrees(self.config, self.n):
+            yield self.pp_family(n_deg)
+        yield *sparse, range(3, max_k + 1), self.support_bound, self.offer_sparse
+        if self.config.include_literal:
+            literal_dl = CODEC_HEADER_BITS + self.n * self.m
+            yield (np.zeros(0, dtype=np.int64), lambda size: literal_dl, range(1),
+                   lambda batch: _rows(()), self.offer_literal)
+
     # -- sparse strata --------------------------------------------------
 
     def sparse_dl(self, k: int) -> int:
         """Code length of a k-sparse codeword without its position costs."""
-        return CODEC_HEADER_BITS + self.len_n + uint_code_len(k + 1) + k * self.m
-
-    def run_sparse(self, k_lo: int = 0, k_hi: int | None = None) -> None:
-        max_k = self.config.max_sparse_k
-        max_k = self.n if max_k is None else min(max_k, self.n)
-        if k_hi is not None:
-            max_k = min(max_k, k_hi)
-        for k in range(k_lo, max_k + 1):
-            if not self.run_level(
-                self.pos_costs, k, self.sparse_dl(k),
-                self.support_bound, self.offer_sparse,
-            ):
-                break
+        return CODEC_HEADER_BITS + uint_code_len(self.n) + uint_code_len(k + 1) + k * self.m
 
     def offer_sparse(self, support: np.ndarray, dl: int) -> None:
         """Walk one support: values 1 .. 2^m - 1 at its positions."""
@@ -1456,27 +1475,21 @@ class _Search:
         limit = math.sqrt(_allowed_sq(self.eta))
         return _SubsetBound(tab[1:-1].T, self.y, limit, tab[-1])
 
-    def run_pp(self) -> None:
-        if not self.config.include_pp or self.n < 1:
-            return
-        max_deg = min(self.config.pp_max_degree, self.n - 1)
-        max_q = min(self.config.pp_max_breaks, self.n - 1)
-        # break b sits at index b - 1
-        break_costs = self.pos_costs[:-1]
-        for n_deg in range(max_deg + 1):
-            m_prime = coeff_resolution(n_deg, self.m)
-            base = CODEC_HEADER_BITS + self.len_n + uint_code_len(n_deg + 1)
-            for q_breaks in range(max_q + 1):
-                fixed = (
-                    base
-                    + uint_code_len(q_breaks + 1)
-                    + (q_breaks + 1) * (n_deg + 1) * m_prime
-                )
-                if not self.run_level(
-                    break_costs, q_breaks, fixed, self.pp_bound(n_deg, m_prime),
-                    lambda row, dl: self.offer_pp(n_deg, row + 1, dl, m_prime),
-                ):
-                    break
+    def pp_family(self, n_deg):
+        """The search table's row of one degree's breakpoint patterns:
+        break b is index b - 1 and costs uint_code_len(b), and a pattern of
+        q breaks has q + 1 pieces of n_deg + 1 coefficients of m' bits."""
+        m_prime = coeff_resolution(n_deg, self.m)
+        head = CODEC_HEADER_BITS + uint_code_len(self.n) + uint_code_len(n_deg + 1)
+
+        def dl(q):
+            return head + uint_code_len(q + 1) + (q + 1) * (n_deg + 1) * m_prime
+
+        def offer(row, bits):
+            self.offer_pp(n_deg, row + 1, bits, m_prime)
+
+        breaks = range(min(self.config.pp_max_breaks, self.n - 1) + 1)
+        return self.pos_costs[:-1], dl, breaks, self.pp_bound(n_deg, m_prime), offer
 
     def pp_bound(self, n_deg, m_prime):
         """The least-squares prune of one degree's breakpoint patterns, for
@@ -1573,13 +1586,8 @@ class _Search:
 
     # -- literal stratum -------------------------------------------------
 
-    def run_literal(self) -> None:
-        if not self.config.include_literal:
-            return
-        dl = CODEC_HEADER_BITS + self.n * self.m
-        if dl > self.incumbent.dl:
-            return
-        self.budget.add_strata(1)
+    def offer_literal(self, row, dl) -> None:
+        """Walk the literal block: every sample's numerator in 0 .. 2^m - 1."""
         cols = self.a * 2.0 ** (-self.m)
         self.walk_stratum(
             cols, dl, 0, self.m, lambda us: us, lambda u, vec: encode_literal(vec)
@@ -1588,14 +1596,10 @@ class _Search:
     # -- putting it together ----------------------------------------------
 
     def run(self) -> RecoveryResult:
-        # shallow sparse first, then piecewise strata, then deep sparse:
-        # structured dense signals set an incumbent before the k-combo
-        # space grows combinatorial. Order never changes the winner; any
-        # stratum skipped has length strictly above the final incumbent.
-        self.run_sparse(0, 2)
-        self.run_pp()
-        self.run_sparse(3, None)
-        self.run_literal()
+        for costs, dl, sizes, bound, offer in self.families():
+            for size in sizes:
+                if not self.run_level(costs, size, dl(size), bound, offer):
+                    break
         inc = self.incumbent
         found = inc.vector is not None
         return RecoveryResult(
@@ -1638,7 +1642,7 @@ def mcp_exact(
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    deg = max(min(config.pp_max_degree, ens.n - 1), 0) if config.include_pp else 0
+    deg = max(_pp_degrees(config, ens.n), default=0)
     if 1 << coeff_resolution(deg, m) > np.iinfo(np.int64).max:
         raise ValueError(f"m = {m} gives grids past the 62 bits the walk holds in int64")
     y = np.asarray(y, dtype=np.float64)

@@ -774,6 +774,16 @@ def _search_on(b, y, m, eta, config):
     return _Search(MeasurementEnsemble(b, 0), y, m, eta, config, None)
 
 
+def _run_sparse(search, k_lo, k_hi):
+    """Run the sparse support levels k_lo .. k_hi of search through
+    run_level, as its family table does: up to the first level with no
+    stratum in budget."""
+    for k in range(k_lo, k_hi + 1):
+        if not search.run_level(search.pos_costs, k, search.sparse_dl(k),
+                                search.support_bound, search.offer_sparse):
+            break
+
+
 def _box(m):
     """The value range of sparse codewords at m bits."""
     return 2.0**-m, 1.0 - 2.0**-m
@@ -825,7 +835,7 @@ def test_pair_scan_matches_gathered_reference(rows, monkeypatch):
 
         # the search offers them by length, then in lexicographic order
         offers.clear()
-        search.run_sparse(2, 2)
+        _run_sparse(search, 2, 2)
         assert search.budget.strata == n * (n - 1) // 2
         dls = search.sparse_dl(2) + search.pos_costs[cut].sum(axis=1)
         order = np.argsort(dls, kind="stable")
@@ -848,7 +858,7 @@ def test_pair_scan_memory_is_a_few_row_blocks():
     panel_bytes = solver._PANEL_ROWS * n * 8
     tracemalloc.start()
     try:
-        search.run_sparse(2, 2)
+        _run_sparse(search, 2, 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -967,7 +977,7 @@ def test_subset_bound_is_zero_on_dependent_columns(monkeypatch):
     assert set(dep) <= kept
     search = _search_on(b, y, 3, 0.0, SolverConfig(max_sparse_k=3, include_pp=False))
     offers = _record_offers(monkeypatch)
-    search.run_sparse(3, 3)
+    _run_sparse(search, 3, 3)
     offered = {support for support, _ in offers}
     cut, _ = _bound_level(b, y, costs, 3, limit, box=_box(3))
     assert offered == {tuple(r) for r in cut.tolist()} <= kept
@@ -1452,9 +1462,9 @@ def test_sparse_pair_level_builds_no_gram_panel(monkeypatch):
 
     monkeypatch.setattr(solver._GramPanels, "panel", counting)
     search = _Search(ens, y, m, 1e-6, PAIR_SCOPE, None)
-    search.run_sparse(0, 1)
+    _run_sparse(search, 0, 1)
     assert search.incumbent.vector is None
-    search.run_sparse(2, 2)
+    _run_sparse(search, 2, 2)
     assert built == []
     assert search.budget.strata == 1 + n + n * (n - 1) // 2
     assert search.incumbent.vector.numerators == tuple(nums.tolist())
