@@ -108,7 +108,10 @@ def literal_key(seed: int, name: str):
     return [name, *solve_key(ens, y, m, LITERAL[name], config)]
 
 
-def solve_keys(seed: int) -> dict[str, list]:
+def solver_keys(seed: int) -> dict[str, list]:
+    """The keys of every solver-workload instance, then of the OFF_BENCH
+    and LITERAL solves under "off_bench". tests/golden_solve_keys.json
+    holds them at seed 20261017, as format_keys writes them."""
     tracer = NullTracer()
     keys = {}
     for name, wl in W.SOLVER_WORKLOADS.items():
@@ -116,12 +119,27 @@ def solve_keys(seed: int) -> dict[str, list]:
                       for inst in W.make_inputs(name, seed, tracer)]
     keys["off_bench"] = [off_bench_key(seed, name) for name in OFF_BENCH]
     keys["off_bench"] += [literal_key(seed, name) for name in LITERAL]
-    keys["lemmas_mc"] = []
+    return keys
+
+
+def lemma_counts(seed: int) -> list[list]:
+    """Each lemmas_mc chunk's family, d, n, parameter and hit count."""
+    tracer = NullTracer()
+    counts = []
     for chunk in W.make_inputs("lemmas_mc", seed, tracer):
         r, c = W.run_chunk(chunk, tracer), chunk.cell
-        keys["lemmas_mc"].append(
-            [c.family, c.d, c.n, c.param, round(r.empirical * r.trials)])
-    return keys
+        counts.append([c.family, c.d, c.n, c.param, round(r.empirical * r.trials)])
+    return counts
+
+
+def format_keys(seed: int, keys: dict[str, list]) -> str:
+    """The JSON text of keys, one instance per line, so a diff of two
+    files points at the solve."""
+    groups = [
+        f"  {json.dumps(name)}: [\n" + ",\n".join(f"   {json.dumps(k)}" for k in ks) + "\n  ]"
+        for name, ks in keys.items()
+    ]
+    return f'{{"seed": {seed}, "keys": {{\n' + ",\n".join(groups) + "\n}}\n"
 
 
 def main(argv=None) -> int:
@@ -129,15 +147,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    keys = solve_keys(args.seed)
-    # one instance per line, so a diff of two files points at the solve
-    groups = [
-        f"  {json.dumps(name)}: [\n" + ",\n".join(f"   {json.dumps(k)}" for k in ks) + "\n  ]"
-        for name, ks in keys.items()
-    ]
-    args.out.write_text(
-        f'{{"seed": {args.seed}, "keys": {{\n' + ",\n".join(groups) + "\n}}\n"
-    )
+    keys = solver_keys(args.seed)
+    keys["lemmas_mc"] = lemma_counts(args.seed)
+    args.out.write_text(format_keys(args.seed, keys))
     print(f"{sum(map(len, keys.values()))} keys and chunk counts written to {args.out}")
     return 0
 

@@ -1,9 +1,14 @@
 """Command line front end.
 
 Subcommands: the four experiment drivers (scan, corollary, lemmas,
-mismatch) plus single-signal encode/decode. Every option can be
-pre-seeded from a config file of `key = value` lines via --config;
-flags given on the command line win.
+mismatch) plus single-signal encode/decode. EXPERIMENTS is the one
+definition of an experiment subcommand: its config class and driver,
+its help line, the config fields the command line sets and its report
+lines. Each listed field, and master_seed, is one flag, `--` plus the
+field name with `_` turned into `-`, typed by the field's default (int,
+float, or a comma list of either), and one `key = value` line of the
+file that --config names; that file may also set --out and nothing
+else. Flags given on the command line win over the file.
 
 Exit status: 0 when the run completes and its pass condition holds,
 1 when it completes but the condition fails, 2 for usage, config, or
@@ -15,6 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,14 +52,6 @@ USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 
 
-def _int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
 def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path) as f:
@@ -67,33 +66,80 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config(sub: argparse.ArgumentParser, overrides: dict[str, str]) -> None:
-    actions = {a.dest: a for a in sub._actions}
-    defaults = {}
-    for key, raw in overrides.items():
-        action = actions.get(key)
-        if action is None:
-            raise ValueError(f"unknown config key {key!r}")
-        if action.type is not None:
-            defaults[key] = action.type(raw)
-        else:
-            defaults[key] = raw
-    sub.set_defaults(**defaults)
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment subcommand: its config class and driver, its help
+    line, the config fields the command line sets besides master_seed,
+    and the lines it prints from a result's summary."""
+    config: type
+    run: Callable
+    help: str
+    fields: tuple[str, ...]
+    report: Callable[[dict], list[str]]
+
+    def flags(self) -> tuple[str, ...]:
+        """The config fields a flag or a config file line sets."""
+        return ("master_seed", *self.fields)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", metavar="FILE",
-                     help="read option defaults from a key = value file")
-    sub.add_argument("--out", default=".", metavar="DIR",
-                     help="output directory (default: current directory)")
-    sub.add_argument("--master-seed", type=int, dest="master_seed",
-                     help="root seed; every trial derives from it")
+EXPERIMENTS = {
+    "scan": Experiment(
+        PhaseScanConfig, run_phase_scan,
+        "sparse recovery across measurement counts",
+        ("n", "m", "k", "d_values", "trials", "tau", "t", "node_cap"),
+        lambda s: [
+            *(f"d={d}: within-bound {cell['bound_rate']:.3f}, "
+              f"recovered {cell['recovery_rate']:.3f}, "
+              f"e2 {cell['e2_rate']:.3f}" for d, cell in s["per_d"].items()),
+            f"recovery gap {s['recovery_gap']:.3f}, "
+            f"bound rate at max d {s['bound_rate_at_max_d']:.3f}",
+        ]),
+    "corollary": Experiment(
+        CorollaryConfig, run_corollary_check,
+        "exact recovery at grid-valued draws",
+        ("n", "alpha", "k", "trials", "eta", "node_cap"),
+        lambda s: [
+            f"n={s['n']} m={s['m']} d={s['d']} kappa={s['kappa']}",
+            f"failures {s['failures']}/{s['trials']} "
+            f"(allowed {s['allowed_failures']:.3g})",
+        ]),
+    "lemmas": Experiment(
+        LemmaConfig, run_lemma_suite,
+        "Monte Carlo concentration checks",
+        ("chi_d_values", "chi_tau_values", "chi_trials", "sigma_trials"),
+        lambda s: [f"{s['cells']} cells, "
+                   f"all within 3 sigma: {s['all_within_3_sigma']}"]),
+    "mismatch": Experiment(
+        MismatchConfig, run_mismatch_scan,
+        "recovery outside the coded class",
+        ("p", "n_values", "trials", "alpha", "node_cap"),
+        lambda s: [
+            "median error by n: " + json.dumps(s["medians_by_n"]),
+            f"tails within bound: {s['tails_all_within_bound']}, "
+            f"decreasing: {s['median_err_decreasing']}",
+        ]),
+}
+
+# metavar and help of the flags that have them; the rest show only their name
+_FLAG_TEXT = {
+    "master_seed": {"help": "root seed; every trial derives from it"},
+    "d_values": {"metavar": "D1,D2,..."},
+    "node_cap": {"metavar": "NODES",
+                 "help": "strata, points and walk steps one solve may charge "
+                         "before it stops with exit status 3 (default: 2^24)"},
+}
 
 
-def _add_node_cap(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--node-cap", type=int, dest="node_cap", metavar="NODES",
-                     help="strata, points and walk steps one solve may charge "
-                          "before it stops with exit status 3 (default: 2^24)")
+def _flag_type(default) -> Callable[[str], object]:
+    """The parser of a flag whose config field defaults to default: int,
+    float, or a comma list of the type of its first entry."""
+    if not isinstance(default, tuple):
+        return type(default)
+    item = type(default[0])
+
+    def comma_list(text: str) -> tuple:
+        return tuple(item(part) for part in text.split(",") if part.strip())
+    return comma_list
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -104,45 +150,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     subs = parser.add_subparsers(dest="command", required=True)
     registry = {}
 
-    scan = subs.add_parser("scan", help="sparse recovery across measurement counts")
-    _add_common(scan)
-    scan.add_argument("--n", type=int)
-    scan.add_argument("--m", type=int)
-    scan.add_argument("--k", type=int)
-    scan.add_argument("--d-values", type=_int_tuple, dest="d_values",
-                      metavar="D1,D2,...")
-    scan.add_argument("--trials", type=int)
-    scan.add_argument("--tau", type=float)
-    scan.add_argument("--t", type=float)
-    _add_node_cap(scan)
-    registry["scan"] = scan
-
-    cor = subs.add_parser("corollary", help="exact recovery at grid-valued draws")
-    _add_common(cor)
-    cor.add_argument("--n", type=int)
-    cor.add_argument("--alpha", type=float)
-    cor.add_argument("--k", type=int)
-    cor.add_argument("--trials", type=int)
-    cor.add_argument("--eta", type=float)
-    _add_node_cap(cor)
-    registry["corollary"] = cor
-
-    lem = subs.add_parser("lemmas", help="Monte Carlo concentration checks")
-    _add_common(lem)
-    lem.add_argument("--chi-d-values", type=_int_tuple, dest="chi_d_values")
-    lem.add_argument("--chi-tau-values", type=_float_tuple, dest="chi_tau_values")
-    lem.add_argument("--chi-trials", type=int, dest="chi_trials")
-    lem.add_argument("--sigma-trials", type=int, dest="sigma_trials")
-    registry["lemmas"] = lem
-
-    mis = subs.add_parser("mismatch", help="recovery outside the coded class")
-    _add_common(mis)
-    mis.add_argument("--p", type=float)
-    mis.add_argument("--n-values", type=_int_tuple, dest="n_values")
-    mis.add_argument("--trials", type=int)
-    mis.add_argument("--alpha", type=float)
-    _add_node_cap(mis)
-    registry["mismatch"] = mis
+    for name, exp in EXPERIMENTS.items():
+        sub = registry[name] = subs.add_parser(name, help=exp.help)
+        sub.add_argument("--config", metavar="FILE",
+                         help="read option defaults from a key = value file")
+        sub.add_argument("--out", default=".", metavar="DIR",
+                         help="output directory (default: current directory)")
+        for field in exp.flags():
+            sub.add_argument("--" + field.replace("_", "-"), dest=field,
+                             type=_flag_type(getattr(exp.config, field)),
+                             **_FLAG_TEXT.get(field, {}))
 
     enc = subs.add_parser("encode", help="encode a signal file to a bitstream")
     enc.add_argument("signal", help="text file, one sample per line in [0, 1]")
@@ -151,7 +168,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     enc.add_argument("-o", "--out", required=True, help="output stream file")
     enc.add_argument("--no-proxy", action="store_true",
                      help="restrict to the structured codecs")
-    registry["encode"] = enc
 
     dec = subs.add_parser("decode", help="decode a bitstream back to samples")
     dec.add_argument("stream", help="stream file written by encode")
@@ -160,61 +176,36 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     dec.add_argument("-m", "--m", type=int, required=True,
                      help="resolution bits context")
     dec.add_argument("-o", "--out", required=True, help="output signal file")
-    registry["decode"] = dec
 
     return parser, registry
 
 
-def _config_from_args(cls, args) -> object:
-    fields = cls.__dataclass_fields__
-    kwargs = {
-        name: getattr(args, name)
-        for name in fields
-        if getattr(args, name, None) is not None
-    }
-    return cls(**kwargs)
+def _parse_args(argv) -> argparse.Namespace:
+    """The parsed argv. An experiment's --config file sets the defaults of
+    --out and of its config fields, and the flags given win; any other key
+    in the file is a ValueError."""
+    parser, registry = build_parser()
+    probe, _ = parser.parse_known_args(argv)
+    if getattr(probe, "config", None):
+        sub = registry[probe.command]
+        known = ("out", *EXPERIMENTS[probe.command].flags())
+        types = {a.dest: a.type or str for a in sub._actions if a.dest in known}
+        defaults = {}
+        for key, raw in _read_config_file(probe.config).items():
+            if key not in types:
+                raise ValueError(f"unknown config key {key!r}")
+            defaults[key] = types[key](raw)
+        sub.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
-def _cmd_scan(args) -> int:
-    cfg = _config_from_args(PhaseScanConfig, args)
-    result = run_phase_scan(cfg, args.out)
-    for d, cell in result.summary["per_d"].items():
-        print(f"d={d}: within-bound {cell['bound_rate']:.3f}, "
-              f"recovered {cell['recovery_rate']:.3f}, "
-              f"e2 {cell['e2_rate']:.3f}")
-    print(f"recovery gap {result.summary['recovery_gap']:.3f}, "
-          f"bound rate at max d {result.summary['bound_rate_at_max_d']:.3f}")
-    print("PASS" if result.passed else "FAIL")
-    return 0 if result.passed else 1
-
-
-def _cmd_corollary(args) -> int:
-    cfg = _config_from_args(CorollaryConfig, args)
-    result = run_corollary_check(cfg, args.out)
-    s = result.summary
-    print(f"n={s['n']} m={s['m']} d={s['d']} kappa={s['kappa']}")
-    print(f"failures {s['failures']}/{s['trials']} "
-          f"(allowed {s['allowed_failures']:.3g})")
-    print("PASS" if result.passed else "FAIL")
-    return 0 if result.passed else 1
-
-
-def _cmd_lemmas(args) -> int:
-    cfg = _config_from_args(LemmaConfig, args)
-    result = run_lemma_suite(cfg, args.out)
-    print(f"{result.summary['cells']} cells, "
-          f"all within 3 sigma: {result.summary['all_within_3_sigma']}")
-    print("PASS" if result.passed else "FAIL")
-    return 0 if result.passed else 1
-
-
-def _cmd_mismatch(args) -> int:
-    cfg = _config_from_args(MismatchConfig, args)
-    result = run_mismatch_scan(cfg, args.out)
-    print("median error by n:",
-          json.dumps(result.summary["medians_by_n"]))
-    print(f"tails within bound: {result.summary['tails_all_within_bound']}, "
-          f"decreasing: {result.summary['median_err_decreasing']}")
+def _cmd_experiment(args) -> int:
+    exp = EXPERIMENTS[args.command]
+    given = {name: getattr(args, name) for name in exp.flags()}
+    cfg = exp.config(**{k: v for k, v in given.items() if v is not None})
+    result = exp.run(cfg, args.out)
+    for line in exp.report(result.summary):
+        print(line)
     print("PASS" if result.passed else "FAIL")
     return 0 if result.passed else 1
 
@@ -241,30 +232,13 @@ def _cmd_decode(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "scan": _cmd_scan,
-    "corollary": _cmd_corollary,
-    "lemmas": _cmd_lemmas,
-    "mismatch": _cmd_mismatch,
-    "encode": _cmd_encode,
-    "decode": _cmd_decode,
-}
+_DISPATCH = {"encode": _cmd_encode, "decode": _cmd_decode}
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser, registry = build_parser()
-    probe, _ = parser.parse_known_args(argv)
-    if getattr(probe, "config", None):
-        try:
-            overrides = _read_config_file(probe.config)
-            _apply_config(registry[probe.command], overrides)
-        except (OSError, ValueError) as exc:
-            print(f"mcpursuit: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-    args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        args = _parse_args(argv)
+        return _DISPATCH.get(args.command, _cmd_experiment)(args)
     except SolverResourceError as exc:
         print(f"mcpursuit: {exc}", file=sys.stderr)
         return RESOURCE_ERROR

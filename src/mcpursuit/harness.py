@@ -128,16 +128,18 @@ def _recovery_error(res, x: np.ndarray) -> float:
     return float(np.linalg.norm(res.x_hat.to_floats() - x))
 
 
-def _check_config(cfg, counts=(), lists=()) -> None:
-    """ValueError unless each named count of cfg is at least 1 and each
-    named list is not empty: a run with no trials or no cells has nothing
-    to pass."""
-    for name in counts:
-        if getattr(cfg, name) < 1:
-            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
-    for name in lists:
-        if not getattr(cfg, name):
+def _check_config(cfg, **lows) -> None:
+    """ValueError unless each named field of cfg is at least its low: a
+    tuple field must not be empty, and each of its entries must be at
+    least low, unless low is None. A run with no trials, no cells or
+    nothing to recover has nothing to pass."""
+    for name, low in lows.items():
+        value = getattr(cfg, name)
+        values = value if isinstance(value, tuple) else (value,)
+        if not values:
             raise ValueError(f"{name} must not be empty")
+        if low is not None and min(values) < low:
+            raise ValueError(f"{name} must be at least {low}, got {min(values)}")
 
 
 def _sparse_scale(n: int, k: int, alpha: float) -> tuple[int, float, int]:
@@ -166,9 +168,9 @@ class PhaseScanConfig:
     node_cap: int = SolverConfig.node_cap
 
     def __post_init__(self) -> None:
-        _check_config(self, ("trials",), ("d_values",))
-        if min(self.d_values) < 1:
-            raise ValueError(f"d_values must be at least 1, got {min(self.d_values)}")
+        _check_config(self, k=1, trials=1, d_values=1)
+        if self.k > self.n:
+            raise ValueError(f"k must be at most n = {self.n}, got {self.k}")
 
 
 def run_phase_scan(cfg: PhaseScanConfig, out_dir) -> ExperimentResult:
@@ -254,7 +256,11 @@ class CorollaryConfig:
     node_cap: int = SolverConfig.node_cap
 
     def __post_init__(self) -> None:
-        _check_config(self, ("trials",))
+        _check_config(self, n=2, k=1, trials=1)
+        if self.k > self.n:
+            raise ValueError(f"k must be at most n = {self.n}, got {self.k}")
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
 def run_corollary_check(cfg: CorollaryConfig, out_dir) -> ExperimentResult:
@@ -323,8 +329,8 @@ class LemmaConfig:
     master_seed: int = 20240803
 
     def __post_init__(self) -> None:
-        _check_config(self, ("chi_trials", "sigma_trials"),
-                      ("chi_d_values", "chi_tau_values", "sigma_cells"))
+        _check_config(self, chi_trials=1, sigma_trials=1, chi_d_values=None,
+                      chi_tau_values=None, sigma_cells=None)
 
 
 def run_lemma_suite(cfg: LemmaConfig, out_dir) -> ExperimentResult:
@@ -374,7 +380,11 @@ class MismatchConfig:
     node_cap: int = SolverConfig.node_cap
 
     def __post_init__(self) -> None:
-        _check_config(self, ("trials",), ("n_values",))
+        _check_config(self, trials=1, n_values=2)
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.p < 2:
+            raise ValueError(f"p must lie in (0, 2), got {self.p}")
 
 
 def run_mismatch_scan(cfg: MismatchConfig, out_dir) -> ExperimentResult:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from mcpursuit import cli, harness
 from mcpursuit.harness import (
     CorollaryConfig,
+    ExperimentResult,
     LemmaConfig,
     MismatchConfig,
     PhaseScanConfig,
@@ -172,11 +174,15 @@ def test_cli_decode_context_mismatch_exits_2(tmp_path):
 def test_cli_bad_inputs_exit_2(tmp_path):
     assert _cli("scan", "--bogus").returncode == 2
     assert _cli().returncode == 2
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("not_a_real_key = 5\n")
-    proc = _cli("scan", "--config", str(cfg))
-    assert proc.returncode == 2
-    assert "not_a_real_key" in proc.stderr
+    # a config file sets --out and the config fields, and nothing else:
+    # not argparse's own dests, and no nested config file
+    for key in ("not_a_real_key = 5", "help = 1", "config = other.cfg"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(key + "\n")
+        proc = _cli("scan", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2, key
+        assert proc.stderr == f"mcpursuit: unknown config key {key.split()[0]!r}\n"
+    assert not (tmp_path / "out").exists()
     sig = tmp_path / "oob.txt"
     sig.write_text("0.5\n1.5\n")  # out of range sample
     assert _cli("encode", str(sig), "-m", "3",
@@ -198,6 +204,17 @@ def test_cli_bad_inputs_exit_2(tmp_path):
     ["mismatch", "--trials", "0"],
     ["mismatch", "--n-values", ""],
     ["mismatch", "--node-cap", "0"],
+    # nothing to recover, or a k, n, alpha or p that no signal or bit
+    # depth has: each names its field
+    ["scan", "--k", "0"],
+    ["scan", "--k", "99", "--n", "64"],
+    ["corollary", "--k", "0", "--n", "64", "--trials", "1"],
+    ["corollary", "--k", "99", "--n", "64"],
+    ["corollary", "--n", "1"],
+    ["corollary", "--alpha", "-1"],
+    ["mismatch", "--p", "2.5"],
+    ["mismatch", "--alpha", "0"],
+    ["mismatch", "--n-values", "1"],
     # grids past the walk's int64 arithmetic: m = 64 bits, and m = 66
     # from --alpha
     ["scan", "--n", "8", "--m", "64", "--k", "1", "--trials", "1", "--d-values", "6"],
@@ -212,6 +229,37 @@ def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
     assert code == cli.USAGE_ERROR == 2, err
     assert err.startswith("mcpursuit: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
+
+
+def _other_value(default):
+    """A value unlike default that its config still accepts."""
+    if isinstance(default, tuple):
+        return default[:-1]
+    return default + 1 if isinstance(default, int) else default * 0.5
+
+
+@pytest.mark.parametrize("name", list(cli.EXPERIMENTS))
+def test_cli_flags_and_config_lines_are_the_table_fields(name, tmp_path, monkeypatch):
+    # Each field of an experiment's table entry is one flag and one config
+    # line, and both set that field of the config the driver gets.
+    exp = cli.EXPERIMENTS[name]
+    _, registry = cli.build_parser()
+    dests = {a.dest for a in registry[name]._actions} - {"help", "config", "out"}
+    assert dests == {"master_seed", *exp.fields}
+    seen = []
+    monkeypatch.setitem(cli.EXPERIMENTS, name, replace(
+        exp, run=lambda cfg, out: seen.append(cfg) or ExperimentResult(name, True, {}, ()),
+        report=lambda summary: []))
+    cfg_file = tmp_path / "one.cfg"
+    for field in ("master_seed", *exp.fields):
+        value = _other_value(getattr(exp.config(), field))
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        cfg_file.write_text(f"{field} = {text}\n")
+        flag = "--" + field.replace("_", "-")
+        assert cli.main([name, flag, text, "--out", str(tmp_path)]) == 0
+        assert cli.main([name, "--config", str(cfg_file), "--out", str(tmp_path)]) == 0
+        from_flag, from_file = seen[-2:]
+        assert from_flag == from_file == replace(exp.config(), **{field: value}), field
 
 
 def test_cli_node_budget_exhausted_exits_3(tmp_path, monkeypatch, capsys):
