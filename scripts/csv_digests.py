@@ -6,8 +6,9 @@ Each run gives a line with its exit status, then one line per CSV with
 the sha1 its manifest records, each followed by one line per column with
 the sha1 of that column's values, one a line, so a changed digest names
 its column. The runs are `scan --config
-configs/scan-quick.cfg`, `corollary --trials 20`, `lemmas` and `mismatch
---config configs/mismatch-default.cfg`, each in its own temporary
+configs/scan-quick.cfg`, `corollary --trials 20`, `lemmas --chi-trials
+2000 --sigma-trials 200` and `mismatch --config
+configs/mismatch-default.cfg`, each in its own temporary
 directory, with one BLAS thread as the benchmark uses. The script imports
 the package from the src/ directory of its own checkout, so two checkouts
 are compared with
@@ -41,7 +42,7 @@ from mcpursuit.cli import main as cli_main  # noqa: E402
 RUNS = (
     ("scan", "--config", str(ROOT / "configs" / "scan-quick.cfg")),
     ("corollary", "--trials", "20"),
-    ("lemmas",),
+    ("lemmas", "--chi-trials", "2000", "--sigma-trials", "200"),
     ("mismatch", "--config", str(ROOT / "configs" / "mismatch-default.cfg")),
 )
 
@@ -53,7 +54,7 @@ def csv_digests() -> list[str]:
 def run_digests(run: tuple[str, ...]) -> list[str]:
     """The lines of one run of RUNS: its exit status, then each CSV's
     sha1 and column digests. tests/golden_csv_digests.txt holds them for
-    every run but lemmas."""
+    every run."""
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()):
             status = cli_main([*run, "--out", out])

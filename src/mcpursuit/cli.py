@@ -3,12 +3,13 @@
 Subcommands: the four experiment drivers (scan, corollary, lemmas,
 mismatch) plus single-signal encode/decode. EXPERIMENTS is the one
 definition of an experiment subcommand: its config class and driver,
-its help line, the config fields the command line sets and its report
-lines. Each listed field, and master_seed, is one flag, `--` plus the
-field name with `_` turned into `-`, typed by the field's default (int,
-float, or a comma list of either), and one `key = value` line of the
-file that --config names; that file may also set --out and nothing
-else. Flags given on the command line win over the file.
+its help line and its report lines. Every field of the config class,
+master_seed first, is one flag, `--` plus the field name with `_` turned
+into `-`, typed by the field's default (int, float, or a comma list of
+either), and one `key = value` line of the file that --config names;
+that file may also set --out and nothing else. Flags given on the
+command line win over the file. A config checks its own values, so a
+value out of range is a usage error that names its field.
 
 Exit status: 0 when the run completes and its pass condition holds,
 1 when it completes but the condition fails, 2 for usage, config, or
@@ -21,7 +22,7 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -69,24 +70,23 @@ def _read_config_file(path: str) -> dict[str, str]:
 @dataclass(frozen=True)
 class Experiment:
     """One experiment subcommand: its config class and driver, its help
-    line, the config fields the command line sets besides master_seed,
-    and the lines it prints from a result's summary."""
+    line, and the lines it prints from a result's summary."""
     config: type
     run: Callable
     help: str
-    fields: tuple[str, ...]
     report: Callable[[dict], list[str]]
 
     def flags(self) -> tuple[str, ...]:
-        """The config fields a flag or a config file line sets."""
-        return ("master_seed", *self.fields)
+        """The config fields a flag or a config file line sets: all of
+        them, master_seed first."""
+        names = [f.name for f in fields(self.config)]
+        return ("master_seed", *(name for name in names if name != "master_seed"))
 
 
 EXPERIMENTS = {
     "scan": Experiment(
         PhaseScanConfig, run_phase_scan,
         "sparse recovery across measurement counts",
-        ("n", "m", "k", "d_values", "trials", "tau", "t", "node_cap"),
         lambda s: [
             *(f"d={d}: within-bound {cell['bound_rate']:.3f}, "
               f"recovered {cell['recovery_rate']:.3f}, "
@@ -97,7 +97,6 @@ EXPERIMENTS = {
     "corollary": Experiment(
         CorollaryConfig, run_corollary_check,
         "exact recovery at grid-valued draws",
-        ("n", "alpha", "k", "trials", "eta", "node_cap"),
         lambda s: [
             f"n={s['n']} m={s['m']} d={s['d']} kappa={s['kappa']}",
             f"failures {s['failures']}/{s['trials']} "
@@ -106,13 +105,11 @@ EXPERIMENTS = {
     "lemmas": Experiment(
         LemmaConfig, run_lemma_suite,
         "Monte Carlo concentration checks",
-        ("chi_d_values", "chi_tau_values", "chi_trials", "sigma_trials"),
         lambda s: [f"{s['cells']} cells, "
                    f"all within 3 sigma: {s['all_within_3_sigma']}"]),
     "mismatch": Experiment(
         MismatchConfig, run_mismatch_scan,
         "recovery outside the coded class",
-        ("p", "n_values", "trials", "alpha", "node_cap"),
         lambda s: [
             "median error by n: " + json.dumps(s["medians_by_n"]),
             f"tails within bound: {s['tails_all_within_bound']}, "

@@ -1,9 +1,12 @@
 """Experiment drivers behind the command line interface.
 
 Each driver consumes a frozen config, splits its master seed per trial,
-and writes CSV output plus a JSON manifest. The CSV bytes are a pure
-function of the config, so a rerun reproduces them exactly; anything
-that varies between runs (wall time, digests) lives in the manifest.
+and writes CSV output plus a JSON manifest. A CSV row is a dict from
+column name to value, and a table's header is its rows' names, so each
+column is named once, where its value is computed. The CSV bytes are a
+pure function of the config, so a rerun reproduces them exactly;
+anything that varies between runs (wall time, digests) lives in the
+manifest.
 """
 
 from __future__ import annotations
@@ -90,17 +93,23 @@ class ExperimentResult:
 
 def _write_outputs(out_dir, name: str, config, tables: dict, summary: dict,
                    passed: bool, t0: float) -> ExperimentResult:
-    """Write each {csv name: (header, rows)} table, then the manifest: the
-    config, each CSV's digest, the summary and the wall time since t0."""
+    """Write each {csv name: rows} table, then the manifest: the config,
+    each CSV's digest, the summary and the wall time since t0. Each row is
+    a dict from column name to value; the first row's names are the
+    header, and a row with other names, or in another order, is a
+    RuntimeError raised before its table is written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = {}
-    for fname, (header, rows) in tables.items():
+    for fname, rows in tables.items():
+        header = list(rows[0])
+        for row in rows:
+            if list(row) != header:
+                raise RuntimeError(f"{fname}: row columns {list(row)} are not {header}")
         with open(out_dir / fname, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(header)
-            for row in rows:
-                w.writerow([_fmt(v) for v in row])
+            w.writerows([_fmt(v) for v in row.values()] for row in rows)
         data = (out_dir / fname).read_bytes()
         outputs[fname] = {
             "sha1": _git_blob_sha1(data),
@@ -130,14 +139,17 @@ def _recovery_error(res, x: np.ndarray) -> float:
 
 def _check_config(cfg, **lows) -> None:
     """ValueError unless each named field of cfg is at least its low: a
-    tuple field must not be empty, and each of its entries must be at
-    least low, unless low is None. A run with no trials, no cells or
-    nothing to recover has nothing to pass."""
+    tuple field must not be empty or repeat an entry, and each of its
+    entries must be at least low, unless low is None. A run with no
+    trials, no cells or nothing to recover has nothing to pass, and a
+    repeated entry is one cell run twice."""
     for name, low in lows.items():
         value = getattr(cfg, name)
         values = value if isinstance(value, tuple) else (value,)
         if not values:
             raise ValueError(f"{name} must not be empty")
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must not repeat an entry, got {value}")
         if low is not None and min(values) < low:
             raise ValueError(f"{name} must be at least {low}, got {min(values)}")
 
@@ -168,9 +180,11 @@ class PhaseScanConfig:
     node_cap: int = SolverConfig.node_cap
 
     def __post_init__(self) -> None:
-        _check_config(self, k=1, trials=1, d_values=1)
+        _check_config(self, k=1, m=1, trials=1, d_values=1, t=0)
         if self.k > self.n:
             raise ValueError(f"k must be at most n = {self.n}, got {self.k}")
+        if not 0 < self.tau <= 1:
+            raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
 
 
 def run_phase_scan(cfg: PhaseScanConfig, out_dir) -> ExperimentResult:
@@ -208,14 +222,16 @@ def run_phase_scan(cfg: PhaseScanConfig, out_dir) -> ExperimentResult:
             e2_hits += e2_ok
             if gain is not None and (e1_worst is None or gain < e1_worst):
                 e1_worst = gain
-            rows.append((
-                d, trial, cfg.n, cfg.m, cfg.k, res.status, err, bound,
-                err <= bound, threshold, err <= threshold,
-                res.dl_bits, res.codec_id, res.residual, res.eta,
-                ens.sigma_max, e2_ok, gain,
-                res.probe.candidates if res.probe else None,
-                res.probe.zero_diffs if res.probe else None,
-                res.strata_examined, res.points_tested,
+            rows.append(dict(
+                d=d, trial=trial, n=cfg.n, m=cfg.m, k=cfg.k, status=res.status,
+                err=err, err_bound=bound, within_bound=err <= bound,
+                recovery_threshold=threshold, recovered=err <= threshold,
+                dl_bits=res.dl_bits, codec_id=res.codec_id,
+                residual=res.residual, eta=res.eta,
+                sigma_max=ens.sigma_max, e2_ok=e2_ok, min_gain=gain,
+                probe_candidates=res.probe.candidates if res.probe else None,
+                probe_zero_diffs=res.probe.zero_diffs if res.probe else None,
+                strata=res.strata_examined, points=res.points_tested,
             ))
         summary["per_d"][d] = {
             "bound": bound,
@@ -230,14 +246,7 @@ def run_phase_scan(cfg: PhaseScanConfig, out_dir) -> ExperimentResult:
     summary["bound_rate_at_max_d"] = summary["per_d"][d_hi]["bound_rate"]
     summary["recovery_gap"] = rate_hi - rate_lo
     passed = summary["bound_rate_at_max_d"] >= 0.95 and summary["recovery_gap"] >= 0.3
-    header = [
-        "d", "trial", "n", "m", "k", "status", "err", "err_bound",
-        "within_bound", "recovery_threshold", "recovered",
-        "dl_bits", "codec_id", "residual", "eta",
-        "sigma_max", "e2_ok", "min_gain", "probe_candidates",
-        "probe_zero_diffs", "strata", "points",
-    ]
-    return _write_outputs(out_dir, "scan", cfg, {"scan.csv": (header, rows)},
+    return _write_outputs(out_dir, "scan", cfg, {"scan.csv": rows},
                           summary, passed, t0)
 
 
@@ -290,10 +299,11 @@ def run_corollary_check(cfg: CorollaryConfig, out_dir) -> ExperimentResult:
         err = _recovery_error(res, x)
         success = err <= err_bound
         failures += not success
-        rows.append((
-            trial, res.status, err, err_bound, success,
-            res.dl_bits, budget, res.dl_bits <= budget,
-            res.residual, res.strata_examined, res.points_tested,
+        rows.append(dict(
+            trial=trial, status=res.status, err=err, err_bound=err_bound,
+            success=success, dl_bits=res.dl_bits, budget_bits=budget,
+            within_budget=res.dl_bits <= budget, residual=res.residual,
+            strata=res.strata_examined, points=res.points_tested,
         ))
     p_fail = corollary_failure_prob(cfg.n, cfg.alpha, kappa)
     allowed = cfg.trials * p_fail + 3.0 * math.sqrt(cfg.trials * p_fail)
@@ -304,17 +314,16 @@ def run_corollary_check(cfg: CorollaryConfig, out_dir) -> ExperimentResult:
         "failure_prob_bound": p_fail, "allowed_failures": allowed,
     }
     passed = failures <= allowed
-    header = [
-        "trial", "status", "err", "err_bound", "success",
-        "dl_bits", "budget_bits", "within_budget",
-        "residual", "strata", "points",
-    ]
     return _write_outputs(out_dir, "corollary", cfg,
-                          {"corollary.csv": (header, rows)}, summary, passed, t0)
+                          {"corollary.csv": rows}, summary, passed, t0)
 
 
 # ---------------------------------------------------------------------------
 # concentration lemma suite
+
+
+# (d, n, t) per sigma_max cell: d rows, n columns, slack t above 1 + sqrt(n/d)
+SIGMA_CELLS = ((10, 10, 0.5), (40, 256, 1.0))
 
 
 @dataclass(frozen=True)
@@ -322,15 +331,15 @@ class LemmaConfig:
     chi_d_values: tuple[int, ...] = (10, 50, 100)
     chi_tau_values: tuple[float, ...] = (0.2, 0.5, 0.8)
     chi_trials: int = 100_000
-    # (d, n, t) per cell: d rows, n columns, slack t above 1 + sqrt(n/d)
-    sigma_cells: tuple[tuple[int, int, float], ...] = ((10, 10, 0.5),
-                                                       (40, 256, 1.0))
     sigma_trials: int = 10_000
     master_seed: int = 20240803
 
     def __post_init__(self) -> None:
-        _check_config(self, chi_trials=1, sigma_trials=1, chi_d_values=None,
-                      chi_tau_values=None, sigma_cells=None)
+        _check_config(self, chi_trials=1, sigma_trials=1, chi_d_values=1,
+                      chi_tau_values=None)
+        taus = self.chi_tau_values
+        if not all(0 < tau < 1 for tau in taus):
+            raise ValueError(f"chi_tau_values must lie in (0, 1), got {taus}")
 
 
 def run_lemma_suite(cfg: LemmaConfig, out_dir) -> ExperimentResult:
@@ -338,33 +347,34 @@ def run_lemma_suite(cfg: LemmaConfig, out_dir) -> ExperimentResult:
     leans on: the chi-square lower tail of |Az| for a fixed direction,
     and the sigma_max upper tail of the whole ensemble."""
     t0 = time.monotonic()
-    rows = []
-    all_ok = True
+    cells = []
     for d in cfg.chi_d_values:
         for tau in cfg.chi_tau_values:
             rng = make_generator(cfg.master_seed, "chi", d, repr(tau))
-            r = mc_check_chi_lower_tail(d, tau, cfg.chi_trials, rng)
-            all_ok = all_ok and r.passed
-            rows.append(("chi_lower", d, None, tau, r.trials, r.empirical,
-                         r.bound, r.sigma, r.passed))
-    for d, n, t in cfg.sigma_cells:
+            cells.append(("chi_lower", d, None, tau,
+                          mc_check_chi_lower_tail(d, tau, cfg.chi_trials, rng)))
+    for d, n, t in SIGMA_CELLS:
         rng = make_generator(cfg.master_seed, "sigma", d, n, repr(t))
-        r = mc_check_sigma_tail(n, d, t, cfg.sigma_trials, rng)
-        all_ok = all_ok and r.passed
-        rows.append(("sigma_tail", d, n, t, r.trials, r.empirical,
-                     r.bound, r.sigma, r.passed))
-    summary = {
-        "cells": len(rows),
-        "all_within_3_sigma": all_ok,
-    }
-    header = ["family", "d", "n", "param", "trials", "empirical", "bound",
-              "binomial_sigma", "ok"]
-    return _write_outputs(out_dir, "lemmas", cfg, {"lemmas.csv": (header, rows)},
+        cells.append(("sigma_tail", d, n, t,
+                      mc_check_sigma_tail(n, d, t, cfg.sigma_trials, rng)))
+    rows = [dict(family=family, d=d, n=n, param=param, trials=r.trials,
+                 empirical=r.empirical, bound=r.bound, binomial_sigma=r.sigma,
+                 ok=r.passed) for family, d, n, param, r in cells]
+    all_ok = all(row["ok"] for row in rows)
+    summary = {"cells": len(rows), "all_within_3_sigma": all_ok}
+    return _write_outputs(out_dir, "lemmas", cfg, {"lemmas.csv": rows},
                           summary, all_ok, t0)
 
 
 # ---------------------------------------------------------------------------
 # model mismatch: lp balls and smooth targets
+
+
+# the report-only smooth battery: each target sampled at SMOOTH_N points and
+# fitted with each piece count of SMOOTH_R_VALUES at degree SMOOTH_DEGREE
+SMOOTH_N = 256
+SMOOTH_R_VALUES = (1, 2, 4, 8, 16)
+SMOOTH_DEGREE = 2
 
 
 @dataclass(frozen=True)
@@ -374,9 +384,6 @@ class MismatchConfig:
     trials: int = 25
     alpha: float = 1.0
     master_seed: int = 20240804
-    smooth_n: int = 256
-    smooth_r_values: tuple[int, ...] = (1, 2, 4, 8, 16)
-    smooth_degree: int = 2
     node_cap: int = SolverConfig.node_cap
 
     def __post_init__(self) -> None:
@@ -393,13 +400,13 @@ def run_mismatch_scan(cfg: MismatchConfig, out_dir) -> ExperimentResult:
     lp-ball part (asserted): draws from the unit lp ball, recovery with
     the tolerance widened by the top-k tail bound; checks every draw's
     actual tail against the bound and that the median error falls as n
-    grows. Smooth part (report only): least-squares piecewise fits of the
-    smooth battery against the r^-(beta+1) fit bound.
+    grows, judged in increasing n whatever the order of n_values. Smooth
+    part (report only): least-squares piecewise fits of the smooth
+    battery against the r^-(beta+1) fit bound.
     """
     t0 = time.monotonic()
     rows = []
-    medians = []
-    tails_ok = True
+    medians = {}
     for n in cfg.n_values:
         k = lp_sparsity_level(n, cfg.p)
         m, kappa, d = _sparse_scale(n, k, cfg.alpha)
@@ -413,41 +420,34 @@ def run_mismatch_scan(cfg: MismatchConfig, out_dir) -> ExperimentResult:
             rng = make_generator(cfg.master_seed, "mm-sig", n, trial)
             x = gen_lp_ball(n, cfg.p, rng)
             tail = top_k_approx(x, k).error
-            tail_ok = tail <= eps_n + 1e-12
-            tails_ok = tails_ok and tail_ok
             res = mcp_tolerant(ens, ens.matrix @ x, m, eps_n, config=scope)
             err = _recovery_error(res, x)
             errs.append(err)
-            rows.append((
-                n, trial, k, m, d, eps_n, tail, tail_ok,
-                res.status, err, res.dl_bits, res.residual, res.eta,
+            rows.append(dict(
+                n=n, trial=trial, k=k, m=m, d=d, eps_n=eps_n, tail=tail,
+                tail_ok=tail <= eps_n + 1e-12, status=res.status, err=err,
+                dl_bits=res.dl_bits, residual=res.residual, eta=res.eta,
             ))
-        medians.append(float(np.median(errs)))
-    decreasing = all(b < a for a, b in zip(medians, medians[1:]))
+        medians[n] = float(np.median(errs))
+    tails_ok = all(row["tail_ok"] for row in rows)
+    by_n = [medians[n] for n in sorted(medians)]
+    decreasing = all(b < a for a, b in zip(by_n, by_n[1:]))
     smooth_rows = []
     for target in SMOOTH_BATTERY:
-        t_grid = np.arange(cfg.smooth_n) / cfg.smooth_n
-        x = target.fn(t_grid)
-        for r in cfg.smooth_r_values:
-            fit = piecewise_poly_fit(x, r, cfg.smooth_degree)
-            bound = smooth_fit_bound(cfg.smooth_n, r, target.beta, target.gamma)
-            smooth_rows.append((
-                target.name, target.beta, target.gamma, r,
-                cfg.smooth_degree, fit.error, bound,
+        x = target.fn(np.arange(SMOOTH_N) / SMOOTH_N)
+        for r in SMOOTH_R_VALUES:
+            fit = piecewise_poly_fit(x, r, SMOOTH_DEGREE)
+            bound = smooth_fit_bound(SMOOTH_N, r, target.beta, target.gamma)
+            smooth_rows.append(dict(
+                target=target.name, beta=target.beta, gamma=target.gamma,
+                pieces=r, degree=SMOOTH_DEGREE, fit_err=fit.error, fit_bound=bound,
             ))
     summary = {
-        "medians_by_n": dict(zip(map(str, cfg.n_values), medians)),
+        "medians_by_n": {str(n): med for n, med in medians.items()},
         "tails_all_within_bound": tails_ok,
         "median_err_decreasing": decreasing,
     }
-    passed = tails_ok and decreasing
-    header = ["n", "trial", "k", "m", "d", "eps_n", "tail", "tail_ok",
-              "status", "err", "dl_bits", "residual", "eta"]
-    smooth_header = ["target", "beta", "gamma", "pieces", "degree",
-                     "fit_err", "fit_bound"]
     return _write_outputs(
-        out_dir, "mismatch", cfg,
-        {"mismatch.csv": (header, rows),
-         "smooth.csv": (smooth_header, smooth_rows)},
-        summary, passed, t0,
+        out_dir, "mismatch", cfg, {"mismatch.csv": rows, "smooth.csv": smooth_rows},
+        summary, tails_ok and decreasing, t0,
     )

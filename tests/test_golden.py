@@ -4,8 +4,10 @@ the checked-in files they were written from.
 
 Both are computed once, in one subprocess with one BLAS thread, as the
 scripts compute them: BLAS products, and so the bits of a bound, can
-depend on the thread count. The lemmas_mc chunk counts and the lemmas
-run stay with the scripts, because their Monte Carlo draws take seconds.
+depend on the thread count. The lemmas_mc chunk counts stay with the
+scripts, because their Monte Carlo draws take seconds; the lemmas run
+here draws 2,000 chi-square and 200 sigma_max trials a cell, so it takes
+well under a second.
 """
 
 import json
@@ -25,8 +27,7 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 import csv_digests, solve_keys
 keys = solve_keys.solver_keys(int(sys.argv[2]))
-digests = [line for run in csv_digests.RUNS if run[0] != "lemmas"
-           for line in csv_digests.run_digests(run)]
+digests = csv_digests.csv_digests()
 print(json.dumps({"keys": keys, "digests": digests}))
 """
 

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +102,30 @@ def test_mismatch_tiny_run(tmp_path):
     assert len(body) == 5 * len(cfg.n_values)
     with open(tmp_path / "smooth.csv", newline="") as f:
         smooth = list(csv.reader(f))[1:]
-    assert len(smooth) == 5 * len(cfg.smooth_r_values)
+    assert len(smooth) == 5 * len(harness.SMOOTH_R_VALUES)
+
+
+def test_mismatch_verdict_is_judged_in_increasing_n(tmp_path):
+    # the median error must fall as n grows, whatever the order in which
+    # n_values lists the sizes
+    up = run_mismatch_scan(MismatchConfig(trials=5, n_values=(16, 32, 64)), tmp_path / "up")
+    down = run_mismatch_scan(MismatchConfig(trials=5, n_values=(64, 32, 16)), tmp_path / "down")
+    assert up.summary["medians_by_n"] == down.summary["medians_by_n"]
+    assert up.passed and down.passed
+
+
+@pytest.mark.parametrize("second", [
+    {"a": 1},  # missing a column
+    {"a": 1, "b": 2, "c": 3},  # an extra column
+    {"b": 2, "a": 1},  # the same columns in another order
+])
+def test_write_outputs_rejects_rows_with_other_columns(second, tmp_path):
+    # a table's header is its first row's names, so every row must carry
+    # exactly those names, in that order
+    rows = [{"a": 0, "b": 0}, second]
+    with pytest.raises(RuntimeError, match="t.csv"):
+        harness._write_outputs(tmp_path, "t", TINY_SCAN, {"t.csv": rows}, {}, True, 0.0)
+    assert not (tmp_path / "t.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +238,19 @@ def test_cli_bad_inputs_exit_2(tmp_path):
     ["mismatch", "--p", "2.5"],
     ["mismatch", "--alpha", "0"],
     ["mismatch", "--n-values", "1"],
+    # a repeated entry is one cell run twice, and one n twice has no
+    # falling median
+    ["scan", "--d-values", "8,8"],
+    ["mismatch", "--n-values", "16,16"],
+    ["lemmas", "--chi-d-values", "10,10"],
+    ["lemmas", "--chi-tau-values", "0.5,0.5"],
+    # a t, tau or m for which the bounds do not hold, or no grid exists
+    ["scan", "--t", "-1"],
+    ["scan", "--tau", "0"],
+    ["scan", "--tau", "1.5"],
+    ["scan", "--m", "0"],
+    ["lemmas", "--chi-d-values", "10,50,0"],
+    ["lemmas", "--chi-tau-values", "0.2,0.5,1.5"],
     # grids past the walk's int64 arithmetic: m = 64 bits, and m = 66
     # from --alpha
     ["scan", "--n", "8", "--m", "64", "--k", "1", "--trials", "1", "--d-values", "6"],
@@ -227,7 +263,11 @@ def test_cli_usage_errors_exit_2(argv, tmp_path, capsys):
     code = cli.main([*argv, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == cli.USAGE_ERROR == 2, err
-    assert err.startswith("mcpursuit: ") and err.count("\n") == 1, err
+    assert err.count("\n") == 1, err
+    # the message names the field of the first flag, or m, which --alpha
+    # sets and which a grid past int64 is too wide in
+    field = argv[1][2:].replace("-", "_")
+    assert err.startswith((f"mcpursuit: {field} ", "mcpursuit: m = ")), err
     assert not (tmp_path / "out").exists()
 
 
@@ -240,18 +280,20 @@ def _other_value(default):
 
 @pytest.mark.parametrize("name", list(cli.EXPERIMENTS))
 def test_cli_flags_and_config_lines_are_the_table_fields(name, tmp_path, monkeypatch):
-    # Each field of an experiment's table entry is one flag and one config
-    # line, and both set that field of the config the driver gets.
+    # Every field of an experiment's config class is exactly one flag and
+    # one config line, and both set that field of the config the driver
+    # gets.
     exp = cli.EXPERIMENTS[name]
+    config_fields = [f.name for f in fields(exp.config)]
     _, registry = cli.build_parser()
-    dests = {a.dest for a in registry[name]._actions} - {"help", "config", "out"}
-    assert dests == {"master_seed", *exp.fields}
+    dests = [a.dest for a in registry[name]._actions if a.dest not in ("help", "config", "out")]
+    assert sorted(dests) == sorted(config_fields)
     seen = []
     monkeypatch.setitem(cli.EXPERIMENTS, name, replace(
         exp, run=lambda cfg, out: seen.append(cfg) or ExperimentResult(name, True, {}, ()),
         report=lambda summary: []))
     cfg_file = tmp_path / "one.cfg"
-    for field in ("master_seed", *exp.fields):
+    for field in config_fields:
         value = _other_value(getattr(exp.config(), field))
         text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
         cfg_file.write_text(f"{field} = {text}\n")
