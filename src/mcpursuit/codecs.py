@@ -1,11 +1,14 @@
 """Prefix-free codecs whose code lengths serve as a computable
 description-length surrogate for the complexity of quantized vectors.
 
-Every codec emits a self-contained bitstring: a fixed 3-bit codec tag
-followed by codec-specific fields. Integer fields use a self-delimiting
-universal code, so distinct codewords are mutually prefix-free both within
-a codec and across codecs. The resolution m is context carried out of band;
-streams do not repeat it.
+Every codeword has one layout: a fixed 3-bit codec tag, then integer
+fields in a self-delimiting universal code, then values at one fixed
+width (`_coded` writes it). Distinct codewords are therefore mutually
+prefix-free both within a codec and across codecs. The context (n, m) is
+carried out of band: m is never in a stream, and only sparse and
+piecewise streams repeat n. decode_any is the one reader: it dispatches
+on the tag, and refuses a stream that does not fit its context or has
+bits past its end.
 
 A codeword's length is fixed by its stratum: the support of a sparse
 codeword, the degree and breakpoints of a piecewise-polynomial one, and n
@@ -19,6 +22,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,15 +44,11 @@ __all__ = [
     "sparse_dl_bound",
     "pp_dl_bound",
     "encode_sparse",
-    "decode_sparse",
     "encode_piecewise_poly",
-    "decode_piecewise_poly",
     "quantize_pp_spec",
     "pp_sample_numerators",
     "encode_literal",
-    "decode_literal",
     "encode_compressor_proxy",
-    "decode_compressor_proxy",
     "decode_any",
     "dl_surrogate",
     "coded_to_bytes",
@@ -107,7 +107,7 @@ def uint_code_len(n: int) -> int:
     return exp + 2 * exp_bits + 1
 
 
-def encode_uint(n: int, out: BitWriter | None = None) -> str:
+def encode_uint(n: int) -> str:
     """Self-delimiting code for n >= 1 (Elias-delta layout).
 
     Codeword = unary-prefixed binary of (exp+1) followed by the exp low
@@ -116,15 +116,8 @@ def encode_uint(n: int, out: BitWriter | None = None) -> str:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    w = out if out is not None else BitWriter()
-    exp = n.bit_length() - 1
-    gamma_arg = exp + 1
-    zeros = gamma_arg.bit_length() - 1
-    w.write_bits("0" * zeros)
-    w.write_fixed(gamma_arg, zeros + 1)
-    if exp:
-        w.write_fixed(n - (1 << exp), exp)
-    return w.getvalue() if out is None else ""
+    gamma = format(n.bit_length(), "b")  # exp + 1
+    return "0" * (len(gamma) - 1) + gamma + format(n, "b")[1:]
 
 
 def decode_uint(r: BitReader) -> int:
@@ -180,47 +173,59 @@ def pp_dl_bound(q_breaks: int, n_deg: int, n: int, m: int) -> int:
     )
 
 
+def _coded(codec_id: str, uints, values, width: int) -> CodedSignal:
+    """The one codeword layout: tag, universal-coded integers, then values
+    at width bits each."""
+    w = BitWriter()
+    w.write_bits(_HEADERS[codec_id])
+    for u in uints:
+        w.write_bits(encode_uint(u))
+    for v in values:
+        w.write_fixed(v, width)
+    return CodedSignal(codec_id, w.getvalue())
+
+
+def _read_n(r: BitReader, n: int) -> None:
+    coded_n = decode_uint(r)
+    if coded_n != n:
+        raise DecodeError(f"stream is for n={coded_n}, context says n={n}")
+
+
+def _read_ascending(r: BitReader, count: int, lo: int, hi: int) -> list[int]:
+    """count universal-coded integers, strictly ascending in [lo, hi]."""
+    out = []
+    prev = lo - 1
+    for _ in range(count):
+        v = decode_uint(r)
+        if v <= prev or v > hi:
+            raise DecodeError(f"fields must be strictly ascending in [{lo}, {hi}]")
+        out.append(v)
+        prev = v
+    return out
+
+
 # ---------------------------------------------------------------------------
 # sparse codec: [tag][uint n][uint k+1][uint pos_i+1 ascending][k * m bits]
 
 
 def encode_sparse(q: QuantizedVector) -> CodedSignal:
-    w = BitWriter()
-    w.write_bits(_HEADERS["sparse"])
-    encode_uint(q.n, w)
     support = q.support()
-    encode_uint(len(support) + 1, w)
-    m = q.resolution_bits
-    for pos in support:
-        encode_uint(pos + 1, w)
-    for pos in support:
-        w.write_fixed(q.numerators[pos], m)
-    return CodedSignal("sparse", w.getvalue())
+    uints = (q.n, len(support) + 1, *(pos + 1 for pos in support))
+    values = (q.numerators[pos] for pos in support)
+    return _coded("sparse", uints, values, q.resolution_bits)
 
 
-def decode_sparse(c: CodedSignal, n: int, m: int) -> QuantizedVector:
-    _, r = _read_tag(c.payload, "sparse")
-    coded_n = decode_uint(r)
-    if coded_n != n:
-        raise DecodeError(f"stream is for n={coded_n}, context says n={n}")
+def _read_sparse(r: BitReader, n: int, m: int) -> QuantizedVector:
+    _read_n(r, n)
     k = decode_uint(r) - 1
     if k > n:
         raise DecodeError("support larger than vector")
-    positions = []
-    prev = -1
-    for _ in range(k):
-        pos = decode_uint(r) - 1
-        if pos <= prev or pos >= n:
-            raise DecodeError("positions must be strictly ascending in range")
-        positions.append(pos)
-        prev = pos
     nums = [0] * n
-    for pos in positions:
+    for pos in _read_ascending(r, k, 1, n):
         v = r.read_fixed(m)
         if v == 0:
             raise DecodeError("zero payload at coded position is non-canonical")
-        nums[pos] = v
-    r.expect_end()
+        nums[pos - 1] = v
     return QuantizedVector(tuple(nums), m)
 
 
@@ -299,18 +304,9 @@ def _encode_pp_numerators(
     n: int,
     m: int,
 ) -> CodedSignal:
-    m_prime = coeff_resolution(n_deg, m)
-    w = BitWriter()
-    w.write_bits(_HEADERS["piecewise_poly"])
-    encode_uint(n, w)
-    encode_uint(n_deg + 1, w)
-    encode_uint(len(breaks) + 1, w)
-    for b in breaks:
-        encode_uint(b, w)
-    for row in coeff_nums:
-        for c in row:
-            w.write_fixed(c, m_prime)
-    return CodedSignal("piecewise_poly", w.getvalue())
+    uints = (n, n_deg + 1, len(breaks) + 1, *breaks)
+    values = chain.from_iterable(coeff_nums)
+    return _coded("piecewise_poly", uints, values, coeff_resolution(n_deg, m))
 
 
 def encode_piecewise_poly(breakpoints, coefficients, n: int, m: int) -> CodedSignal:
@@ -319,34 +315,21 @@ def encode_piecewise_poly(breakpoints, coefficients, n: int, m: int) -> CodedSig
     return _encode_pp_numerators(breaks, coeff_nums, n_deg, n, m)
 
 
-def decode_piecewise_poly(c: CodedSignal, n: int, m: int) -> QuantizedVector:
-    _, r = _read_tag(c.payload, "piecewise_poly")
-    coded_n = decode_uint(r)
-    if coded_n != n:
-        raise DecodeError(f"stream is for n={coded_n}, context says n={n}")
+def _read_piecewise_poly(r: BitReader, n: int, m: int) -> QuantizedVector:
+    _read_n(r, n)
     n_deg = decode_uint(r) - 1
     q_breaks = decode_uint(r) - 1
     if q_breaks > n - 1:
         raise DecodeError("more pieces than samples")
+    breaks = tuple(_read_ascending(r, q_breaks, 1, n - 1))
     m_prime = coeff_resolution(n_deg, m)
-    breaks = []
-    prev = 0
-    for _ in range(q_breaks):
-        b = decode_uint(r)
-        if b <= prev or b > n - 1:
-            raise DecodeError("breakpoints must be strictly ascending in [1, n-1]")
-        breaks.append(b)
-        prev = b
-    top = 1 << m_prime
     rows = []
     for _ in range(q_breaks + 1):
         row = tuple(r.read_fixed(m_prime) for _ in range(n_deg + 1))
-        if sum(row) >= top:
+        if sum(row) >= 1 << m_prime:
             raise DecodeError("per-piece coefficient sum must be < 1")
         rows.append(row)
-    r.expect_end()
-    nums = pp_sample_numerators(tuple(breaks), tuple(rows), n_deg, n, m)
-    return QuantizedVector(nums, m)
+    return QuantizedVector(pp_sample_numerators(breaks, tuple(rows), n_deg, n, m), m)
 
 
 # ---------------------------------------------------------------------------
@@ -354,88 +337,71 @@ def decode_piecewise_poly(c: CodedSignal, n: int, m: int) -> QuantizedVector:
 
 
 def encode_literal(q: QuantizedVector) -> CodedSignal:
-    w = BitWriter()
-    w.write_bits(_HEADERS["literal"])
-    m = q.resolution_bits
-    for v in q.numerators:
-        w.write_fixed(v, m)
-    return CodedSignal("literal", w.getvalue())
+    return _coded("literal", (), q.numerators, q.resolution_bits)
 
 
-def decode_literal(c: CodedSignal, n: int, m: int) -> QuantizedVector:
-    _, r = _read_tag(c.payload, "literal")
-    nums = tuple(r.read_fixed(m) for _ in range(n))
-    r.expect_end()
-    return QuantizedVector(nums, m)
+def _read_literal(r: BitReader, n: int, m: int) -> QuantizedVector:
+    return QuantizedVector(tuple(r.read_fixed(m) for _ in range(n)), m)
 
 
 # ---------------------------------------------------------------------------
 # compressor proxy: [tag][uint nbytes+1][compressed bytes]
 #
-# Advisory codec: its length participates in dl_surrogate reporting but it
-# is never part of solver codebooks.
-
-
-def _pack_numerators(q: QuantizedVector) -> bytes:
-    """The literal payload's bits, zero-padded to whole bytes."""
-    return bits_to_bytes(encode_literal(q).payload[CODEC_HEADER_BITS:])[:-1]
+# The compressed bytes inflate to the literal payload, zero-padded to whole
+# bytes. Advisory codec: its length participates in dl_surrogate reporting
+# but it is never part of solver codebooks.
 
 
 def encode_compressor_proxy(q: QuantizedVector) -> CodedSignal:
-    blob = zlib.compress(_pack_numerators(q), 9)
-    w = BitWriter()
-    w.write_bits(_HEADERS["compressor_proxy"])
-    encode_uint(len(blob) + 1, w)
-    for byte in blob:
-        w.write_fixed(byte, 8)
-    return CodedSignal("compressor_proxy", w.getvalue())
+    packed = bits_to_bytes(encode_literal(q).payload[CODEC_HEADER_BITS:])[:-1]
+    blob = zlib.compress(packed, 9)
+    return _coded("compressor_proxy", (len(blob) + 1,), blob, 8)
 
 
-def decode_compressor_proxy(c: CodedSignal, n: int, m: int) -> QuantizedVector:
-    _, r = _read_tag(c.payload, "compressor_proxy")
-    nbytes = decode_uint(r) - 1
-    blob = bytes(r.read_fixed(8) for _ in range(nbytes))
-    r.expect_end()
+def _read_compressor_proxy(r: BitReader, n: int, m: int) -> QuantizedVector:
+    blob = bytes(r.read_fixed(8) for _ in range(decode_uint(r) - 1))
     try:
         raw = zlib.decompress(blob)
     except zlib.error as exc:
         raise DecodeError(f"corrupt compressed payload: {exc}") from exc
-    if len(raw) * 8 < n * m:
-        raise DecodeError("compressed payload shorter than n*m bits")
-    bits = "".join(format(b, "08b") for b in raw)
-    nums = tuple(int(bits[i * m : (i + 1) * m], 2) for i in range(n))
-    return QuantizedVector(nums, m)
+    pad = 8 * len(raw) - n * m
+    if not 0 <= pad < 8:
+        raise DecodeError("compressed payload is not n*m bits in whole bytes")
+    return _read_literal(BitReader(bytes_to_bits(raw + bytes([pad]))), n, m)
 
 
 # ---------------------------------------------------------------------------
 
 
-def _read_tag(bits: str, expect_id: str | None = None) -> tuple[str, BitReader]:
+def _read_tag(bits: str) -> tuple[str, BitReader]:
     """The codec that a stream's tag names, and a reader past the tag.
-    Raises DecodeError if the stream does not start with a codec tag, or
-    with another codec's than expect_id, when one is given."""
+    Raises DecodeError if the stream does not start with a codec tag."""
     tag = bits[:CODEC_HEADER_BITS]
     codec_id = _HEADER_TO_ID.get(tag)
     if codec_id is None:
         raise DecodeError(f"stream does not start with a codec tag: {tag!r}")
-    if expect_id not in (None, codec_id):
-        raise DecodeError(f"stream tag {tag!r} does not match codec {expect_id!r}")
     r = BitReader(bits)
     r.read_fixed(CODEC_HEADER_BITS)
     return codec_id, r
 
 
-_DECODERS = {
-    "sparse": decode_sparse,
-    "piecewise_poly": decode_piecewise_poly,
-    "literal": decode_literal,
-    "compressor_proxy": decode_compressor_proxy,
+_READERS = {
+    "sparse": _read_sparse,
+    "piecewise_poly": _read_piecewise_poly,
+    "literal": _read_literal,
+    "compressor_proxy": _read_compressor_proxy,
 }
 
 
 def decode_any(c: CodedSignal, n: int, m: int) -> QuantizedVector:
-    """Dispatch on the embedded codec tag."""
-    return _DECODERS[_read_tag(c.payload)[0]](c, n, m)
+    """The vector that c's stream codes under context (n, m).
+
+    Raises DecodeError if the stream is malformed, has bits past its
+    codeword, or does not fit the context."""
+    codec_id, r = _read_tag(c.payload)
+    q = _READERS[codec_id](r, n, m)
+    r.expect_end()
+    return q
 
 
 def _constant_runs(nums: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -457,14 +423,10 @@ def dl_surrogate(q: QuantizedVector, include_proxy: bool = True) -> CodedSignal:
     constant runs of q, which provably reproduce it. Never longer than
     n*m + header, because the literal codec applies to everything.
     """
-    candidates = [encode_sparse(q), encode_literal(q)]
-    if q.n >= 1:
-        breaks, values = _constant_runs(q.numerators)
-        candidates.append(
-            _encode_pp_numerators(
-                breaks, tuple((v,) for v in values), 0, q.n, q.resolution_bits
-            )
-        )
+    candidates = [encode_sparse(q), encode_literal(q)]  # sparse refuses n = 0
+    breaks, values = _constant_runs(q.numerators)
+    runs = tuple((v,) for v in values)
+    candidates.append(_encode_pp_numerators(breaks, runs, 0, q.n, q.resolution_bits))
     if include_proxy:
         candidates.append(encode_compressor_proxy(q))
     return min(candidates, key=lambda c: (c.dl_bits, CODEC_IDS.index(c.codec_id)))

@@ -1,4 +1,5 @@
 import math
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +19,6 @@ from mcpursuit.codecs import (
     coded_to_bytes,
     coeff_resolution,
     decode_any,
-    decode_compressor_proxy,
-    decode_literal,
-    decode_piecewise_poly,
-    decode_sparse,
     decode_uint,
     dl_surrogate,
     encode_compressor_proxy,
@@ -128,7 +125,7 @@ def test_sparse_bound_values():
 def test_sparse_roundtrip_and_bound(q):
     c = encode_sparse(q)
     assert c.codec_id == "sparse"
-    assert decode_sparse(c, q.n, q.resolution_bits) == q
+    assert decode_any(c, q.n, q.resolution_bits) == q
     k = len(q.support())
     assert c.dl_bits <= sparse_dl_bound(k, q.n, q.resolution_bits)
 
@@ -137,32 +134,32 @@ def test_sparse_decode_rejects_context_mismatch():
     q = QuantizedVector((0, 5, 0, 0), 3)
     c = encode_sparse(q)
     with pytest.raises(DecodeError):
-        decode_sparse(c, 5, 3)
+        decode_any(c, 5, 3)
 
 
 def test_sparse_decode_rejects_noncanonical_zero():
     # handcrafted stream coding position 1 with payload 0
     w = BitWriter()
     w.write_bits("000")
-    encode_uint(4, w)  # n
-    encode_uint(2, w)  # k + 1 = 2
-    encode_uint(2, w)  # position 1
+    w.write_bits(encode_uint(4))  # n
+    w.write_bits(encode_uint(2))  # k + 1 = 2
+    w.write_bits(encode_uint(2))  # position 1
     w.write_fixed(0, 3)  # zero payload
     with pytest.raises(DecodeError):
-        decode_sparse(CodedSignal("sparse", w.getvalue()), 4, 3)
+        decode_any(CodedSignal("sparse", w.getvalue()), 4, 3)
 
 
 def test_sparse_decode_rejects_unsorted_positions():
     w = BitWriter()
     w.write_bits("000")
-    encode_uint(4, w)
-    encode_uint(3, w)  # k = 2
-    encode_uint(3, w)  # position 2
-    encode_uint(2, w)  # position 1, out of order
+    w.write_bits(encode_uint(4))
+    w.write_bits(encode_uint(3))  # k = 2
+    w.write_bits(encode_uint(3))  # position 2
+    w.write_bits(encode_uint(2))  # position 1, out of order
     w.write_fixed(1, 3)
     w.write_fixed(1, 3)
     with pytest.raises(DecodeError):
-        decode_sparse(CodedSignal("sparse", w.getvalue()), 4, 3)
+        decode_any(CodedSignal("sparse", w.getvalue()), 4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +208,7 @@ def test_pp_roundtrip_matches_exact_sampler(spec):
     bks, nums, m_prime = quantize_pp_spec(breaks, rows, n, m)
     n_deg = len(rows[0]) - 1
     expected = pp_sample_numerators(bks, nums, n_deg, n, m)
-    got = decode_piecewise_poly(coded, n, m)
+    got = decode_any(coded, n, m)
     assert got == QuantizedVector(expected, m)
     assert coded.dl_bits <= pp_dl_bound(len(bks), n_deg, n, m)
 
@@ -238,7 +235,7 @@ def test_pp_coefficient_truncation_stays_under_one_step(spec):
     # one truncation step from the coefficients plus one from the samples
     breaks, rows, n, m = spec
     coded = encode_piecewise_poly(breaks, rows, n, m)
-    got = np.array(decode_piecewise_poly(coded, n, m).to_floats())
+    got = np.array(decode_any(coded, n, m).to_floats())
     bounds = [0] + list(breaks) + [n]
     for piece, row in enumerate(rows):
         for i in range(bounds[piece], bounds[piece + 1]):
@@ -268,25 +265,25 @@ def test_pp_rejects_bad_specs():
 def test_pp_decode_rejects_invalid_streams():
     coded = encode_piecewise_poly([4], [[0.25], [0.5]], 8, 3)
     with pytest.raises(DecodeError):
-        decode_piecewise_poly(coded, 16, 3)  # context mismatch
+        decode_any(coded, 16, 3)  # context mismatch
     # coefficient row violating the sum constraint
     w = BitWriter()
     w.write_bits("001")
-    encode_uint(8, w)  # n
-    encode_uint(1, w)  # degree 0
-    encode_uint(1, w)  # no breakpoints
+    w.write_bits(encode_uint(8))  # n
+    w.write_bits(encode_uint(1))  # degree 0
+    w.write_bits(encode_uint(1))  # no breakpoints
     w.write_fixed(7, 3)  # sum == 2^m - 1 is fine
-    ok = decode_piecewise_poly(CodedSignal("piecewise_poly", w.getvalue()), 8, 3)
+    ok = decode_any(CodedSignal("piecewise_poly", w.getvalue()), 8, 3)
     assert ok.numerators == (7,) * 8
     w2 = BitWriter()
     w2.write_bits("001")
-    encode_uint(8, w2)
-    encode_uint(2, w2)  # degree 1, m' = 4
-    encode_uint(1, w2)
+    w2.write_bits(encode_uint(8))
+    w2.write_bits(encode_uint(2))  # degree 1, m' = 4
+    w2.write_bits(encode_uint(1))
     w2.write_fixed(8, 4)
     w2.write_fixed(8, 4)  # sum 16 == 2^4, out of class
     with pytest.raises(DecodeError):
-        decode_piecewise_poly(CodedSignal("piecewise_poly", w2.getvalue()), 8, 3)
+        decode_any(CodedSignal("piecewise_poly", w2.getvalue()), 8, 3)
 
 
 def test_coeff_resolution():
@@ -308,7 +305,7 @@ def test_literal_roundtrip(nums):
     q = QuantizedVector(tuple(nums), 8)
     c = encode_literal(q)
     assert c.dl_bits == CODEC_HEADER_BITS + q.n * 8
-    assert decode_literal(c, q.n, 8) == q
+    assert decode_any(c, q.n, 8) == q
 
 
 @given(
@@ -318,7 +315,23 @@ def test_literal_roundtrip(nums):
 def test_proxy_roundtrip(nums):
     q = QuantizedVector(tuple(nums), 5)
     c = encode_compressor_proxy(q)
-    assert decode_compressor_proxy(c, q.n, 5) == q
+    assert decode_any(c, q.n, 5) == q
+
+
+@pytest.mark.parametrize("n, m, reason", [
+    (12, 4, "whole bytes"),
+    (16, 3, "whole bytes"),
+    (17, 4, "whole bytes"),
+    (15, 4, "padding bits"),  # the last sample's 4 bits would be pad
+])
+def test_proxy_decode_rejects_other_contexts(n, m, reason):
+    # the inflated payload must be n*m bits rounded up to whole bytes, with
+    # zero pad bits: 16 samples at 4 bits are 8 bytes
+    q = QuantizedVector(tuple(range(16)), 4)
+    c = encode_compressor_proxy(q)
+    assert decode_any(c, 16, 4) == q
+    with pytest.raises(DecodeError, match=reason):
+        decode_any(c, n, m)
 
 
 def test_decode_any_dispatch():
@@ -330,13 +343,11 @@ def test_decode_any_dispatch():
         decode_any(CodedSignal("sparse", "111" + "0" * 20), 8, 4)
     with pytest.raises(DecodeError):
         decode_any(CodedSignal("sparse", "01"), 8, 4)
-    # decoders, decode_any and the byte framing share one tag parser
+    # decode_any and the byte framing share one tag parser
     with pytest.raises(DecodeError):
         coded_from_bytes(bits_to_bytes("01"))
     with pytest.raises(DecodeError):
         coded_from_bytes(bits_to_bytes("111" + "0" * 20))
-    with pytest.raises(DecodeError):
-        decode_sparse(encode_literal(q), 8, 4)
 
 
 def test_byte_framing_of_codewords():
@@ -344,6 +355,77 @@ def test_byte_framing_of_codewords():
     c = encode_sparse(q)
     back = coded_from_bytes(coded_to_bytes(c))
     assert back == c
+
+
+def _stream(tag, *uints, values=(), width=0):
+    """A hand-built stream: tag, universal-coded integers, fixed-width values."""
+    return (
+        tag
+        + "".join(encode_uint(u) for u in uints)
+        + "".join(format(v, f"0{width}b") for v in values)
+    )
+
+
+_SPARSE_Q = QuantizedVector((0, 5, 0, 3), 3)
+_VALID = {
+    "sparse": (encode_sparse(_SPARSE_Q).payload, 4, 3),
+    "piecewise_poly": (encode_piecewise_poly([4], [[0.25], [0.5]], 8, 3).payload, 8, 3),
+    "literal": (encode_literal(_SPARSE_Q).payload, 4, 3),
+    "compressor_proxy": (
+        encode_compressor_proxy(QuantizedVector(tuple(range(16)), 4)).payload, 16, 4),
+}
+_ASCENDING = "strictly ascending"
+INVALID_STREAMS = {
+    **{
+        f"{codec}-trailing-bit": (bits + "0", n, m, "trailing bits")
+        for codec, (bits, n, m) in _VALID.items()
+    },
+    **{
+        f"{codec}-truncated": (bits[:-1], n, m, "bitstream exhausted")
+        for codec, (bits, n, m) in _VALID.items()
+    },
+    "sparse-repeated-position": (
+        _stream("000", 4, 3, 2, 2, values=(1, 1), width=3), 4, 3, _ASCENDING),
+    "sparse-position-n": (_stream("000", 4, 2, 5, values=(1,), width=3), 4, 3, _ASCENDING),
+    "sparse-k-over-n": (
+        _stream("000", 4, 6, 1, 2, 3, 4, 5, values=(1,) * 5, width=3),
+        4, 3, "support larger than vector"),
+    "pp-repeated-breakpoint": (
+        _stream("001", 8, 1, 3, 3, 3, values=(1, 2, 3), width=3), 8, 3, _ASCENDING),
+    "pp-breakpoint-n": (_stream("001", 8, 1, 2, 8, values=(1, 2), width=3), 8, 3, _ASCENDING),
+    "pp-more-pieces-than-samples": (
+        _stream("001", 4, 1, 5, 1, 2, 3, 4, values=(1,) * 5, width=3),
+        4, 3, "more pieces than samples"),
+}
+
+
+@pytest.mark.parametrize("bits, n, m, reason", INVALID_STREAMS.values(),
+                         ids=INVALID_STREAMS.keys())
+def test_invalid_streams_are_refused(bits, n, m, reason):
+    # each stream is refused with DecodeError for its own reason, not for
+    # whatever check it happens to reach next
+    with pytest.raises(DecodeError, match=reason):
+        decode_any(coded_from_bytes(bits_to_bytes(bits)), n, m)
+
+
+def test_known_codewords():
+    # stream bits are part of the interface: the solver's code lengths,
+    # the golden keys and the bench's own header reader all read them
+    assert encode_sparse(QuantizedVector((0, 5, 0, 0), 3)).payload == (
+        "000" "01100" "0100" "0100" "101"
+    )
+    assert encode_piecewise_poly([2], [[0.25, 0.5], [0.5, 0.25]], 8, 3).payload == (
+        "001001000000100010001000100100010000100"
+    )
+    assert encode_literal(QuantizedVector((1, 2, 3), 2)).payload == "010011011"
+    # zlib builds differ in their output bytes, so the proxy pins its
+    # layout around a blob recomputed here, not the blob itself
+    q = QuantizedVector((1, 2, 3, 0, 1), 2)
+    packed = bytes([0b01101100, 0b01000000])
+    blob = zlib.compress(packed, 9)
+    assert encode_compressor_proxy(q).payload == (
+        "011" + encode_uint(len(blob) + 1) + "".join(format(b, "08b") for b in blob)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +579,7 @@ def pair_overhead_battery(seed: int = 20240117) -> list[tuple[QuantizedVector, Q
                 a0 = rng.random() * (1.0 - a1) * 0.999
                 specs.append(encode_piecewise_poly((), [[a0, a1]], n, m))
             pairs.append(
-                tuple(decode_piecewise_poly(s, n, m) for s in specs)  # type: ignore[arg-type]
+                tuple(decode_any(s, n, m) for s in specs)  # type: ignore[arg-type]
             )
     return pairs
 

@@ -192,6 +192,15 @@ def test_cli_decode_context_mismatch_exits_2(tmp_path):
                 "-o", str(tmp_path / "x.txt"))
     assert proc.returncode == 2
     assert "n=" in proc.stderr
+    # a proxy stream carries only its n*m bits, which must fit the context
+    sig.write_text("0.1\n0.5\n0.9\n0.3\n" * 64)
+    proc = _cli("encode", str(sig), "-m", "8", "-o", str(bits))
+    assert proc.stdout.startswith("compressor_proxy:")
+    out = tmp_path / "y.txt"
+    proc = _cli("decode", str(bits), "-n", "100", "-m", "8", "-o", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_bad_inputs_exit_2(tmp_path):

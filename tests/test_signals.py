@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcpursuit.codecs import decode_piecewise_poly, encode_piecewise_poly
+from mcpursuit.codecs import decode_any, encode_piecewise_poly
 from mcpursuit.rng import make_generator
 from mcpursuit.signals import (
     SMOOTH_BATTERY,
@@ -37,7 +37,7 @@ def test_gen_piecewise_poly_matches_spec():
     assert x.min() >= 0.0 and x.max() < 1.0
     # the returned spec is valid codec input and its decode tracks x
     coded = encode_piecewise_poly(breaks, coeffs, 64, 8)
-    dec = np.array(decode_piecewise_poly(coded, 64, 8).to_floats())
+    dec = np.array(decode_any(coded, 64, 8).to_floats())
     assert np.max(np.abs(dec - x)) < 2.0 ** (1 - 8) + 1e-12
     # samples follow the stated polynomial on each piece
     t = np.arange(64) / 64
@@ -100,7 +100,7 @@ def test_fit_specs_are_codec_valid():
         for r in (1, 3, 8):
             fit = piecewise_poly_fit(x, r, target.beta)
             coded = encode_piecewise_poly(fit.breakpoints, fit.coefficients, 96, 8)
-            decode_piecewise_poly(coded, 96, 8)
+            decode_any(coded, 96, 8)
             assert fit.error == pytest.approx(
                 float(np.linalg.norm(x - fit.approx)), rel=1e-12
             )
