@@ -38,7 +38,17 @@ class Mutant:
 
 
 _CODECS = "src/mcpursuit/codecs.py"
+_QUANTIZE = "src/mcpursuit/quantize.py"
+_MEASURE = "src/mcpursuit/measure.py"
+_SOLVER = "src/mcpursuit/solver.py"
 _INVALID = "tests/test_codecs.py::test_invalid_streams_are_refused"
+_CUT_FEASIBLE = (
+    "tests/test_solver.py::test_cut_drops_only_supports_without_a_feasible_point",
+    "tests/test_solver.py::test_matches_brute_force_where_only_the_cut_prunes",
+)
+_HUB_CELLS = (
+    "tests/test_solver.py::test_hub_cut_keeps_exactly_the_cells_whose_float_sum_reaches_need",
+)
 
 MUTANTS = (
     Mutant("codecs: end-of-stream check dropped", _CODECS,
@@ -60,6 +70,34 @@ MUTANTS = (
     Mutant("codecs: zero-payload check dropped", _CODECS,
            "        if v == 0:\n", "        if False:\n",
            ("tests/test_codecs.py::test_sparse_decode_rejects_noncanonical_zero",)),
+    Mutant("codecs: NaN coefficients reach the truncation", _CODECS,
+           "if not (row.min() >= 0.0 and row.max() <= 1.0):",
+           "if row.min() < 0.0 or row.max() > 1.0:",
+           ("tests/test_codecs.py::test_pp_rejects_bad_specs",)),
+    Mutant("quantize: top clamp dropped", _QUANTIZE,
+           "tuple(min(v, top - 1) for v in nums)", "tuple(nums)",
+           ("tests/test_quantize.py::test_truncate_known_values",)),
+    Mutant("measure: tail loop draws one trial too many", _MEASURE,
+           "hits(min(batch, trials - done))", "hits(min(batch, trials - done + 1))",
+           ("tests/test_measure.py::test_mc_checks_draw_exactly_their_trials",)),
+    Mutant("cut: eta dropped from need", _SOLVER,
+           "norm_y - self.limit - delta", "norm_y - math.sqrt(_LS_MARGIN) - delta",
+           _CUT_FEASIBLE),
+    Mutant("cut: hi c for the max", _SOLVER,
+           "np.maximum(box[0] * c, box[1] * c)", "box[1] * c", _CUT_FEASIBLE),
+    Mutant("cut: delta dropped", _SOLVER,
+           "self.limit - delta - float(", "self.limit - float(",
+           ("tests/test_solver.py::test_cut_keeps_supports_on_its_exact_boundary",)),
+    Mutant("cut: 2 s > need for a hub", _SOLVER,
+           "hub = 2 * sc >= need", "hub = 2 * sc > need", _HUB_CELLS),
+    Mutant("cut: hub-as-second pass dropped", _SOLVER,
+           "lo + np.concatenate((tops[at_top], t)),\n"
+           "                     lo + np.concatenate((v, hubs[at_hub])))",
+           "lo + tops[at_top], lo + v)", _HUB_CELLS),
+    Mutant("cut: need < 0.0 at size 0", _SOLVER,
+           "int(need <= 0.0)", "int(need < 0.0)", _HUB_CELLS),
+    Mutant("cut: > for >= at size 1", _SOLVER,
+           "self.scores[firsts] >= need", "self.scores[firsts] > need", _HUB_CELLS),
 )
 
 

@@ -27,7 +27,7 @@ from itertools import chain
 import numpy as np
 
 from .bitio import BitReader, BitWriter, DecodeError, bits_to_bytes, bytes_to_bits
-from .quantize import QuantizedVector, truncate_bits
+from .quantize import QuantizedVector, quantize_vector
 
 __all__ = [
     "CodecError",
@@ -289,11 +289,12 @@ def quantize_pp_spec(
     m_prime = coeff_resolution(n_deg, m)
     rows = []
     for row in coeffs:
-        if row.min() < 0.0 or row.max() > 1.0:
+        # NaN fails both comparisons, so it is refused here too
+        if not (row.min() >= 0.0 and row.max() <= 1.0):
             raise CodecError("coefficients must lie in [0, 1]")
         if row.sum() >= 1.0:
             raise CodecError("per-piece coefficient sum must be < 1")
-        rows.append(tuple(truncate_bits(float(a), m_prime).numerator for a in row))
+        rows.append(quantize_vector(row, m_prime).numerators)
     return tuple(breaks), tuple(rows), m_prime
 
 

@@ -26,6 +26,7 @@ from .measure import (
     mc_check_chi_lower_tail,
     mc_check_sigma_tail,
     sample_ensemble,
+    sigma_max_expectation_bound,
 )
 from .quantize import quantization_gap_bound, quantize_vector
 from .rng import derive_seed, make_generator
@@ -215,7 +216,7 @@ def run_phase_scan(cfg: PhaseScanConfig, out_dir) -> ExperimentResult:
             xq = quantize_vector(x, cfg.m)
             res = mcp_exact(ens, ens.matrix @ x, cfg.m, config=scope, probe_ref=xq)
             err = _recovery_error(res, x)
-            e2_ok = ens.sigma_max <= ens.expectation_bound(cfg.t)
+            e2_ok = ens.sigma_max <= sigma_max_expectation_bound(cfg.n, d) + cfg.t
             gain = res.probe.min_gain if res.probe is not None else None
             bound_hits += err <= bound
             recovery_hits += err <= threshold

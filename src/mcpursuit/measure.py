@@ -7,7 +7,9 @@ from top_singular_value: the square root of the top eigenvalue of the
 smaller Gram matrix. The checks in this module validate the two
 concentration facts the recovery analysis leans on: the lower tail of
 |Az|^2 / |z|^2 for a fixed direction z, and the upper tail of the largest
-singular value.
+singular value. Both run one batched Monte Carlo loop, _tail_rate, each
+with its own draw of a batch; the sigma_max threshold 1 + sqrt(n/d) + t
+is read from sigma_max_expectation_bound alone.
 """
 
 from __future__ import annotations
@@ -50,13 +52,10 @@ class MeasurementEnsemble:
     def sigma_max(self) -> float:
         return float(top_singular_value(self.matrix))
 
-    def expectation_bound(self, t: float) -> float:
-        """1 + sqrt(n/d) + t, the threshold whose exceedance probability
-        sigma_max_tail_bound controls."""
-        return sigma_max_expectation_bound(self.n, self.d) + t
-
 
 def sigma_max_expectation_bound(n: int, d: int) -> float:
+    """1 + sqrt(n/d): sigma_max exceeds it by more than t with probability
+    at most sigma_max_tail_bound(d, t)."""
     return 1.0 + math.sqrt(n / d)
 
 
@@ -130,6 +129,15 @@ _CHI_BATCH = 2000  # chi-square trials drawn at once
 _SIGMA_BATCH = 500  # sigma_max trials drawn at once
 
 
+def _tail_rate(trials: int, batch: int, hits) -> float:
+    """The share of trials that hit a tail event, drawn batch trials at a
+    time: hits(b) draws b fresh trials and returns how many hit."""
+    count = 0
+    for done in range(0, trials, batch):
+        count += hits(min(batch, trials - done))
+    return count / trials
+
+
 def mc_check_chi_lower_tail(
     d: int, tau: float, trials: int, rng: np.random.Generator
 ) -> TailCheckResult:
@@ -138,34 +146,29 @@ def mc_check_chi_lower_tail(
     Draws the full d x n matrix and an independent random direction per
     trial, exactly the objects the recovery run uses.
     """
-    bound = chi_square_lower_tail_bound(d, tau)
-    hits = 0
-    done = 0
     scale = 1.0 / math.sqrt(d)
-    while done < trials:
-        b = min(_CHI_BATCH, trials - done)
+
+    def hits(b: int) -> int:
         mats = rng.normal(0.0, scale, size=(b, d, _CHI_AMBIENT_N))
         z = rng.normal(size=(b, _CHI_AMBIENT_N))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         r = np.einsum("bdn,bn->bd", mats, z)
-        hits += int(np.count_nonzero(np.sum(r * r, axis=1) <= 1.0 - tau))
-        done += b
-    return TailCheckResult(hits / trials, bound, trials)
+        return int(np.count_nonzero(np.sum(r * r, axis=1) <= 1.0 - tau))
+
+    bound = chi_square_lower_tail_bound(d, tau)
+    return TailCheckResult(_tail_rate(trials, _CHI_BATCH, hits), bound, trials)
 
 
 def mc_check_sigma_tail(
     n: int, d: int, t: float, trials: int, rng: np.random.Generator
 ) -> TailCheckResult:
     """Empirical rate of sigma_max > 1 + sqrt(n/d) + t over fresh ensembles."""
-    bound = sigma_max_tail_bound(d, t)
-    threshold = sigma_max_expectation_bound(n, d) + t
-    hits = 0
-    done = 0
     scale = 1.0 / math.sqrt(d)
-    while done < trials:
-        b = min(_SIGMA_BATCH, trials - done)
-        mats = rng.normal(0.0, scale, size=(b, d, n))
-        tops = top_singular_value(mats)
-        hits += int(np.count_nonzero(tops > threshold))
-        done += b
-    return TailCheckResult(hits / trials, bound, trials)
+    threshold = sigma_max_expectation_bound(n, d) + t
+
+    def hits(b: int) -> int:
+        tops = top_singular_value(rng.normal(0.0, scale, size=(b, d, n)))
+        return int(np.count_nonzero(tops > threshold))
+
+    bound = sigma_max_tail_bound(d, t)
+    return TailCheckResult(_tail_rate(trials, _SIGMA_BATCH, hits), bound, trials)

@@ -1,6 +1,7 @@
 """Fixed-point truncation of reals in [0, 1] to m-bit dyadic rationals.
 
-Truncation keeps the integer numerator floor(x * 2^m) exactly, so all
+quantize_vector is the package's one truncation: it keeps each integer
+numerator floor(x * 2^m) exactly, clamping x = 1.0 to 1 - 2^-m, so all
 downstream coding arithmetic is integer arithmetic; conversion back to
 floating point happens only where a measurement operator needs a real
 vector.
@@ -15,9 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "DyadicValue",
     "QuantizedVector",
-    "truncate_bits",
     "quantize_vector",
     "subtract_mod",
     "quantization_gap_bound",
@@ -26,44 +25,6 @@ __all__ = [
 # ldexp/floor on float64 is exact only while numerators fit comfortably in
 # the int64 range; larger resolutions take the exact Fraction path.
 _VECTOR_FAST_MAX_BITS = 62
-
-
-@dataclass(frozen=True)
-class DyadicValue:
-    """An exact dyadic rational numerator / 2^resolution_bits in [0, 1)."""
-
-    numerator: int
-    resolution_bits: int
-
-    def __post_init__(self) -> None:
-        if self.resolution_bits < 1:
-            raise ValueError("resolution_bits must be >= 1")
-        if not 0 <= self.numerator < (1 << self.resolution_bits):
-            raise ValueError("numerator out of range for resolution")
-
-    @property
-    def value(self) -> float:
-        return math.ldexp(self.numerator, -self.resolution_bits)
-
-
-def truncate_bits(x: float, m: int) -> DyadicValue:
-    """Truncate x in [0, 1] to m fractional bits.
-
-    Returns floor(x * 2^m) / 2^m held exactly. x = 1.0 is clamped to the
-    largest representable value 1 - 2^-m so the result stays in [0, 1).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not isinstance(x, (int, float)):
-        raise TypeError("x must be a real scalar")
-    if math.isnan(x) or x < 0.0 or x > 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x!r}")
-    if x == 1.0:
-        return DyadicValue((1 << m) - 1, m)
-    # Fraction(x) is the exact binary value of the float, so the floor is
-    # exact for every m.
-    numerator = math.floor(Fraction(x) * (1 << m))
-    return DyadicValue(numerator, m)
 
 
 @dataclass(frozen=True)
@@ -96,7 +57,9 @@ class QuantizedVector:
 
 
 def quantize_vector(x: np.ndarray, m: int) -> QuantizedVector:
-    """Entrywise truncation of a vector with entries in [0, 1]."""
+    """Entrywise truncation of a vector with entries in [0, 1] to m bits:
+    numerators floor(x * 2^m), with x = 1.0 clamped to 2^m - 1 so every
+    value stays in [0, 1)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     arr = np.asarray(x, dtype=np.float64)
@@ -104,15 +67,16 @@ def quantize_vector(x: np.ndarray, m: int) -> QuantizedVector:
         raise ValueError("x must be one-dimensional")
     if arr.size and (np.isnan(arr).any() or arr.min() < 0.0 or arr.max() > 1.0):
         raise ValueError("entries must lie in [0, 1]")
+    top = 1 << m
     if m > _VECTOR_FAST_MAX_BITS:
-        nums = tuple(truncate_bits(float(v), m).numerator for v in arr)
-        return QuantizedVector(nums, m)
-    # Scaling a float by 2^m and flooring are both exact float64 operations,
-    # so this matches the Fraction path bit for bit.
-    scaled = np.floor(np.ldexp(arr, m)).astype(np.int64)
-    top = np.int64(1) << m
-    scaled[scaled == top] = top - 1  # x == 1.0 clamps to 1 - 2^-m
-    return QuantizedVector(tuple(int(v) for v in scaled), m)
+        # Fraction(v) is the exact binary value of the float, so the floor
+        # is exact for every m.
+        nums = [math.floor(Fraction(v) * top) for v in arr.tolist()]
+    else:
+        # Scaling a float by 2^m and flooring are both exact float64
+        # operations, so this is the same floor.
+        nums = np.floor(np.ldexp(arr, m)).astype(np.int64).tolist()
+    return QuantizedVector(tuple(min(v, top - 1) for v in nums), m)
 
 
 def subtract_mod(a: QuantizedVector, b: QuantizedVector) -> QuantizedVector:

@@ -259,6 +259,10 @@ def test_pp_rejects_bad_specs():
     with pytest.raises(CodecError):
         encode_piecewise_poly([], [[-0.1, 0.2]], 8, 3)
     with pytest.raises(CodecError):
+        encode_piecewise_poly([], [[float("nan")]], 8, 3)
+    with pytest.raises(CodecError):
+        encode_piecewise_poly([], [[float("nan"), 0.2]], 8, 3)
+    with pytest.raises(CodecError):
         encode_piecewise_poly([2], [[0.1]], 8, 3)  # row count mismatch
 
 

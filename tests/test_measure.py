@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mcpursuit import measure
 from mcpursuit.measure import (
     MeasurementEnsemble,
     chi_square_lower_tail_bound,
@@ -66,7 +67,6 @@ def test_sigma_max_cached_on_ensemble():
     top = np.linalg.svd(ens.matrix, compute_uv=False)[0]
     assert ens.sigma_max == pytest.approx(top, rel=1e-12)
     assert ens.sigma_max is ens.sigma_max  # cached float, one computation
-    assert ens.expectation_bound(1.0) == pytest.approx(4.0)
     assert sigma_max_expectation_bound(32, 8) == 3.0
 
 
@@ -110,3 +110,20 @@ def test_mc_sigma_tail_smoke():
     rng = make_generator(17, "sigma-smoke")
     res = mc_check_sigma_tail(64, 16, 0.25, 3000, rng)
     assert res.passed
+
+
+def test_mc_checks_draw_exactly_their_trials():
+    # one trial past a whole batch: after each check the generator stands
+    # where drawing its batches' matrices (and directions) leaves a twin
+    rng, twin = make_generator(17, "draws"), make_generator(17, "draws")
+    n_chi, batch = measure._CHI_AMBIENT_N, measure._CHI_BATCH
+    mc_check_chi_lower_tail(3, 0.5, batch + 1, rng)
+    for b in (batch, 1):
+        twin.normal(size=(b, 3, n_chi))
+        twin.normal(size=(b, n_chi))
+    assert np.array_equal(rng.random(4), twin.random(4))
+    batch = measure._SIGMA_BATCH
+    mc_check_sigma_tail(4, 2, 0.5, batch + 1, rng)
+    for b in (batch, 1):
+        twin.normal(size=(b, 2, 4))
+    assert np.array_equal(rng.random(4), twin.random(4))
