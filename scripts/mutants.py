@@ -8,10 +8,12 @@ A mutant replaces one exact piece of text, found once in one source file,
 with another. Each prints one line: `killed    NAME  by TEST`, with the
 first of its tests that failed, or `SURVIVED  NAME`. The unmutated copy
 must pass every named test first, so that a kill is the mutation's doing.
-The checkout is only read: its src/, tests/ and pyproject.toml are copied
-into a temporary directory, removed at the end. Exit status 0 when every
-mutant is killed, 1 when one survives, 2 when a mutant's text is not in
-its file exactly once or the unmutated copy fails its tests.
+The checkout is only read: its src/, tests/, bench/, scripts/, configs/
+and pyproject.toml are copied into a temporary directory, removed at the
+end. tests/test_golden.py reads bench/, scripts/ and configs/, so its
+golden pins can kill a mutant too. Exit status 0 when every mutant is
+killed, 1 when one survives, 2 when a mutant's text is not in its file
+exactly once or the unmutated copy fails its tests.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ _CODECS = "src/mcpursuit/codecs.py"
 _QUANTIZE = "src/mcpursuit/quantize.py"
 _MEASURE = "src/mcpursuit/measure.py"
 _SOLVER = "src/mcpursuit/solver.py"
+_HARNESS = "src/mcpursuit/harness.py"
 _INVALID = "tests/test_codecs.py::test_invalid_streams_are_refused"
 _CUT_FEASIBLE = (
     "tests/test_solver.py::test_cut_drops_only_supports_without_a_feasible_point",
@@ -49,6 +52,7 @@ _CUT_FEASIBLE = (
 _HUB_CELLS = (
     "tests/test_solver.py::test_hub_cut_keeps_exactly_the_cells_whose_float_sum_reaches_need",
 )
+_WALK = "tests/test_solver.py::test_batched_walk_matches_one_leaf_at_a_time"
 
 MUTANTS = (
     Mutant("codecs: end-of-stream check dropped", _CODECS,
@@ -98,6 +102,25 @@ MUTANTS = (
            "int(need <= 0.0)", "int(need < 0.0)", _HUB_CELLS),
     Mutant("cut: > for >= at size 1", _SOLVER,
            "self.scores[firsts] >= need", "self.scores[firsts] > need", _HUB_CELLS),
+    Mutant("walk: a first leaf ends a visit with two values left", _SOLVER,
+           "if counts[h] <= 1 and", "if counts[h] <= 2 and", (_WALK,)),
+    Mutant("walk: the first leaf's row not entered again", _SOLVER,
+           "enter(h, radius_sq)", "enter(h + 1, radius_sq)",
+           (_WALK,
+            "tests/test_solver.py::test_visit_ended_by_its_first_leaf_lays_out_no_batch")),
+    Mutant("codecs: int64 sampling past its bit bound", _CODECS,
+           "bit_bound <= 62", "bit_bound <= 70",
+           ("tests/test_solver.py::test_batched_pp_decoder_is_exact",)),
+    Mutant("run_level: one extra stratum charged per block", _SOLVER,
+           "self.budget.add_strata(_block_size(block))",
+           "self.budget.add_strata(_block_size(block) + 1)",
+           ("tests/test_golden.py::test_golden_solve_counters",)),
+    Mutant("harness: corollary CSV's strata and points swapped", _HARNESS,
+           "residual=res.residual,\n            strata=res.strata_examined, "
+           "points=res.points_tested,",
+           "residual=res.residual,\n            strata=res.points_tested, "
+           "points=res.strata_examined,",
+           ("tests/test_golden.py::test_golden_csv_column_digests",)),
 )
 
 
@@ -140,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "bench", "scripts", "configs"):
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", copy)
         base = failed_test(copy, tuple(sorted({t for m in rows for t in m.tests})))

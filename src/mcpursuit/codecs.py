@@ -46,6 +46,7 @@ __all__ = [
     "encode_sparse",
     "encode_piecewise_poly",
     "quantize_pp_spec",
+    "pp_sampler",
     "pp_sample_numerators",
     "encode_literal",
     "encode_compressor_proxy",
@@ -237,6 +238,40 @@ def _read_sparse(r: BitReader, n: int, m: int) -> QuantizedVector:
 # b_Q <= n-1; piece l covers [b_l, b_{l+1}). Each piece carries numerators
 # of coefficients a_0..a_N at m' bits; the decoded samples are the m-bit
 # truncations of sum_j a_j (i/n)^j, evaluated in exact integer arithmetic.
+# One sampler, pp_sampler, computes them: decode_any calls it for one
+# point, the solver's walk for a batch of points per breakpoint pattern,
+# and the codebook enumerator of tests/oracle_enum.py for every point of
+# a pattern at once.
+
+
+def pp_sampler(breakpoints: tuple[int, ...], n_deg: int, n: int, m: int):
+    """The exact sampler of one breakpoint pattern and degree: a function
+    from an (L, D) array of coefficient numerators, D = (Q + 1)(N + 1) of
+    them per point, piece by piece, to the (L, n) array of their m-bit
+    sample numerators.
+
+    Row p (N + 1) + j of the integer basis holds i^j n^(N - j) on piece
+    p's samples i, so a point's samples are floor(2^m (u @ basis) /
+    (2^m' n^N)). The basis is built once per pattern. The arithmetic is
+    int64 while the bit bound of its intermediate values is at most 62,
+    and Python integers (an object array) beyond it."""
+    m_prime = coeff_resolution(n_deg, m)
+    width = n_deg + 1
+    bit_bound = m_prime + n_deg * max(n - 1, 1).bit_length() + width.bit_length() + m
+    dtype = np.int64 if bit_bound <= 62 else object
+    i = np.arange(n).astype(dtype)
+    edges = (0, *breakpoints, n)
+    basis = np.zeros((width * (len(edges) - 1), n), dtype=dtype)
+    for p in range(len(edges) - 1):
+        lo, hi = edges[p], edges[p + 1]
+        for j in range(width):
+            basis[p * width + j, lo:hi] = i[lo:hi] ** j * n ** (n_deg - j)
+    denom = (1 << m_prime) * n**n_deg
+
+    def sample(coeffs):
+        return (np.asarray(coeffs, dtype=dtype) @ basis << m) // denom
+
+    return sample
 
 
 def pp_sample_numerators(
@@ -246,20 +281,10 @@ def pp_sample_numerators(
     n: int,
     m: int,
 ) -> tuple[int, ...]:
-    """Exact m-bit sample numerators of the quantized-coefficient polynomial."""
-    m_prime = coeff_resolution(n_deg, m)
-    bounds = (0,) + tuple(breakpoints) + (n,)
-    out = [0] * n
-    denom = (1 << m_prime) * n**n_deg
-    for piece, coeffs in enumerate(coeff_nums):
-        lo, hi = bounds[piece], bounds[piece + 1]
-        for i in range(lo, hi):
-            # numerator of p(i/n) over denom, kept as exact integers
-            s = 0
-            for j, cj in enumerate(coeffs):
-                s += cj * i**j * n ** (n_deg - j)
-            out[i] = (s << m) // denom
-    return tuple(out)
+    """Exact m-bit sample numerators of the quantized-coefficient
+    polynomial: pp_sampler's call on one point."""
+    point = [list(chain.from_iterable(coeff_nums))]
+    return tuple(pp_sampler(breakpoints, n_deg, n, m)(point)[0].tolist())
 
 
 def quantize_pp_spec(

@@ -24,13 +24,15 @@ prunes: a QR of its columns, a sphere walk over the integer points of its
 value box, and one leaf handler that tests the residual, offers the point
 and tightens the radius. Sparse supports, breakpoint patterns and the
 literal block pass only what differs: columns, value box, piece blocks,
-the map to sample numerators and the encoder. Degree >= 1 pieces floor
-their samples, so their radius carries a slack. The walk radius, every
-tightening of it and the three prunes allow one squared residual,
-_allowed_sq: (r + slack)^2 + _LS_MARGIN for a residual r, with r = eta
-for feasibility and r = the incumbent's residual once a point is taken,
-so a point that ties the incumbent stays inside the radius and the
-stream order decides the tie.
+the map to sample numerators and the encoder. A breakpoint pattern's map
+is the codec's own sampler, codecs.pp_sampler, which decode_any calls
+too, so the walk decodes each point exactly as its stream decodes.
+Degree >= 1 pieces floor their samples, so their radius carries a
+slack. The walk radius, every tightening of it and the three prunes
+allow one squared residual, _allowed_sq: (r + slack)^2 + _LS_MARGIN for
+a residual r, with r = eta for feasibility and r = the incumbent's
+residual once a point is taken, so a point that ties the incumbent stays
+inside the radius and the stream order decides the tie.
 
 The walk's two innermost levels are one numpy batch per visit of level 1:
 every (level-1 value, level-0 value) leaf in walk order, laid out from
@@ -43,14 +45,15 @@ tightens the radius, and then only leaves that can beat or tie the
 incumbent's residual. After each of them the rest of the batch is
 filtered against the tightened radius: a level-1 value that no longer
 fits is skipped, and later level-0 ranges shrink. The visit's first leaf
-is tried on its own first, when neither level is pivot-free: if the
-handler takes it and nothing else of the visit is left inside the
-tightened radius, as in a walk that ends at its first leaf, the visit
-lays out no batch. Points, and walk steps at
-pivot-free levels, are charged in bulk: up to each leaf the handler
-gets, and at an outer level per run of values that does not descend. So
-the counters a solve reports, and the node at which the node cap fires,
-are those of a walk that handles one leaf at a time.
+is tried on its own first, when neither level is pivot-free: once the
+handler takes it, its row and the later ones enter again at the
+tightened radius, and if that leaves its row no other value and the
+later rows none, as in a walk that ends at its first leaf, the visit
+lays out no batch. Points, and walk steps at pivot-free levels, are
+charged in bulk: up to each leaf the handler gets, and at an outer level
+per run of values that does not descend. So the counters a solve
+reports, and the node at which the node cap fires, are those of a walk
+that handles one leaf at a time.
 
 Strata come level by level (a support size, or a degree and break
 count) from _budgeted_blocks, which generates the ascending index tuples
@@ -178,10 +181,11 @@ from .codecs import (
     coeff_resolution,
     encode_literal,
     encode_sparse,
+    pp_sampler,
     uint_code_len,
     _encode_pp_numerators,
 )
-from .measure import MeasurementEnsemble
+from .measure import MeasurementEnsemble, sigma_max_expectation_bound
 from .quantize import QuantizedVector, quantization_gap_bound
 
 __all__ = [
@@ -276,7 +280,7 @@ def predicted_error_bound(
     ((sqrt(n/d) + 1 + t) / tau + 1) * sqrt(n * 2^(1-2m))."""
     if d < 1 or not 0 < tau <= 1:
         raise ValueError("need d >= 1 and 0 < tau <= 1")
-    return ((math.sqrt(n / d) + 1.0 + t) / tau + 1.0) * quantization_gap_bound(n, m)
+    return ((sigma_max_expectation_bound(n, d) + t) / tau + 1.0) * quantization_gap_bound(n, m)
 
 
 def corollary_error_bound(n: int, alpha: float, kappa: float) -> float:
@@ -455,14 +459,14 @@ def _sphere_walk(
     room above theirs, as walk_stratum's _allowed_sq does. After each
     accept the rest of the batch is filtered again: level-1 values whose
     own distance no longer fits are skipped, and later level-0 ranges
-    shrink to the tightened radius. When
-    neither level is free, the first leaf is tried alone before the batch
-    is laid out, and a visit left with nothing inside the radius after
-    accepting it ends there. Points, and walk steps at free levels, are
-    charged in bulk up to and including each leaf handed to accept, and at
-    a free outer level per run of values that does not descend, so the
-    counters, and the leaf at which the budget runs out, are those of a
-    walk that visits the leaves one at a time.
+    shrink to the tightened radius. When neither level is free, the first
+    leaf is tried alone before the batch is laid out; accepting it enters
+    its row and the later ones again, and a visit left with nothing else
+    inside the radius ends there. Points, and walk steps at free levels,
+    are charged in bulk up to and including each leaf handed to accept,
+    and at a free outer level per run of values that does not descend, so
+    the counters, and the leaf at which the budget runs out, are those of
+    a walk that visits the leaves one at a time.
 
     blocks: optional (start, end) slices over which sum(u) must stay
     strictly below block_cap.
@@ -508,25 +512,14 @@ def _sphere_walk(
                 start[at] = np.minimum(np.maximum(center, first[at]), last[at])
             counts[top:] = np.maximum(last[top:] - first[top:] + 1, 0)
 
-        def open_after(h, skip, radius_sq):
-            """Whether a later row, or a value of row h's range other than
-            skip, is still inside radius_sq: by the batch's own test, on
-            _LEAF_SLICE values of row h at a time."""
-            if (partials[h + 1 :] < radius_sq).any():
-                return True
-            for s in range(first[h], last[h] + 1, _LEAF_SLICE):
-                vals = np.arange(s, min(s + _LEAF_SLICE, last[h] + 1))
-                contrib = pivot * vals + inner[h]
-                if ((partials[h] + contrib * contrib < radius_sq) & (vals != skip)).any():
-                    return True
-            return False
-
         # each row enters at the radius of its turn: the rows after an
         # accepted leaf enter again at the tightened radius
         enter(0, radius_sq)
-        # the first leaf on its own, when neither level is free: a visit
-        # that it ends (nothing else inside the tightened radius) lays out
-        # no batch; otherwise the batch goes on after it
+        # the first leaf on its own, when neither level is free. Its row
+        # enters again too: the range only shrinks around the same start,
+        # so while any value is left the leaf is still its first one, which
+        # the batch skips. A visit left with no other value inside the
+        # tightened radius lays out no batch
         peeled = False
         if not (free0 or free1) and counts.any():
             h = int(np.flatnonzero(counts)[0])
@@ -539,10 +532,10 @@ def _sphere_walk(
                 radius_bound, cut_bound = accept(leaf, float(dist))
                 radius_sq = min(radius_sq, radius_bound)
                 cut = min(cut, cut_bound)
-                if not open_after(h, leaf[0], radius_sq):
+                enter(h, radius_sq)
+                if counts[h] <= 1 and not counts[h + 1 :].any():
                     return radius_sq
-                enter(h + 1, radius_sq)
-                peeled = True
+                peeled = counts[h] > 0
         charged = top = 0  # rows that paid their walk step; rows walked
         while top < rows:
             # whole rows up to _LEAF_SLICE leaves, or one longer row in slices
@@ -657,13 +650,6 @@ def _sphere_walk(
         # cell frees score and accept, and the search they hold, without
         # the cyclic GC
         del descend
-
-
-def _coeff_rows(u: np.ndarray, width: int) -> tuple[tuple[int, ...], ...]:
-    """Per-piece coefficient numerators of a piecewise stratum's point."""
-    return tuple(
-        tuple(int(v) for v in u[s : s + width]) for s in range(0, len(u), width)
-    )
 
 
 def _qr_rows(a_cols: np.ndarray, y: np.ndarray):
@@ -1288,8 +1274,9 @@ class _Search:
 
         The points are coordinate vectors u in [lo, 2^bits - 1]^D, and
         cols holds the stratum's columns scaled to that grid. samples(us)
-        maps an (L, D) batch of points to the (L, n) int64 sample
-        numerators of their vectors, and code(u, vec) gives one point's
+        maps an (L, D) batch of points to the (L, n) integer sample
+        numerators of their vectors (codecs.pp_sampler's for breakpoint
+        patterns), and code(u, vec) gives one point's
         codeword, built only if the offer gets that far. blocks are the
         (start, end) coordinate slices of a piecewise stratum's pieces,
         whose coefficient numerators sum to less than 2^bits.
@@ -1546,43 +1533,15 @@ class _Search:
         breaks = tuple(breaks.tolist())
 
         def code(u, vec):
-            rows = _coeff_rows(u, width)
+            rows = u.reshape(-1, width).tolist()
             return _encode_pp_numerators(breaks, rows, n_deg, self.n, self.m)
 
         # a one-coefficient piece's sum is its value, which the box keeps
         # below 2^m_prime already
         blocks = [(s, s + width) for s in range(0, cols.shape[1], width)] if n_deg else None
-        decode = self.pp_decoder(breaks, n_deg, m_prime)
+        samples = pp_sampler(breaks, n_deg, self.n, self.m)
         slack = self.pp_slack if n_deg else 0.0
-        self.walk_stratum(cols, dl, 0, m_prime, decode, code, slack, blocks)
-
-    def pp_decoder(self, breaks, n_deg, m_prime):
-        """Sample-numerator evaluator for one stratum: an (L, D) batch of
-        coefficient points to their (L, n) int64 sample numerators. Exact
-        integer arithmetic, in int64 when the intermediate products
-        provably fit and in Python integers otherwise. At degree 0 the
-        samples are the piece constants themselves."""
-        n, m = self.n, self.m
-        width = n_deg + 1
-        bit_bound = (
-            m_prime + n_deg * max(n - 1, 1).bit_length() + width.bit_length() + m
-        )
-        dtype = np.int64 if bit_bound <= 62 else object
-        # row p * width + j holds i^j n^(n_deg - j) on piece p's samples i
-        i = np.arange(n).astype(dtype)
-        edges = (0,) + tuple(breaks) + (n,)
-        basis = np.zeros((width * (len(edges) - 1), n), dtype=dtype)
-        for p in range(len(edges) - 1):
-            lo, hi = edges[p], edges[p + 1]
-            for j in range(width):
-                basis[p * width + j, lo:hi] = i[lo:hi] ** j * n ** (n_deg - j)
-        denom = (1 << m_prime) * n**n_deg
-
-        def decode(us):
-            nums = (us.astype(dtype, copy=False) @ basis << m) // denom
-            return nums.astype(np.int64, copy=False)
-
-        return decode
+        self.walk_stratum(cols, dl, 0, m_prime, samples, code, slack, blocks)
 
     # -- literal stratum -------------------------------------------------
 

@@ -5,7 +5,10 @@ iter_config_codebook yields every codeword admitted by a solver
 configuration. brute_force_argmin decodes each one, scores it directly
 against the measurements, and returns the feasible codeword minimizing
 (length, residual, stream). No pruning, no shared search machinery: a
-disagreement with the solver points at the search.
+disagreement with the solver points at the search. The samples of a
+piecewise codeword come from the codec's one sampler, codecs.pp_sampler,
+which decode_any calls too: one sampler per breakpoint pattern decodes
+all of that pattern's coefficient points in one call.
 
 The codec soundness tests pass a length budget instead. A codeword's
 length is fixed by its stratum (a sparse support, a piecewise degree and
@@ -31,7 +34,7 @@ from mcpursuit.codecs import (
     coeff_resolution,
     encode_literal,
     encode_sparse,
-    pp_sample_numerators,
+    pp_sampler,
 )
 from mcpursuit.quantize import QuantizedVector
 from mcpursuit.solver import SolverConfig
@@ -80,10 +83,12 @@ def iter_config_codebook(
                             )
                             if sum(row) < 1 << m_prime
                         ]
-                    for blocks in itertools.product(rows, repeat=q_breaks + 1):
-                        nums = pp_sample_numerators(breaks, blocks, n_deg, n, m)
+                    points = list(itertools.product(rows, repeat=q_breaks + 1))
+                    flat = [list(itertools.chain.from_iterable(p)) for p in points]
+                    samples = pp_sampler(breaks, n_deg, n, m)(flat).tolist()
+                    for blocks, nums in zip(points, samples):
                         coded = _encode_pp_numerators(breaks, blocks, n_deg, n, m)
-                        yield coded, QuantizedVector(nums, m)
+                        yield coded, QuantizedVector(tuple(nums), m)
     if config.include_literal and fits(encode_literal(QuantizedVector((0,) * n, m))):
         for nums in itertools.product(range(1 << m), repeat=n):
             q = QuantizedVector(nums, m)

@@ -10,6 +10,7 @@ import tracemalloc
 import weakref
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from mcpursuit.codecs import (
     decode_any,
     encode_sparse,
     pp_sample_numerators,
+    pp_sampler,
     uint_code_len,
 )
 from mcpursuit.measure import MeasurementEnsemble, sample_ensemble
@@ -594,7 +596,8 @@ def test_zigzag_rows_match_one_row():
 def _walk_cases(draw):
     """A small walk: an upper-triangular R, some of whose pivots (or whole
     rows) are zero, qty near a point of the box, optional piece blocks
-    with a block cap, and the leaf handler's eta, slack and cut mode."""
+    with a block cap, and the leaf handler's eta, slack, cut mode and
+    prior incumbent residual (inf for none)."""
     dims = draw(st.integers(1, 4))
     free = np.array(draw(st.lists(st.booleans(), min_size=dims, max_size=dims)))
     lo = draw(st.integers(0, 1))
@@ -614,14 +617,17 @@ def _walk_cases(draw):
     eta = draw(st.floats(0.1, 3.0))
     slack = draw(st.sampled_from([0.0, 0.3, 1.0]))
     probe = draw(st.booleans())
-    return r_mat, qty, lo, hi, blocks, block_cap, eta, slack, probe
+    prior = draw(st.just(math.inf) | st.floats(0.0, 3.0))
+    return r_mat, qty, lo, hi, blocks, block_cap, eta, slack, probe, prior
 
 
 def _walk_record(walk, case, node_cap):
     """Walk case with a leaf handler like _Search.walk_stratum's: the
     accept calls in order, the points and walk steps charged (None once
-    the node cap fires), and whether it fired."""
-    r_mat, qty, lo, hi, blocks, block_cap, eta, slack, probe = case
+    the node cap fires), and whether it fired. prior is the residual of an
+    incumbent of the same length that an earlier stratum left: a leaf that
+    loses to it still tightens the radius to it, perhaps past the leaf."""
+    r_mat, qty, lo, hi, blocks, block_cap, eta, slack, probe, prior = case
     margin = 1e-3
     weights = np.arange(1, r_mat.shape[0] + 1)
 
@@ -629,7 +635,7 @@ def _walk_record(walk, case, node_cap):
         # a stand-in for floored samples: up to slack above the walk distance
         return np.sqrt(dist_sq) + slack * ((us @ weights) % 5) / 4
 
-    calls, best = [], [math.inf]
+    calls, best = [], [prior]
 
     def accept(u, dist_sq):
         calls.append((tuple(u.tolist()), dist_sq))
@@ -655,8 +661,15 @@ def _walk_record(walk, case, node_cap):
 # accepted in the first row leaves no room for the second, whose leaves
 # must then be neither walked nor charged as walk steps
 @example(case=(np.array([[0.0, -0.13210486], [0.0, 0.30490012]]),
-               np.array([0.04869266, 0.95690014]), 0, 1, None, None, 1.0, 0.0, False),
+               np.array([0.04869266, 0.95690014]), 0, 1, None, None, 1.0, 0.0, False,
+               math.inf),
          leaf_slice=solver._LEAF_SLICE, cap_share=0.0, flips=0)
+# the first leaf loses to a prior incumbent whose radius leaves its row no
+# value: the batch must start at the next row's first leaf, not skip it
+@example(case=(np.array([[0.8979351768649599, -0.867462830633898], [0.0, 0.826726338646472]]),
+               np.array([-1.5601436496870567, 0.252082536281213]), 0, 2, None, None, 2.0,
+               1.0, False, 0.0),
+         leaf_slice=1, cap_share=0.0, flips=0)
 def test_batched_walk_matches_one_leaf_at_a_time(case, leaf_slice, cap_share, flips):
     want = _walk_record(reference_walk, case, 1 << 40)
     total = sum(want[1])
@@ -673,26 +686,54 @@ def test_batched_walk_matches_one_leaf_at_a_time(case, leaf_slice, cap_share, fl
                     == _walk_record(reference_walk, case, cap))
 
 
+def test_visit_ended_by_its_first_leaf_lays_out_no_batch(monkeypatch):
+    # R = I and qty on a grid point: the first leaf of the one visit of
+    # level 1 is that point, at distance 0. accept bounds the radius by the
+    # leaf's own distance, so nothing else is inside it: the walk accepts
+    # that leaf alone and lays out no batch of the two innermost levels.
+    qty = np.array([2.0, 3.0, 1.0])
+    calls, zigzags = [], []
+    zigzag_at = solver._zigzag_at
+    monkeypatch.setattr(solver, "_zigzag_at",
+                        lambda *args: zigzags.append(args) or zigzag_at(*args))
+
+    def accept(u, dist_sq):
+        calls.append((tuple(u.tolist()), dist_sq))
+        return dist_sq, math.inf
+
+    solver._sphere_walk(np.eye(3), qty, 10.0, 1.0, 0, 5, solver._Budget(1 << 20),
+                        lambda us, dist_sq: dist_sq, accept)
+    assert calls == [((2, 3, 1), 0.0)]
+    assert zigzags == []
+
+
 @pytest.mark.parametrize("n_deg", [1, 2, 3])
 @pytest.mark.parametrize("m", [6, 28], ids=["int64", "exact"])
 def test_batched_pp_decoder_is_exact(n_deg, m):
-    # At n = 24 the decoder's bit bound m' + 5 n_deg + bitlen(n_deg + 1) + m
+    # At n = 24 the sampler's bit bound m' + 5 n_deg + bitlen(n_deg + 1) + m
     # is at most 32 for m = 6 (int64 arithmetic) and at least 64 for m = 28
-    # (exact integers).
+    # (exact Python integers). Each sample is checked against the floor of
+    # the piece polynomial in rational arithmetic.
     n = 24
-    ens = sample_ensemble(n, 2, derive_seed(933, "decoder"))
-    search = _Search(ens, np.zeros(2), m, 1.0, SolverConfig(), None)
     m_prime = coeff_resolution(n_deg, m)
     rng = make_generator(933, "decoder-draw", n_deg, m)
     width = n_deg + 1
     for breaks in [(), (1,), (n // 3, n - 1), (1, 2, n // 2)]:
         dims = (len(breaks) + 1) * width
         us = rng.integers(0, 1 << m_prime, size=(40, dims), dtype=np.int64)
-        got = search.pp_decoder(breaks, n_deg, m_prime)(us)
-        assert got.dtype == np.int64 and got.shape == (len(us), n)
+        got = pp_sampler(breaks, n_deg, n, m)(us)
+        assert got.shape == (len(us), n)
+        assert got.dtype == (np.int64 if m == 6 else object)
+        if m != 6:
+            assert all(type(v) is int for v in got.flat)
+        edges = (0, *breaks, n)
         for u, row in zip(us.tolist(), got.tolist()):
-            coeffs = tuple(tuple(u[s : s + width]) for s in range(0, dims, width))
-            assert tuple(row) == pp_sample_numerators(breaks, coeffs, n_deg, n, m)
+            for piece in range(len(edges) - 1):
+                coeffs = u[piece * width : (piece + 1) * width]
+                for i in range(edges[piece], edges[piece + 1]):
+                    t = Fraction(i, n)
+                    val = sum(Fraction(c, 1 << m_prime) * t**j for j, c in enumerate(coeffs))
+                    assert row[i] == math.floor(val * (1 << m))
 
 
 # ---------------------------------------------------------------------------
